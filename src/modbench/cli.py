@@ -97,8 +97,7 @@ def cmd_alg(args) -> int:
 
 def cmd_free(args) -> int:
     a = load_algebra(args.file)
-    f = build_free(a, args.generators, dedup_columns=not args.no_dedup_columns,
-                   **_caps_kwargs(args))
+    f = build_free(a, args.generators, **_caps_kwargs(args))
     out = {"algebra": a.name, "generators": args.generators,
            "elements": f.n_elements, "tupleCount": f.tuple_count}
     if args.witnesses:
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-g", "--generators", type=int, required=True)
     p.add_argument("--witnesses", action="store_true")
-    p.add_argument("--no-dedup-columns", action="store_true")
     p.add_argument("--json", action="store_true")
     add_caps(p)
     p.set_defaults(fn=cmd_free)

@@ -6,8 +6,13 @@ vectors.  The breadth-first closure stores element vectors bit-plane packed
 (one uint64 lane block per plane) and evaluates operations by bitwise muxing
 over value combinations, which keeps the pair loop off the table-lookup path.
 
-Deduplication uses a 128-bit fingerprint prefilter against the known set and
-exact row comparison for the survivors, so element identity is exact.
+Deduplication works on one 64-bit key per candidate row: the packed row
+itself when it is one uint64 word with room left for a chunk position, a
+fingerprint otherwise.  Each chunk of candidates is sorted once by key, and
+only its distinct keys are probed in the sorted key index of the known
+elements, which new elements are merged into.  Fingerprint matches are
+confirmed on the rows, and a chunk with a collision is deduplicated by exact
+row comparison, so element identity is exact.
 """
 
 from __future__ import annotations
@@ -129,6 +134,7 @@ def eval_term_vector(a: FiniteAlgebra, t: Term, nvars: int,
     Assignments are enumerated lexicographically with the last variable
     varying fastest; ``var_map`` renames term variables into grid variables.
     """
+    _check_vector_size(a)
     count = a.size ** nvars
     idx = np.arange(count, dtype=np.int64)
 
@@ -147,6 +153,14 @@ def eval_term_vector(a: FiniteAlgebra, t: Term, nvars: int,
         return a.tables[term.op][flat].astype(np.int64)
 
     return rec(t).astype(np.uint8)
+
+
+def _check_vector_size(a: FiniteAlgebra) -> None:
+    """Term and free-algebra vectors hold one uint8 per coordinate."""
+    if a.size > 256:
+        raise AlgebraError(
+            f"vectors over {a.name!r} need {a.size} values; at most 256 "
+            f"fit in uint8")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +195,18 @@ def _unpack_planes(rows: np.ndarray, n_planes: int, words: int,
 
 
 def _fingerprint(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return rows @ weights  # uint64 wraparound dot product per row
+    """64-bit hash of each packed row, folded word by word.
+
+    A plain weighted sum of the words (mod 2**64) collides on rows that
+    differ in the high bits of several words; the xorshift between multiplies
+    breaks that linearity.  Rows differing in one word never collide.
+    """
+    h = rows[:, 0] * weights[0]
+    for j in range(1, rows.shape[1]):
+        h ^= h >> 29
+        h += rows[:, j]
+        h *= weights[j]
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +216,16 @@ def _fingerprint(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class FreeAlgebra:
     """Built by :func:`build_free`; immutable afterwards."""
 
-    def __init__(self, base, g, col_map, merged_digits, planes, n_planes,
-                 words, generators, w_op, w_args, op_names):
+    def __init__(self, base, g, vecs, generators, w_op, w_args, op_names):
         self.base = base
         self.g = g
         self.tuple_count = base.size ** g
-        self._col_map = col_map              # original column -> merged column
-        self._merged_digits = merged_digits  # (C', g) generator digits
-        self._planes = planes                # (N, n_planes*words) uint64
-        self._n_planes = n_planes
-        self._words = words
+        self.vecs = vecs                     # (N, size**g) uint8
+        self.vecs.setflags(write=False)
         self.generators = generators         # element index per generator
         self._w_op = w_op                    # op index per element, -1 = Var
         self._w_args = w_args                # argument element indices
         self._op_names = op_names
-        merged = _unpack_planes(planes, n_planes, words, merged_digits.shape[0])
-        self.vecs = merged[:, col_map]       # (N, size**g) uint8
-        self.vecs.setflags(write=False)
         self._terms: dict[int, Term] = {}
 
     @property
@@ -309,81 +327,148 @@ class FreeAlgebra:
 
 
 class _Builder:
-    def __init__(self, base: FiniteAlgebra, n_planes: int, words: int,
-                 cap_entries: int, c_merged: int, max_arity: int):
-        self.base = base
+    """Packed element rows and a sorted index of one 64-bit key per row.
+
+    When a row is one word whose used bits leave room for a chunk position
+    beside them, the word is the key and key equality is row equality.
+    Otherwise the key is a fingerprint, and every match is confirmed on the
+    rows themselves, so element identity is exact either way.
+    """
+
+    def __init__(self, n_planes: int, words: int, cap_entries: int, c: int,
+                 max_arity: int):
         self.n_planes = n_planes
         self.words = words
         self.cap_entries = cap_entries
-        self.c = c_merged
+        self.c = c
         self.width = n_planes * words
+        self.chunk = max(1 << 16, 6_000_000 // self.width)
+        self.exact = (self.width == 1
+                      and c + (self.chunk - 1).bit_length() <= 64)
         self.rows = np.empty((256, self.width), dtype=np.uint64)
         rng = np.random.default_rng(0x5EED_0F0D)
         self.weights = (rng.integers(1, 2 ** 63, size=self.width,
                                      dtype=np.uint64) * 2 + 1)
         # padded tail bits of each plane must stay zero after every op
         self.row_mask = np.full(self.width, np.uint64(0xFFFFFFFFFFFFFFFF))
-        tail = c_merged % 64
+        tail = c % 64
         if tail:
             for b in range(n_planes):
                 self.row_mask[(b + 1) * words - 1] = np.uint64((1 << tail) - 1)
-        self.fps = np.empty(256, dtype=np.uint64)
         self.n = 0
-        self._fp_sorted = np.empty(0, dtype=np.uint64)
-        self._fp_perm = np.empty(0, dtype=np.int64)
-        self.w_op: list[int] = []
-        self.w_args: list[tuple[int, ...]] = []
+        self._keys_sorted = np.empty(0, dtype=np.uint64)
+        self._key_perm = np.empty(0, dtype=np.int64)  # element per sorted key
         self.max_arity = max(max_arity, 1)
+        self.w_op: list[np.ndarray] = []
+        self.w_args: list[np.ndarray] = []
 
-    def _grow(self, need):
-        cap = self.rows.shape[0]
-        if need <= cap:
-            return
-        new = max(need, cap * 2)
-        self.rows = np.resize(self.rows, (new, self.width))
-        self.fps = np.resize(self.fps, new)
-
-    def append(self, rows: np.ndarray, ops: list[int], argses: list[tuple]):
+    def append(self, rows: np.ndarray, keys: np.ndarray, op: int,
+               args: np.ndarray):
+        """Add distinct new rows with their witness: ``op`` applied to the
+        element indices in each row of ``args`` (-1 and the variable index
+        for a generator)."""
         k = rows.shape[0]
-        self._grow(self.n + k)
-        self.rows[self.n:self.n + k] = rows
-        self.fps[self.n:self.n + k] = _fingerprint(rows, self.weights)
-        self.n += k
-        self.w_op.extend(ops)
-        self.w_args.extend(argses)
-        order = np.argsort(self.fps[:self.n], kind="stable")
-        self._fp_sorted = self.fps[:self.n][order]
-        self._fp_perm = order
-        if self.n * self.c > self.cap_entries:
+        if (self.n + k) * self.c > self.cap_entries:
             raise CapExceeded(
                 f"free algebra exceeds {self.cap_entries} vector entries "
-                f"({self.n} elements of {self.c} coordinates)", self.n)
+                f"({self.n + k} elements of {self.c} coordinates)",
+                self.n + k)
+        if self.n + k > self.rows.shape[0]:
+            self.rows = np.resize(self.rows, (max(self.n + k,
+                                                  2 * self.rows.shape[0]),
+                                              self.width))
+        self.rows[self.n:self.n + k] = rows
+        order = np.argsort(keys, kind="stable")
+        new_keys = keys[order]
+        at = np.searchsorted(self._keys_sorted, new_keys, side="right")
+        self._keys_sorted = np.insert(self._keys_sorted, at, new_keys)
+        self._key_perm = np.insert(self._key_perm, at, self.n + order)
+        self.n += k
+        self.w_op.append(np.full(k, op, dtype=np.int64))
+        padded = np.zeros((k, self.max_arity), dtype=np.int64)
+        padded[:, :args.shape[1]] = args
+        self.w_args.append(padded)
 
-    def known_mask(self, rows: np.ndarray, fps: np.ndarray) -> np.ndarray:
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        return rows[:, 0] if self.exact else _fingerprint(rows, self.weights)
+
+    def new_rows(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Ascending positions of the first occurrence of each row that is
+        not a known element.
+
+        One sort of (key, position) words groups the rows and puts each
+        group's first position first; the groups' keys are then probed in
+        the index.  Fingerprints give up their low bits to the position, so
+        each group is checked to hold one row and each probe hit to be that
+        row; a failed check sends the chunk to the exact path.
+        """
+        m = rows.shape[0]
+        b = max(1, (m - 1).bit_length())
+        if self.exact and self.c + b > 64:
+            return self._new_rows_exact(rows, keys)
+        low = np.uint64((1 << b) - 1)
+        if self.exact:
+            packed = keys << b
+        else:
+            packed = keys >> b
+            packed <<= b
+        packed |= np.arange(m, dtype=np.uint64)
+        packed.sort()
+        groups = packed >> b
+        starts = np.flatnonzero(np.concatenate(
+            ([True], groups[1:] != groups[:-1])))
+        first = (packed[starts] & low).astype(np.int64)
+        # distinct high bits, so the groups' full keys are sorted too
+        group_keys = keys[first]
+        at = np.searchsorted(self._keys_sorted, group_keys)
+        top = self._keys_sorted.size - 1
+        hit = self._keys_sorted[np.minimum(at, top)] == group_keys
+        if not self.exact:
+            if self.width == 1:
+                # a one-word fingerprint is a bijection on rows, so each
+                # group holds one row iff it holds one distinct key
+                full = np.sort(keys)
+                pure = np.count_nonzero(full[1:] != full[:-1]) < starts.size
+            else:
+                rep = np.empty(m, dtype=np.int64)
+                rep[(packed & low).astype(np.int64)] = np.repeat(
+                    first, np.diff(starts, append=m))
+                pure = np.array_equal(rows, rows[rep])
+            if not (pure and np.array_equal(
+                    rows[first[hit]], self.rows[self._key_perm[at[hit]]])):
+                return self._new_rows_exact(rows, keys)
+        return np.sort(first[~hit])
+
+    def _new_rows_exact(self, rows: np.ndarray,
+                        keys: np.ndarray) -> np.ndarray:
+        """:meth:`new_rows` by row comparison, for chunks with collisions."""
+        miss = np.flatnonzero(~self.known_mask(rows, keys))
+        _, first = np.unique(rows[miss], axis=0, return_index=True)
+        return miss[np.sort(first)]
+
+    def known_mask(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Exactly which candidate rows equal an already-known element.
 
-        Fingerprints narrow the comparison; equality is decided on the rows
+        Keys narrow the comparison; equality is decided on the rows
         themselves, so fingerprint collisions cannot drop or duplicate
         elements.
         """
-        k = self._fp_sorted.size
+        index = self._keys_sorted
+        k = index.size
         known = np.zeros(rows.shape[0], dtype=bool)
-        if k == 0:
-            return known
-        pos = np.searchsorted(self._fp_sorted, fps)
-        cand = np.nonzero((pos < k) & (self._fp_sorted[np.minimum(pos, k - 1)]
-                                       == fps))[0]
+        pos = np.searchsorted(index, keys)
+        cand = np.nonzero((pos < k) & (index[np.minimum(pos, k - 1)]
+                                       == keys))[0]
         while cand.size:
             p = pos[cand]
-            match = (rows[cand] == self.rows[self._fp_perm[p]]).all(axis=1)
+            match = (rows[cand] == self.rows[self._key_perm[p]]).all(axis=1)
             known[cand[match]] = True
-            # unresolved candidates may match a later element with equal fp
+            # unresolved candidates may match a later element with equal key
             cand = cand[~match]
             if cand.size:
                 pos[cand] += 1
                 p = pos[cand]
-                still = (p < k) & (self._fp_sorted[np.minimum(p, k - 1)]
-                                   == fps[cand])
+                still = (p < k) & (index[np.minimum(p, k - 1)] == keys[cand])
                 cand = cand[still]
         return known
 
@@ -452,7 +537,6 @@ def _block_chunks(sizes, chunk):
 
 def build_free(a: FiniteAlgebra, g: int,
                cap_entries: int = DEFAULT_CAP_ENTRIES,
-               dedup_columns: bool = True,
                work_budget: int = DEFAULT_WORK_BUDGET) -> FreeAlgebra:
     """BFS closure of the projection vectors under all operations.
 
@@ -462,34 +546,23 @@ def build_free(a: FiniteAlgebra, g: int,
     """
     if g < 1:
         raise AlgebraError("generator count must be positive")
+    _check_vector_size(a)
     size = a.size
-    c_full = size ** g
-    if c_full * g > cap_entries:
+    c = size ** g
+    if c * g > cap_entries:
         raise CapExceeded(
-            f"tuple space alone ({g} generators of {c_full} coordinates) "
+            f"tuple space alone ({g} generators of {c} coordinates) "
             f"exceeds cap {cap_entries}", 0)
 
-    idx = np.arange(c_full, dtype=np.int64)
-    digits = np.empty((c_full, g), dtype=np.uint8)
+    idx = np.arange(c, dtype=np.int64)
+    digits = np.empty((c, g), dtype=np.uint8)
     for i in range(g):
         digits[:, i] = (idx // size ** (g - 1 - i)) % size
 
-    if dedup_columns:
-        merged, first = np.unique(digits, axis=0, return_index=True)
-        order = np.argsort(first, kind="stable")
-        merged = merged[order]
-        key = {merged[j].tobytes(): j for j in range(merged.shape[0])}
-        col_map = np.array([key[digits[t].tobytes()] for t in range(c_full)],
-                           dtype=np.int64)
-    else:
-        merged = digits
-        col_map = np.arange(c_full, dtype=np.int64)
-    c_merged = merged.shape[0]
-
     n_planes = max(1, (size - 1).bit_length())
-    words = (c_merged + 63) // 64
+    words = (c + 63) // 64
     max_arity = max((ar for _, ar in a.signature.ops), default=1)
-    builder = _Builder(a, n_planes, words, cap_entries, c_merged, max_arity)
+    builder = _Builder(n_planes, words, cap_entries, c, max_arity)
 
     ops = [(name, ar, a.tables[name]) for name, ar in a.signature.ops]
     op_index = {name: i for i, (name, _, _) in enumerate(ops)}
@@ -503,27 +576,27 @@ def build_free(a: FiniteAlgebra, g: int,
     # seed: projections, then constants
     generators = []
     for i in range(g):
-        vec = merged[:, i].reshape(1, -1)
+        vec = digits[:, i].reshape(1, -1)
         rows = _pack_planes(vec, n_planes, words)
         hit = [e for e in range(builder.n)
                if np.array_equal(builder.rows[e], rows[0])]
         if hit:
             generators.append(hit[0])
         else:
-            builder.append(rows, [-1], [(i,)])
+            builder.append(rows, builder.keys(rows), -1, np.array([[i]]))
             generators.append(builder.n - 1)
     for name, ar, tab in ops:
         if ar != 0:
             continue
-        vec = np.full((1, c_merged), int(tab[0]), dtype=np.uint8)
+        vec = np.full((1, c), int(tab[0]), dtype=np.uint8)
         rows = _pack_planes(vec, n_planes, words)
         if not any(np.array_equal(builder.rows[e], rows[0])
                    for e in range(builder.n)):
-            builder.append(rows, [op_index[name]], [()])
+            builder.append(rows, builder.keys(rows),
+                           op_index[name], np.empty((1, 0), dtype=np.int64))
 
     units_used = 0
     op_cost = {name: (size ** ar) * builder.width for name, ar, _ in ops}
-    chunk_pairs = max(1 << 16, 6_000_000 // max(1, builder.width))
     frontier_start = 0
     while frontier_start < builder.n:
         old = frontier_start
@@ -559,11 +632,11 @@ def build_free(a: FiniteAlgebra, g: int,
             for block in blocks:
                 if block == "sym":
                     xs_all = np.arange(old, level_total, dtype=np.int64)
-                    gen = _sym_pair_chunks(xs_all, chunk_pairs)
+                    gen = _sym_pair_chunks(xs_all, builder.chunk)
                 else:
                     sizes, offsets = block
                     gen = (_offset(idxs, offsets)
-                           for idxs in _block_chunks(sizes, chunk_pairs))
+                           for idxs in _block_chunks(sizes, builder.chunk))
                 for arg_idx in gen:
                     m = arg_idx[0].shape[0]
                     if m == 0:
@@ -575,27 +648,17 @@ def build_free(a: FiniteAlgebra, g: int,
                             f"exceeded", builder.n)
                     arg_rows = [builder.rows[ix] for ix in arg_idx]
                     res = _apply_op_packed(builder, combos, size, arg_rows)
-                    fps = _fingerprint(res, builder.weights)
-                    miss = ~builder.known_mask(res, fps)
-                    if not miss.any():
-                        continue
-                    mpos = np.nonzero(miss)[0]
-                    rows_m = res[mpos]
-                    _, first = np.unique(rows_m, axis=0, return_index=True)
-                    first = np.sort(first)
-                    pos = mpos[first]
-                    builder.append(
-                        res[pos], [op_index[name]] * pos.size,
-                        [tuple(int(ix[p]) for ix in arg_idx) for p in pos])
+                    keys = builder.keys(res)
+                    pos = builder.new_rows(res, keys)
+                    if pos.size:
+                        builder.append(
+                            res[pos], keys[pos], op_index[name],
+                            np.stack([ix[pos] for ix in arg_idx], axis=1))
 
-    w_args = np.zeros((builder.n, builder.max_arity), dtype=np.int64)
-    for e, args in enumerate(builder.w_args):
-        for j, v in enumerate(args):
-            w_args[e, j] = v
-    return FreeAlgebra(a, g, col_map, merged,
-                       np.ascontiguousarray(builder.rows[:builder.n]),
-                       n_planes, words, tuple(generators),
-                       np.array(builder.w_op, dtype=np.int64), w_args,
+    vecs = _unpack_planes(builder.rows[:builder.n], n_planes, words, c)
+    return FreeAlgebra(a, g, vecs, tuple(generators),
+                       np.concatenate(builder.w_op),
+                       np.concatenate(builder.w_args),
                        [name for name, _, _ in ops])
 
 

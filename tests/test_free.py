@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modbench.algebras import AlgebraError
+from modbench import free
+from modbench.algebras import AlgebraError, FiniteAlgebra, Signature
 from modbench.free import (App, CapExceeded, Var, build_free, eval_term,
                            eval_term_vector, parse_term, subst_vars,
                            term_str)
@@ -12,10 +14,12 @@ from modbench.relations import CONGRUENCE, generate
 from conftest import random_algebra
 
 
-def test_build_counts(z2, lattice2):
+def test_build_counts(z2, lattice2, semilattice2):
     assert build_free(z2, 2).n_elements == 4
     assert build_free(lattice2, 3).n_elements == 18
     assert build_free(lattice2, 4).n_elements == 166
+    # 64 coordinates fill the packed word, so rows are keyed by fingerprint
+    assert build_free(semilattice2, 6).n_elements == 2 ** 6 - 1
 
 
 def test_z2_f2_elements(z2):
@@ -26,16 +30,6 @@ def test_z2_f2_elements(z2):
     vecs = {tuple(f.vecs[e]) for e in range(4)}
     assert (0, 0, 1, 1) in vecs and (0, 1, 0, 1) in vecs
     assert (0, 0, 0, 0) in vecs and (0, 1, 1, 0) in vecs
-
-
-def test_dedup_columns_flag_equivalent(lattice2, chain3):
-    for a, g in [(lattice2, 3), (chain3, 3)]:
-        on = build_free(a, g, dedup_columns=True)
-        off = build_free(a, g, dedup_columns=False)
-        assert on.n_elements == off.n_elements
-        assert np.array_equal(on.vecs, off.vecs)
-        assert [on.term_of(e) for e in range(on.n_elements)] == \
-               [off.term_of(e) for e in range(off.n_elements)]
 
 
 def test_determinism(lattice2):
@@ -83,8 +77,8 @@ def test_term_of_generators(z2):
         assert f.term_of(f.generators[i]) == Var(i)
 
 
-def test_witnesses_reproduce_vectors(z2, lattice2):
-    for a, g in [(z2, 2), (lattice2, 3)]:
+def test_witnesses_reproduce_vectors(z2, lattice2, semilattice2):
+    for a, g in [(z2, 2), (lattice2, 3), (semilattice2, 6)]:
         f = build_free(a, g)
         for e in range(f.n_elements):
             vec = eval_term_vector(a, f.term_of(e), g)
@@ -149,3 +143,115 @@ def test_random_small_builds_are_closed():
         for opname, arity in a.signature.ops:
             table = fa.tables[opname]
             assert table.size == f.n_elements ** arity
+
+
+def _build_outputs(f):
+    return (f.vecs.tobytes(), f.vecs.shape, f.generators,
+            f._w_op.tobytes(), f._w_args.tobytes())
+
+
+@pytest.mark.parametrize("fake", [
+    lambda rows, weights: np.zeros(rows.shape[0], dtype=np.uint64),
+    lambda rows, weights: rows[:, -1] & np.uint64(3),
+], ids=["all-equal", "two-low-bits"])
+def test_colliding_fingerprints_build_identically(fake, monkeypatch, chain3,
+                                                  pixley3):
+    # packed rows wider than one word are keyed by fingerprint; forced
+    # collisions must send chunks down the exact path, not drop elements
+    cases = [(chain3, 3), (chain3, 4), (pixley3, 2)]
+    expected = [_build_outputs(build_free(a, g)) for a, g in cases]
+    monkeypatch.setattr(free, "_fingerprint", fake)
+    for (a, g), want in zip(cases, expected):
+        assert _build_outputs(build_free(a, g)) == want
+
+
+def test_colliding_one_word_fingerprints_build_identically(monkeypatch,
+                                                          semilattice2):
+    # one-word rows trust that the fingerprint is a bijection; a byteswap is
+    # one, and it moves the coordinates that tell elements apart into the
+    # low bits that the chunk sort gives up
+    want = _build_outputs(build_free(semilattice2, 6))
+    monkeypatch.setattr(free, "_fingerprint",
+                        lambda rows, weights: rows[:, 0].byteswap())
+    assert _build_outputs(build_free(semilattice2, 6)) == want
+
+
+def _unary_shift(size: int) -> FiniteAlgebra:
+    table = [(x - 1) % size for x in range(size)]
+    return FiniteAlgebra(f"shift{size}", size, Signature((("f", 1),)),
+                         {"f": table})
+
+
+def test_vectors_reject_more_than_256_values():
+    f_x0 = App("f", (Var(0),))
+    top = eval_term_vector(_unary_shift(256), f_x0, 1)
+    assert int(top[0]) == 255
+    big = _unary_shift(257)
+    # f(0) = 256 does not fit in uint8 and used to read back as 0
+    with pytest.raises(AlgebraError):
+        eval_term_vector(big, f_x0, 1)
+    with pytest.raises(AlgebraError):
+        build_free(big, 1)
+
+
+_CLOSURE_LIMIT = 40
+
+
+def _set_closure(a: FiniteAlgebra, g: int):
+    """Vectors of F(g) as bytes, by naive fixpoint iteration over a set;
+    None once more than _CLOSURE_LIMIT elements appear."""
+    size = a.size
+    grid = list(itertools.product(range(size), repeat=g))
+    elems = {bytes(t[i] for t in grid) for i in range(g)}
+    for name, arity in a.signature.ops:
+        if arity == 0:
+            elems.add(bytes([int(a.tables[name][0])] * len(grid)))
+    while len(elems) <= _CLOSURE_LIMIT:
+        new = set()
+        for name, arity in a.signature.ops:
+            table = [int(v) for v in a.tables[name]]
+            for args in itertools.product(sorted(elems), repeat=arity):
+                out = []
+                for column in zip(*args) if args else [()] * len(grid):
+                    flat = 0
+                    for v in column:
+                        flat = flat * size + v
+                    out.append(table[flat])
+                vec = bytes(out)
+                if vec not in elems:
+                    new.add(vec)
+                    if len(elems) + len(new) > _CLOSURE_LIMIT:
+                        return None
+        if not new:
+            return elems
+        elems |= new
+    return None
+
+
+@st.composite
+def _small_algebras(draw):
+    size = draw(st.sampled_from([2, 3]))
+    arities = draw(st.lists(st.integers(0, 3 if size == 2 else 2),
+                            min_size=1, max_size=2))
+    ops = tuple((f"f{i}", ar) for i, ar in enumerate(arities))
+    tables = {name: draw(st.lists(st.integers(0, size - 1),
+                                  min_size=size ** ar, max_size=size ** ar))
+              for name, ar in ops}
+    return FiniteAlgebra("hyp", size, Signature(ops), tables)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), g=st.integers(1, 3))
+def test_build_matches_set_closure(a, g):
+    want = _set_closure(a, g)
+    cap = _CLOSURE_LIMIT * a.size ** g
+    if want is None:
+        with pytest.raises(CapExceeded):
+            build_free(a, g, cap_entries=cap)
+        return
+    f = build_free(a, g, cap_entries=cap)
+    got = [row.tobytes() for row in f.vecs]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    for e in range(f.n_elements):
+        assert np.array_equal(eval_term_vector(a, f.term_of(e), g), f.vecs[e])
