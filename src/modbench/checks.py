@@ -21,19 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import math
+from operator import itemgetter
 
 import numpy as np
 
 from .algebras import FiniteAlgebra
-from .catalog import ALGEBRA, VARIETY, CatalogError, get_entry
+from .catalog import ALGEBRA, CatalogError, get_entry
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
-                  VarE, expr_str, has_symbolic, push_converse,
+                  VarE, expr_str, expr_vars, has_symbolic, push_converse,
                   substitute_k)
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
-from .relations import (CONGRUENCE, BinRel, GuardExceeded,
-                        all_congruences, alt, compose, generate,
-                        is_compatible, meet, power)
+from .relations import (CONGRUENCE, BinRel, GuardExceeded, RelationError,
+                        all_congruences, compose, generate, is_compatible,
+                        meet)
 
 
 class CheckError(ValueError):
@@ -46,6 +48,157 @@ class PWGrammarError(CheckError):
 
 # ---------------------------------------------------------------------------
 # Concrete evaluation
+
+_TABLE_KEYS = 4096
+
+
+class _Evaluator:
+    """Evaluates expressions over environments drawn from fixed spaces.
+
+    ``spaces`` lists ``(name, relations)`` per variable; an environment is
+    a tuple of indices into them, and a compiled node maps (environment,
+    count) to a relation, where the count replaces the symbolic ``k``.
+    Each distinct subexpression compiles to one node that keeps its last
+    value in a single slot, keyed on the indices of the variables it uses
+    (and on the count when it contains ``k``), so stepping through
+    environments in product order recomputes only what the changed
+    variables reach.  A k-free node whose variables are not a prefix of
+    that order sees its keys come back, and keeps every value in a table
+    when there are at most ``_TABLE_KEYS`` keys.  ``generate`` is
+    memoised on (kind, seed rows).
+
+    A symbolic alternation or power over k-free operands keeps its slot
+    keyed on the variables alone and extends the cached composition when a
+    larger count is asked for at the same environment.
+    """
+
+    def __init__(self, a: FiniteAlgebra, spaces):
+        self.a = a
+        self.spaces = spaces
+        self.pos = {name: i for i, (name, _) in enumerate(spaces)}
+        self._nodes: dict = {}
+        self._generated: dict = {}
+
+    def compile(self, e):
+        node = self._nodes.get(e)
+        if node is None:
+            node = self._nodes[e] = self._build(e)
+        return node
+
+    def _build(self, e):
+        if isinstance(e, VarE):
+            if e.name not in self.pos:
+                def unbound(c, k):
+                    raise CheckError(f"unbound variable {e.name}")
+                return unbound
+            p = self.pos[e.name]
+            space = self.spaces[p][1]
+            return lambda c, k: space[c[p]]
+        if isinstance(e, (ComposeE, MeetE)):
+            items = [self.compile(it) for it in e.items]
+            op = compose if isinstance(e, ComposeE) else meet
+
+            def fold(c, k):
+                out = items[0](c, k)
+                for it in items[1:]:
+                    out = op(out, it(c, k))
+                return out
+            return self._cached(e, fold)
+        if isinstance(e, ConvE):
+            item = self.compile(e.item)
+            return self._cached(e, lambda c, k: item(c, k).converse())
+        if isinstance(e, GenE):
+            return self._cached(e, self._gen(e))
+        if isinstance(e, AltE):
+            return self._alternation(e, e.first, e.second)
+        if isinstance(e, PowE):
+            return self._alternation(e, e.item, e.item)
+        raise CheckError(f"not an expression: {e!r}")
+
+    def _variables(self, e) -> list[int]:
+        return sorted(self.pos[v] for v in expr_vars(e) if v in self.pos)
+
+    @staticmethod
+    def _key(ps: list[int], with_k: bool):
+        """Cache key: the indices of the variables at ``ps``, and the count."""
+        pick = itemgetter(*ps) if ps else (lambda c: ())
+        if with_k:
+            return lambda c, k: (pick(c), k)
+        return lambda c, k: pick(c)
+
+    def _cached(self, e, compute):
+        with_k = has_symbolic(e)
+        ps = self._variables(e)
+        key_of = self._key(ps, with_k)
+        keys = math.prod(len(self.spaces[p][1]) for p in ps)
+        # in product order the values of a node over a prefix of the
+        # variables never come back, so one slot holds all it can reuse
+        if not with_k and ps != list(range(len(ps))) and keys <= _TABLE_KEYS:
+            table = {}
+
+            def tabled(c, k):
+                key = key_of(c, k)
+                value = table.get(key)
+                if value is None:
+                    value = table[key] = compute(c, k)
+                return value
+            return tabled
+        slot = [None, None]               # key, value
+
+        def node(c, k):
+            key = key_of(c, k)
+            if key != slot[0]:
+                slot[1] = compute(c, k)
+                slot[0] = key
+            return slot[1]
+        return node
+
+    def _gen(self, e: GenE):
+        a, kind, memo = self.a, e.kind, self._generated
+        items = [self.compile(it) for it in e.items]
+
+        def compute(c, k):
+            rows = [0] * a.size
+            for it in items:
+                for i, r in enumerate(it(c, k).rows):
+                    rows[i] |= r
+            key = (kind, tuple(rows))
+            rel = memo.get(key)
+            if rel is None:
+                seeds = BinRel(a.size, rows).pairs()
+                rel = memo[key] = generate(a, seeds, kind)
+            return rel
+        return compute
+
+    def _alternation(self, e, first_e, second_e):
+        first, second = self.compile(first_e), self.compile(second_e)
+        count = e.count
+        grows = count == K and not (has_symbolic(first_e)
+                                    or has_symbolic(second_e))
+        key_of = self._key(self._variables(e),
+                           has_symbolic(e) and not grows)
+        identity = BinRel.identity(self.a.size)
+        slot = [None, 0, None]            # key, factors, composition
+
+        def node(c, k):
+            m = k if count == K else count
+            if m is None:
+                raise CheckError("symbolic count not substituted")
+            if m == 0:
+                return identity
+            if m < 0:
+                raise RelationError("alt requires m >= 1")
+            key = key_of(c, k)
+            if key == slot[0] and slot[1] <= m:
+                have, out = slot[1], slot[2]
+            else:
+                have, out = 1, first(c, k)
+            while have < m:
+                out = compose(out, second(c, k) if have % 2 else first(c, k))
+                have += 1
+            slot[:] = key, m, out
+            return out
+        return node
 
 
 def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
@@ -62,44 +215,8 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
                 raise CheckError(
                     f"variable {name} bound to a relation that is not "
                     f"{kind}")
-
-    def rec(x) -> BinRel:
-        if isinstance(x, VarE):
-            if x.name not in env:
-                raise CheckError(f"unbound variable {x.name}")
-            return env[x.name]
-        if isinstance(x, ComposeE):
-            out = rec(x.items[0])
-            for it in x.items[1:]:
-                out = compose(out, rec(it))
-            return out
-        if isinstance(x, MeetE):
-            out = rec(x.items[0])
-            for it in x.items[1:]:
-                out = meet(out, rec(it))
-            return out
-        if isinstance(x, ConvE):
-            return rec(x.item).converse()
-        if isinstance(x, GenE):
-            pairs = []
-            for it in x.items:
-                pairs.extend(rec(it).pairs())
-            return generate(a, pairs, x.kind)
-        if isinstance(x, AltE):
-            if x.count == K:
-                raise CheckError("symbolic count not substituted")
-            if x.count == 0:
-                return BinRel.identity(a.size)
-            return alt(rec(x.first), rec(x.second), x.count)
-        if isinstance(x, PowE):
-            if x.count == K:
-                raise CheckError("symbolic count not substituted")
-            if x.count == 0:
-                return BinRel.identity(a.size)
-            return power(rec(x.item), x.count)
-        raise CheckError(f"not an expression: {x!r}")
-
-    return rec(e)
+    ev = _Evaluator(a, [(name, [rel]) for name, rel in env.items()])
+    return ev.compile(e)((0,) * len(env), None)
 
 
 _REL_CACHE: dict = {}
@@ -131,8 +248,9 @@ def enumerate_relations(a: FiniteAlgebra, kind: str, enum_cap: int = 4,
     else:
         seen = set()
         offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-        seeds = [()] + [(p,) for p in offdiag] + \
-            list(itertools.combinations(offdiag, seed_pair_cap))
+        seeds = itertools.chain.from_iterable(
+            itertools.combinations(offdiag, size)
+            for size in range(seed_pair_cap + 1))
         for seed in seeds:
             r = generate(a, list(seed), kind)
             if r.rows not in seen:
@@ -155,18 +273,27 @@ class ConcreteResult:
     counterexample: dict | None
     complete: bool           # was the variable enumeration exhaustive?
     envs_checked: int
+    least_k: int | None = None   # least k holding everywhere, when scanned
 
 
 def check_concrete(a: FiniteAlgebra, ident: Identity, k: int | None = None,
                    enum_cap: int = 4, seed_pair_cap: int = 2,
                    max_envs: int = 2_000_000) -> ConcreteResult:
-    """Quantify the declared variables over relations of ``a``."""
-    lhs, rhs = ident.lhs, ident.rhs
-    if has_symbolic(lhs) or has_symbolic(rhs):
-        if k is None:
-            raise CheckError(f"{ident.name} needs a value for k")
-        lhs = substitute_k(lhs, k)
-        rhs = substitute_k(rhs, k)
+    """Quantify the declared variables over relations of ``a``.
+
+    Environments run in product order over the enumerated relations; the
+    first one whose side conditions hold and whose inclusion fails at ``k``
+    is the counterexample.  When ``k`` occurs on the right-hand side only,
+    each environment is tested from the largest count any earlier one
+    needed upwards: relations are reflexive and every operation is
+    monotone, so the right-hand side grows with its count, and
+    ``least_k`` -- the largest per-environment least count -- is the least
+    k at which the inclusion holds throughout.  It is None when the check
+    fails or k is not scanned.
+    """
+    lhs_k, rhs_k = has_symbolic(ident.lhs), has_symbolic(ident.rhs)
+    if (lhs_k or rhs_k) and k is None:
+        raise CheckError(f"{ident.name} needs a value for k")
     spaces = []
     for name, kind in ident.var_kinds:
         spaces.append((name, enumerate_relations(a, kind, enum_cap,
@@ -177,25 +304,34 @@ def check_concrete(a: FiniteAlgebra, ident: Identity, k: int | None = None,
     if total > max_envs:
         raise GuardExceeded(
             f"{total} variable assignments exceed the cap {max_envs}")
-    env_names = [name for name, _ in spaces]
+    ev = _Evaluator(a, spaces)
+    conds = [(ev.compile(c.sub), ev.compile(c.sup))
+             for c in ident.side_conditions]
+    lhs, rhs = ev.compile(ident.lhs), ev.compile(ident.rhs)
+    # a negative k is left to the evaluator, which rejects it
+    scan = rhs_k and not lhs_k and k >= 0
+    least = 0
     checked = 0
-    for combo in itertools.product(*[space for _, space in spaces]):
-        env = dict(zip(env_names, combo))
-        ok = True
-        for cond in ident.side_conditions:
-            if not (eval_expr(a, cond.sub, env) <= eval_expr(a, cond.sup, env)):
-                ok = False
+    for env in itertools.product(*[range(len(s)) for _, s in spaces]):
+        for sub, sup in conds:
+            if not sub(env, None) <= sup(env, None):
                 break
-        if not ok:
-            continue
-        checked += 1
-        left = eval_expr(a, lhs, env)
-        right = eval_expr(a, rhs, env)
-        if not (left <= right):
-            return ConcreteResult(False, env, complete_enumeration(
-                a, ident, enum_cap), checked)
+        else:
+            checked += 1
+            left = lhs(env, k)
+            m = least if scan else k
+            while not left <= rhs(env, m):
+                if m == k:
+                    counterexample = {name: space[i] for (name, space), i
+                                      in zip(spaces, env)}
+                    return ConcreteResult(
+                        False, counterexample,
+                        complete_enumeration(a, ident, enum_cap), checked)
+                m += 1
+            least = m
     return ConcreteResult(True, None,
-                          complete_enumeration(a, ident, enum_cap), checked)
+                          complete_enumeration(a, ident, enum_cap), checked,
+                          least if scan else None)
 
 
 # ---------------------------------------------------------------------------
@@ -452,46 +588,42 @@ class SpectrumResult:
         return str(self.value) if self.value is not None else "exceeds cap"
 
 
-def _holds_at(ctx, a, entry, params, k, enum_cap, seed_pair_cap):
-    ident = entry.identity(**params)
-    if entry.level == VARIETY:
-        return pw_check(ctx, ident, k=k)
-    return check_concrete(a, ident, k=k, enum_cap=enum_cap,
-                          seed_pair_cap=seed_pair_cap).holds
-
-
 def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
              params: dict | None = None, ctx: PWContext | None = None,
              enum_cap: int = 4, seed_pair_cap: int = 2) -> SpectrumResult:
-    """Least scan value making the family's inclusion hold, scanning up.
+    """Least scan value making the family's inclusion hold, up to ``cap``.
 
-    The right-hand side only grows with the scan parameter, so the linear
-    scan is exact; for variety-level families monotonicity is asserted at
-    the found value.
+    The right-hand side only grows with the scan parameter.  Algebra-level
+    families take one ``check_concrete`` pass at ``cap``, which finds the
+    least value per environment; variety-level families scan upwards, and
+    monotonicity is asserted at the found value.
     """
     entry = get_entry(family)
     if entry.scan is None:
         raise CatalogError(f"{family} has no scan parameter; use check")
     params = dict(params or {})
-    ctx = ctx or PWContext(a)
-    for k in range(cap + 1):
-        if _holds_at(ctx, a, entry, params, k, enum_cap, seed_pair_cap):
-            if entry.level == VARIETY and k < cap:
-                if not _holds_at(ctx, a, entry, params, k + 1, enum_cap,
-                                 seed_pair_cap):
-                    raise AssertionError(
-                        f"{family}: right-hand side not monotone at "
-                        f"{k} -> {k + 1}")
-            return SpectrumResult(family, tuple(params.items()), k, False,
-                                  entry.level)
-    evidence = {"checked_up_to": cap}
     ident = entry.identity(**params)
+    evidence = {"checked_up_to": cap}
     if entry.level == ALGEBRA:
         res = check_concrete(a, ident, k=cap, enum_cap=enum_cap,
                              seed_pair_cap=seed_pair_cap)
+        if res.holds:
+            return SpectrumResult(family, tuple(params.items()), res.least_k,
+                                  False, entry.level)
         if res.counterexample:
             evidence["counterexample"] = {
                 name: rel.to_bitstrings()
                 for name, rel in res.counterexample.items()}
+        return SpectrumResult(family, tuple(params.items()), None, True,
+                              entry.level, evidence)
+    ctx = ctx or PWContext(a)
+    for k in range(cap + 1):
+        if pw_check(ctx, ident, k=k):
+            if k < cap and not pw_check(ctx, ident, k=k + 1):
+                raise AssertionError(
+                    f"{family}: right-hand side not monotone at "
+                    f"{k} -> {k + 1}")
+            return SpectrumResult(family, tuple(params.items()), k, False,
+                                  entry.level)
     return SpectrumResult(family, tuple(params.items()), None, True,
                           entry.level, evidence)

@@ -72,6 +72,13 @@ class BinRel:
             rows[a] |= 1 << b
         return BinRel(n, rows, kind_hint)
 
+    @staticmethod
+    def _of(n: int, rows: tuple) -> "BinRel":
+        """Wrap rows that are already reflexive and in range, unchecked."""
+        rel = object.__new__(BinRel)
+        rel.n, rel.rows, rel.kind_hint = n, rows, None
+        return rel
+
     # -- basic structure ---------------------------------------------------
 
     def has(self, a: int, b: int) -> bool:
@@ -111,7 +118,7 @@ class BinRel:
 
     def __le__(self, other):
         self._check(other)
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
+        return self.rows == tuple(map(int.__and__, self.rows, other.rows))
 
     def __repr__(self):
         return f"BinRel({self.n}, {{{', '.join(map(str, self.pairs()))}}})"
@@ -129,7 +136,7 @@ class BinRel:
                 low = row & -row
                 rows[low.bit_length() - 1] |= 1 << i
                 row ^= low
-        return BinRel(self.n, rows)
+        return BinRel._of(self.n, tuple(rows))
 
 
 def compose(r: BinRel, s: BinRel) -> BinRel:
@@ -143,17 +150,17 @@ def compose(r: BinRel, s: BinRel) -> BinRel:
             acc |= s.rows[low.bit_length() - 1]
             row ^= low
         rows.append(acc)
-    return BinRel(r.n, rows)
+    return BinRel._of(r.n, tuple(rows))
 
 
 def meet(r: BinRel, s: BinRel) -> BinRel:
     r._check(s)
-    return BinRel(r.n, [a & b for a, b in zip(r.rows, s.rows)])
+    return BinRel._of(r.n, tuple(map(int.__and__, r.rows, s.rows)))
 
 
 def union(r: BinRel, s: BinRel) -> BinRel:
     r._check(s)
-    return BinRel(r.n, [a | b for a, b in zip(r.rows, s.rows)])
+    return BinRel._of(r.n, tuple(map(int.__or__, r.rows, s.rows)))
 
 
 def converse(r: BinRel) -> BinRel:

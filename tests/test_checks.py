@@ -1,12 +1,18 @@
-import pytest
+import itertools
 
-from modbench.catalog import get_entry
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modbench.algebras import FiniteAlgebra, Signature
+from modbench.catalog import ALGEBRA, CATALOG, get_entry
 from modbench.checks import (CheckError, PWGrammarError, check_concrete,
                              enumerate_relations, eval_expr, pw_analyze,
                              pw_check, spectrum)
-from modbench.dsl import AltE, GenE, VarE, compose, parse_identity
+from modbench.dsl import (AltE, ComposeE, ConvE, GenE, MeetE, PowE, VarE,
+                          compose, parse_identity, substitute_k)
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 generate)
+from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
 
@@ -36,6 +42,16 @@ def test_eval_expr_gen_closure_oracle(chain3):
         if r <= cand and s <= cand:
             acc = rel_meet(acc, cand)
     assert got == acc
+
+
+def test_eval_expr_generates_each_kind(chain3):
+    # one seed set, two closures: the generate memo is keyed on the kind
+    r = generate(chain3, [(0, 1)], ADMISSIBLE)
+    e = compose(GenE(ADMISSIBLE, (VarE("R"),)), GenE(TOLERANCE, (VarE("R"),)),
+                GenE(CONGRUENCE, (VarE("R"),)))
+    want = rel_compose(rel_compose(r, generate(chain3, [(0, 1)], TOLERANCE)),
+                       generate(chain3, [(0, 1)], CONGRUENCE))
+    assert eval_expr(chain3, e, {"R": r}) == want
 
 
 def test_eval_expr_kind_violation(chain3):
@@ -298,3 +314,155 @@ def test_tschantz_rev_permutable(z2, pw_context):
     # with a Maltsev term the composite first factor absorbs everything
     assert spectrum(z2, "TSCHANTZ_REV", params={"m": 3},
                     ctx=pw_context(z2)).value == 0
+
+
+# ---------------------------------------------------------------------------
+# The one-pass concrete checker against a plain recursive evaluator and a
+# scan over k that enumerates every environment again at each k
+
+
+def _oracle_eval(a, e, env):
+    def rec(x):
+        if isinstance(x, VarE):
+            return env[x.name]
+        if isinstance(x, ComposeE):
+            out = rec(x.items[0])
+            for it in x.items[1:]:
+                out = rel_compose(out, rec(it))
+            return out
+        if isinstance(x, MeetE):
+            out = rec(x.items[0])
+            for it in x.items[1:]:
+                out = rel_meet(out, rec(it))
+            return out
+        if isinstance(x, ConvE):
+            return rec(x.item).converse()
+        if isinstance(x, GenE):
+            return generate(a, [p for it in x.items for p in rec(it).pairs()],
+                            x.kind)
+        if isinstance(x, (AltE, PowE)):
+            first, second = ((x.first, x.second) if isinstance(x, AltE)
+                             else (x.item, x.item))
+            if x.count == 0:
+                return BinRel.identity(a.size)
+            return rel_alt(rec(first), rec(second), x.count)
+        raise AssertionError(x)
+    return rec(e)
+
+
+def _oracle_check(a, ident, k):
+    """(holds, counterexample, envs_checked) by direct enumeration at k."""
+    lhs, rhs = substitute_k(ident.lhs, k), substitute_k(ident.rhs, k)
+    names = [name for name, _ in ident.var_kinds]
+    spaces = [enumerate_relations(a, kind) for _, kind in ident.var_kinds]
+    checked = 0
+    for combo in itertools.product(*spaces):
+        env = dict(zip(names, combo))
+        if not all(_oracle_eval(a, c.sub, env) <= _oracle_eval(a, c.sup, env)
+                   for c in ident.side_conditions):
+            continue
+        checked += 1
+        if not _oracle_eval(a, lhs, env) <= _oracle_eval(a, rhs, env):
+            return False, env, checked
+    return True, None, checked
+
+
+def _oracle_spectrum(a, ident, cap):
+    """(value, exceeded, evidence) by the linear scan k = 0..cap."""
+    for k in range(cap + 1):
+        if _oracle_check(a, ident, k)[0]:
+            return k, False, None
+    _, env, _ = _oracle_check(a, ident, cap)
+    return None, True, {"checked_up_to": cap, "counterexample": {
+        name: rel.to_bitstrings() for name, rel in env.items()}}
+
+
+def _assert_matches_oracle(a, family, cap):
+    ident = get_entry(family).identity()
+    res = spectrum(a, family, cap=cap)
+    want = _oracle_spectrum(a, ident, cap)
+    assert (res.value, res.exceeded, res.evidence) == want, (a.name, family)
+    for k in sorted({0, 1, cap}):
+        got = check_concrete(a, ident, k=k)
+        holds, env, checked = _oracle_check(a, ident, k)
+        assert (got.holds, got.counterexample, got.envs_checked) == \
+            (holds, env, checked), (a.name, family, k)
+        if holds:
+            assert got.least_k == _oracle_spectrum(a, ident, k)[0]
+        else:
+            assert got.least_k is None
+
+
+@st.composite
+def _two_element_algebras(draw):
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    ops = tuple((f"f{i}", ar) for i, ar in enumerate(arities))
+    tables = {name: draw(st.lists(st.integers(0, 1), min_size=2 ** ar,
+                                  max_size=2 ** ar))
+              for name, ar in ops}
+    return FiniteAlgebra("hyp2", 2, Signature(ops), tables)
+
+
+ALGEBRA_FAMILIES = sorted(name for name, e in CATALOG.items()
+                          if e.level == ALGEBRA and e.scan is not None)
+
+
+@pytest.mark.parametrize("name", ["one", "z2", "semilattice2", "lattice2",
+                                  "pixley3", "chain3"])
+def test_concrete_matches_oracle_on_corpus(corpus, name):
+    # chain3 AG and AGI are too large for the oracle (and AGI for the
+    # guard); AGAI takes the oracle about a minute there
+    skip = {"AG", "AGI", "AGAI"} if name == "chain3" else set()
+    for family in ALGEBRA_FAMILIES:
+        if family not in skip:
+            _assert_matches_oracle(corpus[name], family, cap=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_two_element_algebras(),
+       family=st.sampled_from(ALGEBRA_FAMILIES),
+       cap=st.integers(0, 2))
+def test_concrete_matches_oracle_on_random_algebras(a, family, cap):
+    _assert_matches_oracle(a, family, cap)
+
+
+def test_symbolic_count_on_both_sides_is_not_scanned(chain3):
+    # with k on the left the right side is evaluated at the given k only;
+    # a scan from 0 would report least_k = 2 at k = 2
+    same = parse_identity("adm R; pow(R, k) <= pow(R, k)")
+    n_adm = len(enumerate_relations(chain3, ADMISSIBLE))
+    for k in range(4):
+        res = check_concrete(chain3, same, k=k)
+        assert res.holds and res.least_k is None
+        assert res.envs_checked == n_adm
+    mixed = parse_identity("adm R S; pow(R, k) & S <= alt(S, R, k)")
+    for k in range(4):
+        res = check_concrete(chain3, mixed, k=k)
+        holds, env, checked = _oracle_check(chain3, mixed, k)
+        assert (res.holds, res.counterexample, res.envs_checked) == \
+            (holds, env, checked)
+        assert res.least_k is None
+
+
+def test_least_k_is_the_spectrum(z2, chain3):
+    res = check_concrete(chain3, get_entry("RRMOD").identity(), k=64)
+    assert res.holds and res.least_k == spectrum(chain3, "RRMOD").value == 3
+    # fails at k = 2, so nothing is scanned to report
+    res = check_concrete(chain3, get_entry("RRMOD").identity(), k=2)
+    assert not res.holds and res.least_k is None
+    # no symbolic count, no scan
+    res = check_concrete(z2, parse_identity("adm R; R <= R"))
+    assert res.holds and res.least_k is None
+
+
+def test_enumerate_relations_seeds_every_size_up_to_cap():
+    # on a constant unary algebra every reflexive relation is admissible,
+    # so seeds of at most s pairs give exactly the relations with at most
+    # s off-diagonal pairs: sum of C(20, i) for i <= s on 5 elements
+    a = FiniteAlgebra("const5", 5, Signature((("f", 1),)),
+                      {"f": [0] * 5})
+    found = [set(r.rows for r in enumerate_relations(a, ADMISSIBLE,
+                                                     seed_pair_cap=cap))
+             for cap in range(4)]
+    assert [len(f) for f in found] == [1, 21, 211, 1351]
+    assert found[0] < found[1] < found[2] < found[3]
