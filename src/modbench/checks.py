@@ -34,8 +34,8 @@ from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 from .relations import (CONGRUENCE, BinRel, GuardExceeded, RelationError,
-                        all_congruences, compose, generate, is_compatible,
-                        meet)
+                        all_congruences, alt, compose, generate,
+                        is_compatible, meet)
 
 
 class CheckError(ValueError):
@@ -49,6 +49,9 @@ class PWGrammarError(CheckError):
 # ---------------------------------------------------------------------------
 # Concrete evaluation
 
+# A table entry costs about 100 bytes besides its value, and the environment
+# guard lets a node range over up to 2M keys; past this many a node keeps
+# one slot instead.
 _TABLE_KEYS = 4096
 
 
@@ -66,10 +69,6 @@ class _Evaluator:
     that order sees its keys come back, and keeps every value in a table
     when there are at most ``_TABLE_KEYS`` keys.  ``generate`` is
     memoised on (kind, seed rows).
-
-    A symbolic alternation or power over k-free operands keeps its slot
-    keyed on the variables alone and extends the cached composition when a
-    larger count is asked for at the same environment.
     """
 
     def __init__(self, a: FiniteAlgebra, spaces):
@@ -173,32 +172,16 @@ class _Evaluator:
     def _alternation(self, e, first_e, second_e):
         first, second = self.compile(first_e), self.compile(second_e)
         count = e.count
-        grows = count == K and not (has_symbolic(first_e)
-                                    or has_symbolic(second_e))
-        key_of = self._key(self._variables(e),
-                           has_symbolic(e) and not grows)
         identity = BinRel.identity(self.a.size)
-        slot = [None, 0, None]            # key, factors, composition
 
-        def node(c, k):
+        def compute(c, k):
             m = k if count == K else count
             if m is None:
                 raise CheckError("symbolic count not substituted")
             if m == 0:
                 return identity
-            if m < 0:
-                raise RelationError("alt requires m >= 1")
-            key = key_of(c, k)
-            if key == slot[0] and slot[1] <= m:
-                have, out = slot[1], slot[2]
-            else:
-                have, out = 1, first(c, k)
-            while have < m:
-                out = compose(out, second(c, k) if have % 2 else first(c, k))
-                have += 1
-            slot[:] = key, m, out
-            return out
-        return node
+            return alt(first(c, k), second(c, k), m)
+        return self._cached(e, compute)
 
 
 def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
@@ -209,6 +192,9 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
     identity relation.  When ``kinds`` is given, bound relations are
     verified against their declared kinds.
     """
+    for name, rel in env.items():
+        if rel.n != a.size:
+            raise RelationError(f"variable {name}: universe size mismatch")
     if kinds:
         for name, kind in kinds.items():
             if name in env and not is_compatible(a, env[name], kind):

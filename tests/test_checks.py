@@ -11,7 +11,7 @@ from modbench.checks import (CheckError, PWGrammarError, check_concrete,
 from modbench.dsl import (AltE, ComposeE, ConvE, GenE, MeetE, PowE, VarE,
                           compose, parse_identity, substitute_k)
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
-                                generate)
+                                RelationError, generate)
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
@@ -59,6 +59,13 @@ def test_eval_expr_kind_violation(chain3):
     ident = parse_identity("tol D; D <= D")
     with pytest.raises(CheckError):
         eval_expr(chain3, ident.lhs, {"D": nonsym}, kinds=ident.kinds())
+
+
+def test_eval_expr_rejects_other_universe(chain3):
+    big = BinRel.full(4)
+    for e in (GenE(ADMISSIBLE, (VarE("R"),)), compose(VarE("R"), VarE("R"))):
+        with pytest.raises(RelationError):
+            eval_expr(chain3, e, {"R": big})
 
 
 def test_check_concrete_day_z2(z2):
