@@ -6,9 +6,10 @@ defective Gumm (one absorption equation dropped), Jonsson and ALVIN
 
 A scheme equation holds in the generated variety iff it holds in the
 generating algebra, so verification is exhaustive over assignments there.
-Searches run in the free algebra on 3 or 4 generators, as alternating
-saturation walks between the canonical generated congruences; witnesses of
-path elements become the chain terms.
+Searches run in the free algebra on 3 or 4 generators, as the alternating
+saturation walk (``checks.Walk``) of a catalog right-hand side -- DAY(3),
+DAY_REV(3) or TSCHANTZ(2) -- between the canonical generated congruences;
+witnesses of path elements become the chain terms.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import FiniteAlgebra
-from .free import (FreeAlgebra, Var, build_free, eval_term_vector,
-                   meet_labels, saturate, term_str,
+from .catalog import get_entry
+from .checks import PWConfig, PWContext, walk_scan
+from .free import (Var, eval_term_vector, term_str, term_vars,
                    DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
+# only for bench/tracer.py, which patches these names and needs them here
+from .free import build_free, meet_labels, saturate  # noqa: F401
 
 DAY = "day"
 GUMM = "gumm"
@@ -48,7 +52,6 @@ class TermChain:
             raise ChainError(f"unknown scheme {self.scheme!r}")
         nvars = 4 if self.scheme == DAY else 3
         for t in self.terms:
-            from .free import term_vars
             bad = [v for v in term_vars(t) if v >= nvars]
             if bad:
                 raise ChainError(f"variable x{bad[0]} out of range in chain")
@@ -200,147 +203,112 @@ class SearchResult:
         return f"{self.scheme}: none found within scan limit"
 
 
-def _walk(layers_rels, start_mask, target, limit):
-    """Alternating saturation; returns (step_count, layers) or None info."""
-    layers = [start_mask]
-    stall = 0
-    t = 0
-    while not layers[-1][target]:
-        if t >= limit:
-            return None, layers, False
-        rel = layers_rels[t % 2]
-        nxt = saturate(rel, layers[-1])
-        if np.array_equal(nxt, layers[-1]):
-            stall += 1
-            if stall >= 2:
-                return None, layers, True
-        else:
-            stall = 0
-        layers.append(nxt)
-        t += 1
-    return t, layers, False
-
-
-def _backtrack(layers, rels, target):
-    """Minimal path, smallest element index at each step."""
+def _backtrack(walk, target):
+    """Minimal path through the walk's layers, smallest element index at
+    each step."""
     path = [target]
-    for i in range(len(layers) - 2, -1, -1):
-        rel = rels[i % 2]
-        cur = path[0]
-        cands = np.nonzero(layers[i] & (rel == rel[cur]))[0]
+    for i in range(len(walk.layers) - 2, -1, -1):
+        rel = walk.labels[i % 2]
+        cands = np.nonzero(walk.layers[i] & (rel == rel[path[0]]))[0]
         path.insert(0, int(cands[0]))
     return path
 
 
+def _path_chain(scheme, walk, f, end):
+    """The chain of the walk's path from generator 0 to generator ``end``.
+    Its end terms are the forced projections even when generators collapse;
+    a walk of no steps (a degenerate variety) leaves just those two."""
+    terms = [Var(0), Var(end)]
+    if walk.reached:
+        terms = [f.term_of(e) for e in _backtrack(walk, f.generators[end])]
+        terms[0], terms[-1] = Var(0), Var(end)
+    # a Day chain has k + 1 terms, a Jonsson or ALVIN chain n + 2
+    return TermChain(scheme, len(terms) - (1 if scheme == DAY else 2),
+                     tuple(terms))
+
+
+# The configurations the searches walk, in their own generator numbering:
+# a, b, c, d for Day; x, y, z for Gumm, Jonsson and ALVIN.
+_DAY_CONFIG = PWConfig(4, (("a", ((0, 3), (1, 2))), ("b", ((0, 1), (2, 3))),
+                           ("g", ((1, 2),))), 0, 3)
+_GUMM_CONFIG = PWConfig(3, (("a", ((0, 2),)), ("b", ((0, 1),)),
+                            ("g", ((1, 2),))), 0, 2)
+
+
+def _search(a, scheme, family, cfg, limit, ctx, caps, chain_of):
+    """Walk ``family``'s right-hand side (default parameters) on ``cfg``
+    and verify the chain ``chain_of(walk, f, parts)`` extracts from it.
+    Without a context, a fresh one with ``caps`` is used."""
+    if limit < 0:
+        raise ChainError(f"scan limit must be nonnegative: {limit}")
+    ctx = ctx or PWContext(a, *caps)
+    # a Jonsson or ALVIN walk is one step longer than its chain parameter
+    walk, f, parts = walk_scan(ctx, get_entry(family).identity(), cfg,
+                               limit + (scheme in (JONSSON, ALVIN)))
+    if walk.reached is None:
+        return SearchResult(scheme, False, None, None, walk.stalled,
+                            f.n_elements)
+    chain = chain_of(walk, f, parts)
+    verdict = verify_chain(a, chain)
+    if not verdict.valid:
+        raise AssertionError(f"extracted {scheme} chain fails verification: "
+                             f"{verdict.violations}")
+    return SearchResult(scheme, True, chain.param, chain, False, f.n_elements)
+
+
 def search_day(a: FiniteAlgebra, k_max: int = 64,
-               free: FreeAlgebra | None = None,
+               ctx: PWContext | None = None,
                cap_entries: int = DEFAULT_CAP_ENTRIES,
                work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
     """Minimal k with a valid Day(k) chain, from the four-generator walk.
 
     In F(4) over generators a,b,c,d take alpha = Cg{(a,d),(b,c)},
     beta = Cg{(a,b),(c,d)}, gamma = Cg{(b,c)}; the minimal k is the length
-    of the shortest alternating walk a -(alpha&beta)-(alpha&gamma)-...-> d.
+    of the shortest alternating walk a -(alpha&beta)-(alpha&gamma)-...-> d,
+    which is DAY(3)'s right-hand side.  ``ctx`` supplies the free algebra
+    and partitions, under its own caps; without one, a fresh context with
+    ``cap_entries`` and ``work_budget`` is used.
     """
-    f = free if free is not None else build_free(
-        a, 4, cap_entries=cap_entries, work_budget=work_budget)
-    pa = f.gen_pair_congruence([(0, 3), (1, 2)])
-    pb = f.gen_pair_congruence([(0, 1), (2, 3)])
-    pg = f.gen_pair_congruence([(1, 2)])
-    ab, ag = meet_labels(pa, pb), meet_labels(pa, pg)
-    src, dst = f.generators[0], f.generators[3]
-    start = np.zeros(f.n_elements, dtype=bool)
-    start[src] = True
-    k, layers, absent = _walk((ab, ag), start, dst, k_max)
-    if k is None:
-        return SearchResult(DAY, False, None, None, absent, f.n_elements)
-    path = _backtrack(layers, (ab, ag), dst)
-    if k == 0:  # degenerate variety: a and d collapse in F(4)
-        chain = TermChain(DAY, 1, (Var(0), Var(3)))
-    else:
-        # endpoints are the source/target generators; their terms are the
-        # forced projections even when generators collapse
-        terms = [f.term_of(e) for e in path]
-        terms[0], terms[-1] = Var(0), Var(3)
-        chain = TermChain(DAY, k, tuple(terms))
-    verdict = verify_chain(a, chain)
-    if not verdict.valid:
-        raise AssertionError(
-            f"extracted Day chain fails verification: {verdict.violations}")
-    return SearchResult(DAY, True, chain.param, chain, False, f.n_elements)
-
-
-def _gumm_config(f: FreeAlgebra):
-    pa = f.gen_pair_congruence([(0, 2)])
-    pb = f.gen_pair_congruence([(0, 1)])
-    pg = f.gen_pair_congruence([(1, 2)])
-    return pa, pb, pg, meet_labels(pa, pb), meet_labels(pa, pg)
+    return _search(a, DAY, "DAY", _DAY_CONFIG, k_max, ctx,
+                   (cap_entries, work_budget),
+                   lambda walk, f, _: _path_chain(DAY, walk, f, 3))
 
 
 def search_gumm(a: FiniteAlgebra, n_max: int = 64,
-                free: FreeAlgebra | None = None,
+                ctx: PWContext | None = None,
                 cap_entries: int = DEFAULT_CAP_ENTRIES,
                 work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
     """Minimal n with a valid Gumm(n) chain (p, j_1..j_{n+1}).
 
     In F(3) over x,y,z with alpha = Cg(x,z), beta = Cg(x,y),
     gamma = Cg(y,z): minimal n such that (x,z) lands in
-    (alpha & (gamma o beta)) o ((alpha&gamma) o_n (alpha&beta)).
+    (alpha & (gamma o beta)) o ((alpha&gamma) o_n (alpha&beta)), which is
+    TSCHANTZ(2)'s right-hand side.
     """
-    f = free if free is not None else build_free(
-        a, 3, cap_entries=cap_entries, work_budget=work_budget)
-    pa, pb, pg, ab, ag = _gumm_config(f)
-    x, z = f.generators[0], f.generators[2]
-    cls_g_x = pg == pg[x]
-    s1 = (pa == pa[x]) & saturate(pb, cls_g_x)
-    n, layers, absent = _walk((ag, ab), s1, z, n_max)
-    if n is None:
-        return SearchResult(GUMM, False, None, None, absent, f.n_elements)
-    path = _backtrack(layers, (ag, ab), z)
-    e1 = path[0]
-    wits = np.nonzero(cls_g_x & (pb == pb[e1]))[0]
-    w = int(wits[0])
-    terms = [f.term_of(w)] + [f.term_of(e) for e in path]
-    terms[-1] = Var(2)  # the path ends at the z generator
-    chain = TermChain(GUMM, n, tuple(terms))
-    verdict = verify_chain(a, chain)
-    if not verdict.valid:
-        raise AssertionError(
-            f"extracted Gumm chain fails verification: {verdict.violations}")
-    return SearchResult(GUMM, True, n, chain, False, f.n_elements)
+    def chain_of(walk, f, parts):
+        path = _backtrack(walk, f.generators[2])
+        # p is the first w with x gamma w beta e1, where e1 starts the walk
+        pb, pg = parts["b"], parts["g"]
+        x = f.generators[0]
+        w = int(np.nonzero((pg == pg[x]) & (pb == pb[path[0]]))[0][0])
+        terms = [f.term_of(w)] + [f.term_of(e) for e in path]
+        terms[-1] = Var(2)  # the path ends at the z generator
+        return TermChain(GUMM, walk.reached, tuple(terms))
+    return _search(a, GUMM, "TSCHANTZ", _GUMM_CONFIG, n_max, ctx,
+                   (cap_entries, work_budget), chain_of)
 
 
 def search_jonsson(a: FiniteAlgebra, n_max: int = 64, alvin: bool = False,
-                   free: FreeAlgebra | None = None,
+                   ctx: PWContext | None = None,
                    cap_entries: int = DEFAULT_CAP_ENTRIES,
                    work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
     """Minimal n with a Jonsson(n) (or ALVIN) chain j_0..j_{n+1}.
 
     Same configuration as the Gumm search, but the walk stays inside the
-    alternation of alpha&beta and alpha&gamma; ALVIN starts with
-    alpha&gamma.  The walk length is n+1.
+    alternation of alpha&beta and alpha&gamma, DAY(3)'s right-hand side;
+    ALVIN starts with alpha&gamma, DAY_REV(3)'s.  The walk length is n+1.
     """
     scheme = ALVIN if alvin else JONSSON
-    f = free if free is not None else build_free(
-        a, 3, cap_entries=cap_entries, work_budget=work_budget)
-    pa, pb, pg, ab, ag = _gumm_config(f)
-    x, z = f.generators[0], f.generators[2]
-    start = np.zeros(f.n_elements, dtype=bool)
-    start[x] = True
-    rels = (ag, ab) if alvin else (ab, ag)
-    length, layers, absent = _walk(rels, start, z, n_max + 1)
-    if length is None:
-        return SearchResult(scheme, False, None, None, absent, f.n_elements)
-    path = _backtrack(layers, rels, z)
-    if length == 0:  # x and z collapse: degenerate variety
-        chain = TermChain(scheme, 0, (Var(0), Var(2)))
-    else:
-        terms = [f.term_of(e) for e in path]
-        terms[0], terms[-1] = Var(0), Var(2)
-        chain = TermChain(scheme, length - 1, tuple(terms))
-    verdict = verify_chain(a, chain)
-    if not verdict.valid:
-        raise AssertionError(
-            f"extracted {scheme} chain fails verification: "
-            f"{verdict.violations}")
-    return SearchResult(scheme, True, chain.param, chain, False, f.n_elements)
+    return _search(a, scheme, "DAY_REV" if alvin else "DAY", _GUMM_CONFIG,
+                   n_max, ctx, (cap_entries, work_budget),
+                   lambda walk, f, _: _path_chain(scheme, walk, f, 2))

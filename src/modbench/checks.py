@@ -20,6 +20,7 @@ a composite meets a congruence inside an intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 from operator import itemgetter
@@ -29,8 +30,9 @@ import numpy as np
 from .algebras import FiniteAlgebra
 from .catalog import ALGEBRA, CatalogError, get_entry
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
-                  VarE, expr_str, expr_vars, has_symbolic, push_converse,
-                  substitute_k)
+                  VarE, _check_count, expr_str, expr_vars, has_symbolic,
+                  push_converse, substitute_k)
+from .dsl import compose as compose_expr, meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 from .relations import (CONGRUENCE, BinRel, GuardExceeded, RelationError,
@@ -108,10 +110,8 @@ class _Evaluator:
             return self._cached(e, lambda c, k: item(c, k).converse())
         if isinstance(e, GenE):
             return self._cached(e, self._gen(e))
-        if isinstance(e, AltE):
-            return self._alternation(e, e.first, e.second)
-        if isinstance(e, PowE):
-            return self._alternation(e, e.item, e.item)
+        if isinstance(e, (AltE, PowE)):
+            return self._alternation(e)
         raise CheckError(f"not an expression: {e!r}")
 
     def _variables(self, e) -> list[int]:
@@ -169,8 +169,9 @@ class _Evaluator:
             return rel
         return compute
 
-    def _alternation(self, e, first_e, second_e):
-        first, second = self.compile(first_e), self.compile(second_e)
+    def _alternation(self, e):
+        factors = [self.compile(f) for f in _factors(e)]
+        first, second = factors[0], factors[-1]
         count = e.count
         identity = BinRel.identity(self.a.size)
 
@@ -280,6 +281,8 @@ def check_concrete(a: FiniteAlgebra, ident: Identity, k: int | None = None,
     lhs_k, rhs_k = has_symbolic(ident.lhs), has_symbolic(ident.rhs)
     if (lhs_k or rhs_k) and k is None:
         raise CheckError(f"{ident.name} needs a value for k")
+    if k is not None:
+        _check_count(k)
     spaces = []
     for name, kind in ident.var_kinds:
         spaces.append((name, enumerate_relations(a, kind, enum_cap,
@@ -294,8 +297,7 @@ def check_concrete(a: FiniteAlgebra, ident: Identity, k: int | None = None,
     conds = [(ev.compile(c.sub), ev.compile(c.sup))
              for c in ident.side_conditions]
     lhs, rhs = ev.compile(ident.lhs), ev.compile(ident.rhs)
-    # a negative k is left to the evaluator, which rejects it
-    scan = rhs_k and not lhs_k and k >= 0
+    scan = rhs_k and not lhs_k
     least = 0
     checked = 0
     for env in itertools.product(*[range(len(s)) for _, s in spaces]):
@@ -332,6 +334,13 @@ class PWConfig:
     target: int
 
 
+def _factors(alternation):
+    """The factors an alternation cycles through; a power has one."""
+    if isinstance(alternation, PowE):
+        return (alternation.item,)
+    return (alternation.first, alternation.second)
+
+
 def _expand_counts(e):
     """Rewrite concrete alternations/powers on a left-hand side into
     explicit compositions."""
@@ -340,24 +349,15 @@ def _expand_counts(e):
     if isinstance(e, ComposeE):
         return ComposeE(tuple(_expand_counts(i) for i in e.items))
     if isinstance(e, MeetE):
-        from .dsl import meet as meet_build
-        return meet_build(*[_expand_counts(i) for i in e.items])
-    if isinstance(e, AltE):
+        return meet_expr(*[_expand_counts(i) for i in e.items])
+    if isinstance(e, (AltE, PowE)):
         if e.count == K or e.count < 1:
-            raise PWGrammarError("left-hand alternation must be concrete "
-                                 "and positive")
-        first = _expand_counts(e.first)
-        second = _expand_counts(e.second)
-        items = [first if i % 2 == 0 else second for i in range(e.count)]
-        from .dsl import compose as compose_build
-        return compose_build(*items)
-    if isinstance(e, PowE):
-        if e.count == K or e.count < 1:
-            raise PWGrammarError("left-hand power must be concrete and "
-                                 "positive")
-        item = _expand_counts(e.item)
-        from .dsl import compose as compose_build
-        return compose_build(*[item] * e.count)
+            what = "alternation" if isinstance(e, AltE) else "power"
+            raise PWGrammarError(f"left-hand {what} must be concrete and "
+                                 f"positive")
+        factors = [_expand_counts(f) for f in _factors(e)]
+        return compose_expr(*[factors[i % len(factors)]
+                              for i in range(e.count)])
     raise PWGrammarError(f"not allowed on a generic left-hand side: "
                          f"{expr_str(e)}")
 
@@ -420,23 +420,24 @@ class PWContext:
         self.cap_entries = cap_entries
         self.work_budget = work_budget
         self._free: dict[int, FreeAlgebra] = {}
-        self._failed: dict[int, CapExceeded] = {}
+        self._failed: set[int] = set()
         self._parts: dict = {}
 
     def free(self, g: int) -> FreeAlgebra:
         if g in self._free:
             return self._free[g]
-        for bad in self._failed:
-            if bad <= g:
-                raise CapExceeded(
-                    f"free algebra on {g} generators skipped: the build on "
-                    f"{bad} generators already exceeded caps", 0)
+        # counts fail in falling order, so the largest one <= g failed first
+        skipped = [bad for bad in self._failed if bad <= g]
+        if skipped:
+            raise CapExceeded(
+                f"free algebra on {g} generators skipped: the build on "
+                f"{max(skipped)} generators already exceeded caps", 0)
         try:
             self._free[g] = build_free(self.algebra, g,
                                        cap_entries=self.cap_entries,
                                        work_budget=self.work_budget)
-        except CapExceeded as exc:
-            self._failed[g] = exc
+        except CapExceeded:
+            self._failed.add(g)
             raise
         return self._free[g]
 
@@ -451,17 +452,47 @@ def _partition_like(e, parts):
     if isinstance(e, VarE):
         return parts.get(e.name)
     if isinstance(e, MeetE):
-        labs = []
-        for it in e.items:
-            p = _partition_like(it, parts)
-            if p is None:
-                return None
-            labs.append(p)
-        out = labs[0]
-        for p in labs[1:]:
-            out = meet_labels(out, p)
-        return out
+        labs = [_partition_like(it, parts) for it in e.items]
+        if all(p is not None for p in labs):
+            return functools.reduce(meet_labels, labs)
     return None
+
+
+class Walk:
+    """The saturation walk of an alternation or power, and the only code
+    that steps one: from ``start`` it steps through ``first``, ``second``,
+    ``first``, ... (a power's one item), and ``layers[i]`` is the set
+    reached after i steps.  Partition-like factors are resolved to
+    ``labels`` once; a composite one, such as ``a & (g o b o g)``, has None
+    there and is reached through ``_reach`` at each step."""
+
+    def __init__(self, alternation, start: np.ndarray, parts: dict):
+        self._factors = _factors(alternation)
+        self._parts = parts
+        self.labels = [_partition_like(f, parts) for f in self._factors]
+        self.layers = [start]
+        self.reached: int | None = None
+        self.stalled = False
+
+    def run(self, limit: int, target: int | None = None) -> np.ndarray:
+        """Step until ``target`` is reached (``reached`` is then the step
+        count), ``limit`` steps are taken, or two steps in a row change
+        nothing (a fixed point: ``stalled``).  Returns the last layer."""
+        unchanged = 0
+        while target is None or not self.layers[-1][target]:
+            steps = len(self.layers) - 1
+            if steps >= limit or unchanged == 2:
+                self.stalled = unchanged == 2
+                return self.layers[-1]
+            i = steps % len(self._factors)
+            lab, prev = self.labels[i], self.layers[-1]
+            self.layers.append(
+                saturate(lab, prev) if lab is not None
+                else _reach(self._factors[i], prev, self._parts))
+            unchanged = (unchanged + 1
+                         if np.array_equal(self.layers[-1], prev) else 0)
+        self.reached = len(self.layers) - 1
+        return self.layers[-1]
 
 
 def _reach(e, frontier: np.ndarray, parts: dict) -> np.ndarray:
@@ -474,20 +505,10 @@ def _reach(e, frontier: np.ndarray, parts: dict) -> np.ndarray:
         for it in e.items:
             cur = _reach(it, cur, parts)
         return cur
-    if isinstance(e, AltE):
+    if isinstance(e, (AltE, PowE)):
         if e.count == K:
             raise CheckError("symbolic count not substituted")
-        cur = frontier
-        for i in range(e.count):
-            cur = _reach(e.first if i % 2 == 0 else e.second, cur, parts)
-        return cur
-    if isinstance(e, PowE):
-        if e.count == K:
-            raise CheckError("symbolic count not substituted")
-        cur = frontier
-        for _ in range(e.count):
-            cur = _reach(e.item, cur, parts)
-        return cur
+        return Walk(e, frontier, parts).run(e.count)
     if isinstance(e, MeetE):
         return _meet_reach(e, frontier, parts)
     raise CheckError(f"cannot evaluate {expr_str(e)} over congruence "
@@ -502,9 +523,7 @@ def _meet_reach(e: MeetE, frontier, parts):
             labs.append(p)
         else:
             composites.append(it)
-    combined = None
-    for p in labs:
-        combined = p if combined is None else meet_labels(combined, p)
+    combined = functools.reduce(meet_labels, labs) if labs else None
     out = np.zeros_like(frontier)
     if len(composites) == 1 and combined is not None:
         # (u,v) in the meet forces u,v into one class; recurse classwise
@@ -524,9 +543,8 @@ def _meet_reach(e: MeetE, frontier, parts):
     return out
 
 
-def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
-    """Variety-wide verdict for a congruence-variable inclusion."""
-    kinds = ident.kinds()
+def _pw_config(ident: Identity) -> PWConfig:
+    """The generic configuration of an identity the reduction decides."""
     for name, kind in ident.var_kinds:
         if kind != CONGRUENCE:
             raise PWGrammarError(
@@ -535,25 +553,62 @@ def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
     if ident.side_conditions:
         raise PWGrammarError(f"{ident.name}: side conditions are not "
                              f"supported by the generic reduction")
-    rhs = ident.rhs
     if has_symbolic(ident.lhs):
         raise PWGrammarError("symbolic count on the left-hand side")
+    return pw_analyze(ident.lhs, ident.kinds())
+
+
+def _pw_setup(ctx: PWContext, ident: Identity, cfg: PWConfig):
+    """The free algebra on ``cfg``'s nodes, each variable's labels (seed
+    pairs are node numbers, which are free-generator positions) and the
+    source generator as a frontier."""
+    f = ctx.free(cfg.nodes)
+    seeds = dict(cfg.seeds)
+    parts = {name: ctx.partition(cfg.nodes, seeds.get(name, ()))
+             for name, _ in ident.var_kinds}
+    frontier = np.zeros(f.n_elements, dtype=bool)
+    frontier[f.generators[cfg.source]] = True
+    return f, parts, frontier
+
+
+def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
+    """Variety-wide verdict for a congruence-variable inclusion."""
+    if k is not None:
+        _check_count(k)
+    cfg = _pw_config(ident)
+    rhs = ident.rhs
     if has_symbolic(rhs):
         if k is None:
             raise CheckError(f"{ident.name} needs a value for k")
         rhs = substitute_k(rhs, k)
-    cfg = pw_analyze(ident.lhs, kinds)
-    f = ctx.free(cfg.nodes)
-    seed_map = dict(cfg.seeds)
-    parts = {}
-    for name, _ in ident.var_kinds:
-        # seed pairs are node numbers, which are free-generator positions
-        parts[name] = ctx.partition(cfg.nodes, seed_map.get(name, ()))
-    rhs = push_converse(rhs, kinds)
-    frontier = np.zeros(f.n_elements, dtype=bool)
-    frontier[f.generators[cfg.source]] = True
-    reached = _reach(rhs, frontier, parts)
+    f, parts, frontier = _pw_setup(ctx, ident, cfg)
+    reached = _reach(push_converse(rhs, ident.kinds()), frontier, parts)
     return bool(reached[f.generators[cfg.target]])
+
+
+def walk_scan(ctx: PWContext, ident: Identity, cfg: PWConfig,
+              limit: int) -> tuple[Walk, FreeAlgebra, dict]:
+    """One walk deciding ``ident`` at every k up to ``limit``.
+
+    The right-hand side must be a k-free prefix followed by an alternation
+    or power with count ``k``.  The prefix is reached once from the source
+    generator, and the inclusion holds at k exactly when layer k of the
+    trailing walk holds the target, so ``Walk.reached`` is the least such
+    k.  Returns the walk, the free algebra and the variables' labels.
+    """
+    rhs = push_converse(ident.rhs, ident.kinds())
+    *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
+    if (not isinstance(tail, (AltE, PowE)) or tail.count != K
+            or any(has_symbolic(x) for x in (*prefix, *_factors(tail)))):
+        raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly once, "
+                             f"as the count of a trailing alternation or "
+                             f"power")
+    f, parts, frontier = _pw_setup(ctx, ident, cfg)
+    for factor in prefix:
+        frontier = _reach(factor, frontier, parts)
+    walk = Walk(tail, frontier, parts)
+    walk.run(limit, f.generators[cfg.target])
+    return walk, f, parts
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +636,12 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
 
     The right-hand side only grows with the scan parameter.  Algebra-level
     families take one ``check_concrete`` pass at ``cap``, which finds the
-    least value per environment; variety-level families scan upwards, and
-    monotonicity is asserted at the found value.
+    least value per environment; variety-level families take one
+    ``walk_scan``, whose first layer holding the target is the value, and
+    monotonicity is asserted one layer further.
     """
+    if cap < 0:
+        raise CheckError(f"scan cap must be nonnegative: {cap}")
     entry = get_entry(family)
     if entry.scan is None:
         raise CatalogError(f"{family} has no scan parameter; use check")
@@ -593,23 +651,19 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     if entry.level == ALGEBRA:
         res = check_concrete(a, ident, k=cap, enum_cap=enum_cap,
                              seed_pair_cap=seed_pair_cap)
-        if res.holds:
-            return SpectrumResult(family, tuple(params.items()), res.least_k,
-                                  False, entry.level)
+        k = res.least_k
         if res.counterexample:
             evidence["counterexample"] = {
                 name: rel.to_bitstrings()
                 for name, rel in res.counterexample.items()}
-        return SpectrumResult(family, tuple(params.items()), None, True,
-                              entry.level, evidence)
-    ctx = ctx or PWContext(a)
-    for k in range(cap + 1):
-        if pw_check(ctx, ident, k=k):
-            if k < cap and not pw_check(ctx, ident, k=k + 1):
+    else:
+        cfg = _pw_config(ident)
+        walk, f, _ = walk_scan(ctx or PWContext(a), ident, cfg, cap)
+        k = walk.reached
+        if k is not None and k < cap:
+            if not walk.run(k + 1)[f.generators[cfg.target]]:
                 raise AssertionError(
                     f"{family}: right-hand side not monotone at "
                     f"{k} -> {k + 1}")
-            return SpectrumResult(family, tuple(params.items()), k, False,
-                                  entry.level)
-    return SpectrumResult(family, tuple(params.items()), None, True,
-                          entry.level, evidence)
+    return SpectrumResult(family, tuple(params.items()), k, k is None,
+                          entry.level, evidence if k is None else None)

@@ -120,11 +120,6 @@ def meet(*items) -> RelExpr:
     return MeetE(tuple(flat))
 
 
-def alt_expr(first, second, count) -> RelExpr:
-    _check_count(count)
-    return AltE(first, second, count)
-
-
 def pow_expr(item, count) -> RelExpr:
     _check_count(count)
     return PowE(item, count)
@@ -173,6 +168,7 @@ def has_symbolic(e: RelExpr) -> bool:
 
 
 def substitute_k(e: RelExpr, k: int) -> RelExpr:
+    _check_count(k)
     if isinstance(e, VarE):
         return e
     if isinstance(e, ComposeE):

@@ -10,12 +10,11 @@ build-stopping bug, not data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import FiniteAlgebra
 from .bounds import IDENTITY, SPECTRUM, TERMS, BoundError, bound
 from .catalog import get_entry
-from .chains import search_day, search_gumm, search_jonsson, verify_chain
+from .chains import (as_defective, extend_chain, search_day, search_gumm,
+                     search_jonsson, verify_chain)
 from .checks import PWContext, pw_check, spectrum
 from .free import CapExceeded
 from .witness import jonsson_to_day, pad_to_even
@@ -44,35 +43,19 @@ def _status(measured, claimed, scan_cap):
     return PASS if measured <= claimed else FAIL
 
 
-@dataclass
-class _Measurements:
-    day_k: int
-    gumm_n: int
-    two_r: int
-    spectra: dict
-
-
 def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
                        m_range=(3, 7), dstar_range=(1, 3),
                        cap_entries: int | None = None,
                        work_budget: int | None = None,
                        ctx: PWContext | None = None) -> dict:
     """Per-algebra report dictionary; see the module docstring."""
-    kwargs = {}
-    if cap_entries is not None:
-        kwargs["cap_entries"] = cap_entries
-    if work_budget is not None:
-        kwargs["work_budget"] = work_budget
     if ctx is None:
-        ctx = PWContext(a, **kwargs)
-    else:
-        kwargs = {"cap_entries": ctx.cap_entries,
-                  "work_budget": ctx.work_budget}
+        caps = {"cap_entries": cap_entries, "work_budget": work_budget}
+        ctx = PWContext(a, **{k: v for k, v in caps.items() if v is not None})
     report = {"algebra": a.name, "size": a.size}
 
     try:
-        day = search_day(a, k_max=scan_cap, free=ctx.free(4),
-                         **kwargs)
+        day = search_day(a, k_max=scan_cap, ctx=ctx)
     except CapExceeded as exc:
         report.update({"modular": None, "dayK": None, "gummN": None,
                        "note": f"free algebra caps: {exc}", "spectra": [],
@@ -88,14 +71,13 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
             "spectra": [], "bounds": [], "crosschecks": [], "ok": True})
         return report
 
-    gumm = search_gumm(a, n_max=scan_cap, free=ctx.free(3), **kwargs)
-    jonsson = search_jonsson(a, n_max=scan_cap, free=ctx.free(3), **kwargs)
+    gumm = search_gumm(a, n_max=scan_cap, ctx=ctx)
+    jonsson = search_jonsson(a, n_max=scan_cap, ctx=ctx)
     day_k = day.value
     gumm_n = gumm.value
     two_r = day_k + (day_k % 2)
     if two_r != day_k:
         # rounding is backed by an actual extended chain
-        from .chains import extend_chain
         ext = extend_chain(day.chain)
         if not verify_chain(a, ext).valid:
             raise AssertionError("Day chain extension failed verification")
@@ -175,7 +157,6 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
     add("NUMD", n=n)
     # the reversed bound needs an even defective chain; pad the measured
     # Gumm chain and re-verify before claiming it
-    from .chains import as_defective
     padded_gumm = pad_to_even(a, gumm.chain)
     if verify_chain(a, as_defective(padded_gumm)).valid:
         add("NUMDD", n=padded_gumm.param)

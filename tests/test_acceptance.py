@@ -52,10 +52,10 @@ def test_criterion_1_permutable_baseline():
         start = time.monotonic()
         z2 = load_corpus("z2")
         ctx = PWContext(z2)
-        day = search_day(z2, free=ctx.free(4))
+        day = search_day(z2, ctx=ctx)
         assert day.found and day.value == 2
         assert len(day.chain.terms) == 3
-        gumm = search_gumm(z2, free=ctx.free(3))
+        gumm = search_gumm(z2, ctx=ctx)
         assert gumm.found and gumm.value == 0
         assert len(gumm.chain.terms) == 2
         for m in range(3, 8):
@@ -71,7 +71,7 @@ def test_criterion_2_lattice_baseline():
         ctx = PWContext(lat)
         f4 = ctx.free(4)
         assert f4.n_elements == 166
-        day = search_day(lat, free=f4)
+        day = search_day(lat, ctx=ctx)
         assert day.found and day.value == 3
         day_ident = get_entry("DAY").identity(m=3)
         assert not pw_check(ctx, day_ident, k=2)  # minimality in F(4)
@@ -87,7 +87,7 @@ def test_criterion_3_gumm_tschantz():
         start = time.monotonic()
         lat = load_corpus("lattice2")
         ctx = _SHARED.get("lattice2_ctx") or PWContext(lat)
-        gumm = search_gumm(lat, free=ctx.free(3))
+        gumm = search_gumm(lat, ctx=ctx)
         assert gumm.found and gumm.value == 1
         assert spectrum(lat, "TSCHANTZ", params={"m": 2}, ctx=ctx).value == 1
         assert time.monotonic() - start < 30.0

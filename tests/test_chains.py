@@ -64,7 +64,7 @@ def test_search_day_values(corpus, pw_context):
     expected = {"one": 1, "z2": 2, "lattice2": 3, "chain3": 3}
     for name, k in expected.items():
         a = corpus[name]
-        res = search_day(a, free=pw_context(a).free(4))
+        res = search_day(a, ctx=pw_context(a))
         assert res.found and res.value == k
         assert verify_chain(a, res.chain).valid
 
@@ -73,7 +73,7 @@ def test_search_day_minimality_direct(lattice2, pw_context):
     # direct relational refutation of k-1 in the free algebra
     ctx = pw_context(lattice2)
     day = get_entry("DAY")
-    res = search_day(lattice2, free=ctx.free(4))
+    res = search_day(lattice2, ctx=ctx)
     assert not pw_check(ctx, day.identity(m=3), k=res.value - 1)
     assert pw_check(ctx, day.identity(m=3), k=res.value)
 
@@ -88,12 +88,12 @@ def test_search_gumm_values(corpus, pw_context):
     expected = {"one": 0, "z2": 0, "lattice2": 1, "chain3": 1, "pixley3": 0}
     for name, n in expected.items():
         a = corpus[name]
-        res = search_gumm(a, free=pw_context(a).free(3))
+        res = search_gumm(a, ctx=pw_context(a))
         assert res.found and res.value == n
 
 
 def test_search_gumm_maltsev_case(z2, pw_context):
-    res = search_gumm(z2, free=pw_context(z2).free(3))
+    res = search_gumm(z2, ctx=pw_context(z2))
     chain = res.chain
     assert chain.param == 0 and len(chain.terms) == 2
     assert verify_chain(z2, chain).valid
@@ -101,15 +101,15 @@ def test_search_gumm_maltsev_case(z2, pw_context):
 
 def test_search_jonsson(corpus, pw_context):
     lat = corpus["lattice2"]
-    res = search_jonsson(lat, free=pw_context(lat).free(3))
+    res = search_jonsson(lat, ctx=pw_context(lat))
     assert res.value == 1  # majority makes distributive lattices 2-distributive
     z2 = corpus["z2"]
-    res = search_jonsson(z2, free=pw_context(z2).free(3))
+    res = search_jonsson(z2, ctx=pw_context(z2))
     assert not res.found and res.proven_absent
 
 
 def test_search_alvin_pixley(pixley3, pw_context):
-    res = search_jonsson(pixley3, alvin=True, free=pw_context(pixley3).free(3))
+    res = search_jonsson(pixley3, alvin=True, ctx=pw_context(pixley3))
     assert res.found and res.value == 1
     assert res.chain.scheme == ALVIN
 
@@ -119,11 +119,11 @@ def test_chains_from_searches_verify(corpus, pw_context):
     for name in ("one", "z2", "lattice2", "chain3", "pixley3"):
         a = corpus[name]
         ctx = pw_context(a)
-        searches = [search_gumm(a, free=ctx.free(3)),
-                    search_jonsson(a, free=ctx.free(3)),
-                    search_jonsson(a, alvin=True, free=ctx.free(3))]
+        searches = [search_gumm(a, ctx=ctx),
+                    search_jonsson(a, ctx=ctx),
+                    search_jonsson(a, alvin=True, ctx=ctx)]
         if name != "pixley3":
-            searches.append(search_day(a, free=ctx.free(4)))
+            searches.append(search_day(a, ctx=ctx))
         for res in searches:
             if res.found:
                 assert verify_chain(a, res.chain).valid
@@ -140,7 +140,7 @@ def test_extend_chain(z2, lattice2):
 
 
 def test_defective_weaker_than_gumm(lattice2, pw_context):
-    res = search_gumm(lattice2, free=pw_context(lattice2).free(3))
+    res = search_gumm(lattice2, ctx=pw_context(lattice2))
     dd = as_defective(extend_chain(res.chain))
     assert verify_chain(lattice2, dd).valid
 
@@ -150,7 +150,75 @@ def test_day_gumm_count_relations(corpus, pw_context):
     for name in ("z2", "lattice2", "chain3"):
         a = corpus[name]
         ctx = pw_context(a)
-        k = search_day(a, free=ctx.free(4)).value
-        n = search_gumm(a, free=ctx.free(3)).value
+        k = search_day(a, ctx=ctx).value
+        n = search_gumm(a, ctx=ctx).value
         assert k <= 2 * n + 2
         assert n + 2 <= k * k - k + 1
+
+
+# The terms each search extracts, as `modbench terms --json` prints them.
+# The generator numbering of the search configurations and the
+# smallest-index backtrack fix them; pixley3's F(4) exceeds the default
+# caps, so it has no Day search.
+EXTRACTED_TERMS = {
+    ("one", DAY): ["x0", "x3"],
+    ("one", GUMM): ["x0", "x2"],
+    ("one", JONSSON): ["x0", "x2"],
+    ("one", ALVIN): ["x0", "x2"],
+    ("z2", DAY): ["x0", "(plus (plus x2 x1) x3)", "x3"],
+    ("z2", GUMM): ["(plus (plus x1 x0) x2)", "x2"],
+    ("z2", JONSSON): None,
+    ("z2", ALVIN): None,
+    ("lattice2", DAY): ["x0", "(meet (meet (join x3 x0) (join x1 x0)) "
+                              "(join x3 x1))",
+                        "(meet (meet (join x3 x0) (join x2 x0)) "
+                        "(join x3 x2))", "x3"],
+    ("lattice2", GUMM): ["x0", "(meet (meet (join x2 x0) (join x1 x0)) "
+                               "(join x2 x1))", "x2"],
+    ("lattice2", JONSSON): ["x0", "(meet (meet (join x2 x0) (join x1 x0)) "
+                                  "(join x2 x1))", "x2"],
+    ("lattice2", ALVIN): ["x0", "x0", "(meet (meet (join x2 x0) (join x1 x0)) "
+                                      "(join x2 x1))", "x2"],
+    ("pixley3", GUMM): ["(t x0 x1 x2)", "x2"],
+    ("pixley3", JONSSON): ["x0", "(t x0 (t x0 x1 x2) x2)", "x2"],
+    ("pixley3", ALVIN): ["x0", "(t x0 x1 x2)", "x2"],
+}
+# chain3 generates the same variety as lattice2 and gets the same terms
+EXTRACTED_TERMS.update({("chain3", scheme): terms for (name, scheme), terms
+                        in EXTRACTED_TERMS.items() if name == "lattice2"})
+
+
+def _search(a, scheme, ctx, limit=64):
+    if scheme == DAY:
+        return search_day(a, k_max=limit, ctx=ctx)
+    if scheme == GUMM:
+        return search_gumm(a, n_max=limit, ctx=ctx)
+    return search_jonsson(a, n_max=limit, alvin=scheme == ALVIN, ctx=ctx)
+
+
+@pytest.mark.parametrize("name", ["one", "z2", "lattice2", "chain3",
+                                  "pixley3"])
+def test_extracted_terms_are_pinned(corpus, pw_context, name):
+    a = corpus[name]
+    for (alg, scheme), terms in EXTRACTED_TERMS.items():
+        if alg == name:
+            res = _search(a, scheme, pw_context(a))
+            assert (res.chain.describe() if res.found else None) == terms, \
+                (name, scheme)
+
+
+def test_negative_scan_limit_is_rejected(z2):
+    for scheme in (DAY, GUMM, JONSSON, ALVIN):
+        with pytest.raises(ChainError, match="nonnegative"):
+            _search(z2, scheme, None, -1)
+
+
+def test_scan_limit_is_inclusive(lattice2, pw_context):
+    # lattice2 has Day k = 3, Gumm n = 1, Jonsson n = 1 and ALVIN n = 2: a
+    # limit equal to the value finds it, one below does not
+    ctx = pw_context(lattice2)
+    for scheme, value in ((DAY, 3), (GUMM, 1), (JONSSON, 1), (ALVIN, 2)):
+        res = _search(lattice2, scheme, ctx, value)
+        assert res.found and res.value == value, scheme
+        res = _search(lattice2, scheme, ctx, value - 1)
+        assert not res.found and not res.proven_absent, scheme

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modbench.algebras import FiniteAlgebra, Signature
-from modbench.catalog import ALGEBRA, CATALOG, get_entry
-from modbench.checks import (CheckError, PWGrammarError, check_concrete,
-                             enumerate_relations, eval_expr, pw_analyze,
-                             pw_check, spectrum)
-from modbench.dsl import (AltE, ComposeE, ConvE, GenE, MeetE, PowE, VarE,
-                          compose, parse_identity, substitute_k)
+from modbench.catalog import ALGEBRA, CATALOG, VARIETY, get_entry
+from modbench.checks import (CheckError, PWContext, PWGrammarError,
+                             check_concrete, enumerate_relations, eval_expr,
+                             pw_analyze, pw_check, spectrum, walk_scan)
+from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, K, MeetE,
+                          PowE, VarE, compose, has_symbolic, parse_identity,
+                          substitute_k)
+from modbench.free import CapExceeded
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 RelationError, generate)
 from modbench.relations import alt as rel_alt
@@ -216,7 +218,7 @@ def test_pw_day_agrees_with_chain_search(corpus, pw_context):
     for name in ("one", "z2", "lattice2", "chain3", "semilattice2"):
         a = corpus[name]
         ctx = pw_context(a)
-        res = search_day(a, free=ctx.free(4))
+        res = search_day(a, ctx=ctx)
         for k in range(1, 7):
             holds = pw_check(ctx, day.identity(m=3), k=k)
             assert holds == (res.found and res.value <= k), (name, k)
@@ -473,3 +475,119 @@ def test_enumerate_relations_seeds_every_size_up_to_cap():
              for cap in range(4)]
     assert [len(f) for f in found] == [1, 21, 211, 1351]
     assert found[0] < found[1] < found[2] < found[3]
+
+
+def test_negative_k_is_rejected(z2, lattice2, pw_context):
+    day = get_entry("DAY").identity()
+    with pytest.raises(DslError, match="nonnegative"):
+        substitute_k(day.rhs, -1)
+    for a in (z2, lattice2):
+        with pytest.raises(DslError, match="nonnegative"):
+            pw_check(pw_context(a), day, k=-1)
+        with pytest.raises(DslError, match="nonnegative"):
+            check_concrete(a, day, k=-1)
+    with pytest.raises(DslError, match="nonnegative"):
+        check_concrete(z2, get_entry("RMOD").identity(), k=-1)
+
+
+def test_negative_spectrum_cap_is_rejected(z2):
+    for family in ("DAY", "RMOD"):
+        with pytest.raises(CheckError, match="nonnegative"):
+            spectrum(z2, family, cap=-3)
+
+
+# ---------------------------------------------------------------------------
+# Variety-level spectra read off one walk, against a pw_check per k
+
+VARIETY_SCAN_FAMILIES = sorted(name for name, e in CATALOG.items()
+                               if e.level == VARIETY and e.scan is not None)
+
+
+def test_variety_scan_families_end_in_a_k_alternation(z2):
+    assert VARIETY_SCAN_FAMILIES == sorted([
+        "DAY", "DAY_REV", "DSTAR", "TSCHANTZ", "TSCHANTZ_REV", "TSTAR",
+        "TSTARSTAR", "Q2_BASE"])
+    for name in VARIETY_SCAN_FAMILIES:
+        rhs = get_entry(name).identity().rhs
+        *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
+        assert isinstance(tail, (AltE, PowE)) and tail.count == K
+        assert not any(has_symbolic(x) for x in prefix)
+    # every other shape is refused before any free algebra is built
+    ctx = PWContext(z2, cap_entries=1)
+    for bad in ("cong a b; a <= alt(a, b, k) o b",      # k not trailing
+                "cong a b; a <= alt(a, b, 2)",          # no k at all
+                "cong a b; a <= pow(a, k) o alt(a, b, k)",
+                "cong a b; a <= alt(a & pow(b, k), b, k)",
+                "cong a b; a <= a & alt(a, b, k)"):
+        ident = parse_identity(bad)
+        cfg = pw_analyze(ident.lhs, ident.kinds())
+        with pytest.raises(PWGrammarError):
+            walk_scan(ctx, ident, cfg, 4)
+
+
+def _pw_scan(ctx, ident, cap):
+    """(value, exceeded, evidence) by one pw_check at each k = 0..cap."""
+    for k in range(cap + 1):
+        if pw_check(ctx, ident, k=k):
+            return k, False, None
+    return None, True, {"checked_up_to": cap}
+
+
+# larger parameters where the free algebra stays small
+_MORE_PARAMS = {"DAY": {"m": 4}, "DAY_REV": {"m": 5}, "DSTAR": {"l": 2},
+                "TSCHANTZ": {"m": 3}, "TSCHANTZ_REV": {"m": 4},
+                "TSTAR": {"m": 4}, "TSTARSTAR": {"m": 4},
+                "Q2_BASE": {"r": 2}}
+
+
+@pytest.mark.parametrize("name", ["one", "z2", "lattice2", "chain3",
+                                  "semilattice2"])
+def test_variety_spectrum_matches_pw_scan(corpus, pw_context, name):
+    # F(4) fits the default caps on all five; the larger parameters need
+    # up to F(6), which only the small free algebras afford
+    a = corpus[name]
+    ctx = pw_context(a)
+    for family in VARIETY_SCAN_FAMILIES:
+        options = [{}]
+        if name in ("one", "z2", "semilattice2"):
+            options.append(_MORE_PARAMS[family])
+        for params in options:
+            ident = get_entry(family).identity(**params)
+            for cap in (0, 1, 2, 6):
+                res = spectrum(a, family, cap=cap, params=params, ctx=ctx)
+                assert (res.value, res.exceeded, res.evidence) == \
+                    _pw_scan(ctx, ident, cap), (name, family, params, cap)
+
+
+def test_spectrum_stops_at_a_fixed_point(semilattice2, lattice2, pw_context):
+    # semilattice2 is not congruence modular: DAY(3)'s walk stalls short of
+    # the target, and the cap is never reached
+    ident = get_entry("DAY").identity()
+    ctx = pw_context(semilattice2)
+    res = spectrum(semilattice2, "DAY", ctx=ctx)
+    assert (res.value, res.exceeded, res.evidence) == _pw_scan(ctx, ident, 64)
+    walk, _, _ = walk_scan(ctx, ident, pw_analyze(ident.lhs, ident.kinds()),
+                           64)
+    assert walk.stalled and walk.reached is None and len(walk.layers) < 64
+    # a cap below the value: not stalled, stopped at the cap
+    ctx = pw_context(lattice2)
+    walk, _, _ = walk_scan(ctx, ident, pw_analyze(ident.lhs, ident.kinds()),
+                           2)
+    assert not walk.stalled and walk.reached is None
+    assert len(walk.layers) == 3
+
+
+def test_context_skips_builds_above_a_failed_one(lattice2):
+    # F(5) fails first, then F(4); F(6) is skipped, naming the first failure
+    ctx = PWContext(lattice2, cap_entries=1000)
+    for g in (5, 4):
+        with pytest.raises(CapExceeded) as first:
+            ctx.free(g)
+        assert "skipped" not in str(first.value)
+    with pytest.raises(CapExceeded) as skipped:
+        ctx.free(6)
+    assert str(skipped.value) == ("free algebra on 6 generators skipped: the "
+                                  "build on 5 generators already exceeded "
+                                  "caps")
+    assert skipped.value.elements_reached == 0
+    assert ctx.free(3).n_elements == 18

@@ -143,3 +143,24 @@ def test_load_algebra_from_path(capsys, tmp_path):
     path.write_text("algebra two\nsize 2\nop f 1\n1 0\n")
     code, out, _ = run(capsys, "alg", "info", str(path))
     assert code == 0 and "size 2" in out
+
+
+def test_negative_k_is_a_usage_error(capsys):
+    for argv in (("one", "--identity", "DAY", "--mode", "pw"),
+                 ("lattice2", "--identity", "DAY", "--mode", "pw"),
+                 ("lattice2", "--identity", "DAY", "--mode", "concrete"),
+                 ("z2", "--identity", "RMOD"),
+                 ("one", "--identity", "QDIST", "--mode", "pw")):  # k-free
+        code, out, err = run(capsys, "check", *argv, "--k", "-1")
+        assert (code, out) == (2, ""), argv
+        assert "nonnegative" in err
+
+
+def test_negative_scan_limits_are_usage_errors(capsys):
+    for argv in (("spectrum", "one", "--family", "DAY", "--cap", "-3"),
+                 ("spectrum", "z2", "--family", "RMOD", "--cap", "-1"),
+                 ("terms", "lattice2", "--scheme", "day", "--max", "-1"),
+                 ("terms", "lattice2", "--scheme", "alvin", "--max", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "nonnegative" in err
