@@ -86,9 +86,6 @@ class FiniteAlgebra:
             index = index * self.size + a
         return int(self.tables[op][index])
 
-    def op_arity(self, op: str) -> int:
-        return self.signature.arity(op)
-
     def _key(self):
         return (self.name, self.size, self.signature.ops,
                 tuple(self.tables[n].tobytes() for n in self.signature.names()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dsl import (AltE, Contains, ConvE, GenE, Identity, K, PowE, VarE,
-                  compose, meet, pow_expr)
+                  alternation, children, compose, meet, pow_expr, rebuild)
 from .relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
 
 A, B, G = VarE("a"), VarE("b"), VarE("g")
@@ -53,14 +53,6 @@ class CatalogEntry:
         return self.build(**merged)
 
 
-def _alternation(first, second, m):
-    """Explicit alternating composition with m >= 1 factors."""
-    if m < 1:
-        raise CatalogError("alternation needs at least one factor")
-    items = [first if i % 2 == 0 else second for i in range(m)]
-    return compose(*items)
-
-
 def _cong(*names):
     return tuple((n, CONGRUENCE) for n in names)
 
@@ -83,14 +75,14 @@ def _require(cond, msg):
 
 def _day(m):
     _require(m >= 3, "DAY needs m >= 3")
-    lhs = meet(A, _alternation(B, meet(A, G), m))
+    lhs = meet(A, alternation(B, meet(A, G), m))
     return Identity("DAY", _cong("a", "b", "g"), lhs,
                     AltE(meet(A, B), meet(A, G), K))
 
 
 def _day_rev(m):
     _require(m >= 3, "DAY_REV needs m >= 3")
-    lhs = meet(A, _alternation(B, meet(A, G), m))
+    lhs = meet(A, alternation(B, meet(A, G), m))
     return Identity("DAY_REV", _cong("a", "b", "g"), lhs,
                     AltE(meet(A, G), meet(A, B), K))
 
@@ -98,12 +90,7 @@ def _day_rev(m):
 def _swap_bg(e):
     if isinstance(e, VarE):
         return {"b": G, "g": B}.get(e.name, e)
-    from .dsl import ComposeE, MeetE
-    if isinstance(e, ComposeE):
-        return ComposeE(tuple(_swap_bg(i) for i in e.items))
-    if isinstance(e, MeetE):
-        return MeetE(tuple(_swap_bg(i) for i in e.items))
-    raise CatalogError("unexpected node in nested left-hand side")
+    return rebuild(e, map(_swap_bg, children(e)))
 
 
 def _dstar(l):
@@ -117,28 +104,28 @@ def _dstar(l):
 
 def _tschantz(m):
     _require(m >= 2, "TSCHANTZ needs m >= 2")
-    lhs = meet(A, _alternation(B, G, m))
+    lhs = meet(A, alternation(B, G, m))
     rhs = compose(meet(A, compose(G, B)), AltE(meet(A, G), meet(A, B), K))
     return Identity("TSCHANTZ", _cong("a", "b", "g"), lhs, rhs)
 
 
 def _tschantz_rev(m):
     _require(m >= 3, "TSCHANTZ_REV needs m >= 3")
-    lhs = meet(A, _alternation(B, G, m))
+    lhs = meet(A, alternation(B, G, m))
     rhs = compose(meet(A, compose(B, G)), AltE(meet(A, B), meet(A, G), K))
     return Identity("TSCHANTZ_REV", _cong("a", "b", "g"), lhs, rhs)
 
 
 def _tstar(m):
     _require(m >= 3, "TSTAR needs m >= 3")
-    lhs = meet(A, _alternation(B, G, m))
+    lhs = meet(A, alternation(B, G, m))
     rhs = compose(meet(A, compose(G, B, G)), AltE(meet(A, B), meet(A, G), K))
     return Identity("TSTAR", _cong("a", "b", "g"), lhs, rhs)
 
 
 def _tstarstar(m):
     _require(m >= 3, "TSTARSTAR needs m >= 3")
-    lhs = meet(A, _alternation(B, G, m))
+    lhs = meet(A, alternation(B, G, m))
     rhs = PowE(meet(A, compose(G, B, G)), K)
     return Identity("TSTARSTAR", _cong("a", "b", "g"), lhs, rhs)
 
@@ -146,7 +133,7 @@ def _tstarstar(m):
 def _ttriple(m, h, k):
     _require(m >= 3, "TTRIPLE needs m >= 3")
     _require(h >= 0 and k >= 0, "TTRIPLE needs h, k >= 0")
-    lhs = meet(A, _alternation(B, G, m))
+    lhs = meet(A, alternation(B, G, m))
     rhs = compose(AltE(meet(A, B), meet(A, G), h),
                   meet(A, compose(G, B)),
                   AltE(meet(A, G), meet(A, B), k))
@@ -158,14 +145,14 @@ def _ttriple(m, h, k):
 
 def _tr_rel(m):
     _require(m >= 2, "TR_REL needs m >= 2")
-    lhs = meet(A, _alternation(R, S, m))
+    lhs = meet(A, alternation(R, S, m))
     rhs = compose(meet(A, compose(S, R)), AltE(meet(A, S), meet(A, R), K))
     return Identity("TR_REL", _cong("a") + _adm("R", "S"), lhs, rhs)
 
 
 def _tr_rel_rev(m):
     _require(m >= 3, "TR_REL_REV needs m >= 3")
-    lhs = meet(A, _alternation(R, S, m))
+    lhs = meet(A, alternation(R, S, m))
     rhs = compose(meet(A, compose(R, S)), AltE(meet(A, R), meet(A, S), K))
     return Identity("TR_REL_REV", _cong("a") + _adm("R", "S"), lhs, rhs)
 
@@ -179,7 +166,7 @@ def _rmod(m):
 
 def _rrmod(m):
     _require(m >= 3, "RRMOD needs m >= 3")
-    lhs = meet(A, _alternation(R, meet(A, S), m))
+    lhs = meet(A, alternation(R, meet(A, S), m))
     return Identity("RRMOD", _cong("a") + _adm("R", "S"), lhs,
                     AltE(meet(A, R), meet(A, S), K))
 
@@ -273,14 +260,14 @@ def _bbb(n):
 
 def _q2_base(r):
     _require(r >= 1, "Q2_BASE needs r >= 1")
-    lhs = meet(A, _alternation(B, G, 2 * r + 1))
+    lhs = meet(A, alternation(B, G, 2 * r + 1))
     rhs = compose(meet(A, compose(G, B)), AltE(meet(A, G), meet(A, B), K))
     return Identity("Q2_BASE", _cong("a", "b", "g"), lhs, rhs)
 
 
 def _q2_a(r, s, n):
     _require(r >= 1 and s >= 1 and n >= 0, "Q2_A needs r, s >= 1, n >= 0")
-    lhs = meet(A, _alternation(B, G, 4 * r + 1))
+    lhs = meet(A, alternation(B, G, 4 * r + 1))
     rhs = compose(meet(A, compose(G, B)),
                   AltE(meet(A, G), meet(A, B), s + 4 * r * n))
     return Identity("Q2_A", _cong("a", "b", "g"), lhs, rhs)
@@ -289,7 +276,7 @@ def _q2_a(r, s, n):
 def _q2_b(r, s, n, q):
     _require(r >= 1 and s >= 1 and n >= 0 and q >= 1,
              "Q2_B needs r, s, q >= 1 and n >= 0")
-    lhs = meet(A, _alternation(B, G, 2 ** q * r + 1))
+    lhs = meet(A, alternation(B, G, 2 ** q * r + 1))
     rhs = compose(meet(A, compose(G, B)),
                   AltE(meet(A, G), meet(A, B),
                        s + (2 ** (q + 1) - 4) * r * n))
@@ -299,8 +286,8 @@ def _q2_b(r, s, n, q):
 def _agt_4hb(h, n):
     _require(h >= 0 and n >= 0, "AGT_4HB needs h, n >= 0")
     m = 4 * h + 2
-    lhs = meet(A, _alternation(B, G, m + 1))
-    rhs = compose(meet(A, _alternation(G, B, 2 * h + 2)),
+    lhs = meet(A, alternation(B, G, m + 1))
+    rhs = compose(meet(A, alternation(G, B, 2 * h + 2)),
                   AltE(meet(A, G), meet(A, B), m * n))
     return Identity("AGT_4HB", _cong("a", "b", "g"), lhs, rhs)
 
@@ -308,24 +295,24 @@ def _agt_4hb(h, n):
 def _agt_4hbconv(h, n):
     _require(h >= 0 and n >= 0, "AGT_4HBCONV needs h, n >= 0")
     m = 4 * h + 2
-    lhs = meet(A, _alternation(B, G, m + 1))
+    lhs = meet(A, alternation(B, G, m + 1))
     rhs = compose(AltE(meet(A, B), meet(A, G), m * n),
-                  meet(A, _alternation(B, G, 2 * h + 2)))
+                  meet(A, alternation(B, G, 2 * h + 2)))
     return Identity("AGT_4HBCONV", _cong("a", "b", "g"), lhs, rhs)
 
 
 def _agt_4h(h, n):
     _require(h >= 1 and n >= 0, "AGT_4H needs h >= 1, n >= 0")
     m = 4 * h
-    lhs = meet(A, _alternation(B, G, m + 1))
-    rhs = compose(meet(A, _alternation(B, G, 2 * h + 1)),
+    lhs = meet(A, alternation(B, G, m + 1))
+    rhs = compose(meet(A, alternation(B, G, 2 * h + 1)),
                   AltE(meet(A, G), meet(A, B), m * n))
     return Identity("AGT_4H", _cong("a", "b", "g"), lhs, rhs)
 
 
 def _qdist(q, n):
     _require(q >= 1 and n >= 0, "QDIST needs q >= 1, n >= 0")
-    lhs = meet(A, _alternation(B, G, 2 ** q + 1))
+    lhs = meet(A, alternation(B, G, 2 ** q + 1))
     rhs = compose(meet(A, compose(G, B)),
                   AltE(meet(A, G), meet(A, B), (2 ** (q + 1) - 2) * n))
     return Identity("QDIST", _cong("a", "b", "g"), lhs, rhs)
@@ -333,7 +320,7 @@ def _qdist(q, n):
 
 def _qdistconv(q, n):
     _require(q >= 1 and n >= 0, "QDISTCONV needs q >= 1, n >= 0")
-    lhs = meet(A, _alternation(B, G, 2 ** q + 1))
+    lhs = meet(A, alternation(B, G, 2 ** q + 1))
     rhs = compose(AltE(meet(A, B), meet(A, G), (2 ** (q + 1) - 2) * n),
                   meet(A, compose(B, G)))
     return Identity("QDISTCONV", _cong("a", "b", "g"), lhs, rhs)
@@ -342,7 +329,7 @@ def _qdistconv(q, n):
 def _qmod2(h, t, n):
     _require(h >= 1 and n >= 0, "QMOD2 needs h >= 1, n >= 0")
     _require(t >= 2 and t % 2 == 0, "QMOD2 needs t even, t >= 2")
-    lhs = meet(A, _alternation(B, meet(A, G), 4 * h + 3))
+    lhs = meet(A, alternation(B, meet(A, G), 4 * h + 3))
     rhs = AltE(meet(A, B), meet(A, G), t + (4 * h + 2) * n)
     return Identity("QMOD2", _cong("a", "b", "g"), lhs, rhs)
 
@@ -353,7 +340,7 @@ def _qmod3(h, t, n, p):
     _require(t >= 2 and t % 2 == 0, "QMOD3 needs t even, t >= 2")
     z = 2 ** p * (h + 1) - 1
     tp = t + (2 ** (p + 1) - 4) * h * n + (2 ** (p + 1) - 2 * p - 2) * n
-    lhs = meet(A, _alternation(B, meet(A, G), z))
+    lhs = meet(A, alternation(B, meet(A, G), z))
     rhs = AltE(meet(A, B), meet(A, G), tp)
     return Identity("QMOD3", _cong("a", "b", "g"), lhs, rhs)
 

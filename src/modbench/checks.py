@@ -30,9 +30,9 @@ import numpy as np
 from .algebras import FiniteAlgebra
 from .catalog import ALGEBRA, CatalogError, get_entry
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
-                  VarE, _check_count, expr_str, expr_vars, has_symbolic,
-                  push_converse, substitute_k)
-from .dsl import compose as compose_expr, meet as meet_expr
+                  VarE, _check_count, alternation, expr_str, expr_vars,
+                  has_symbolic, push_converse, substitute_k)
+from .dsl import meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 from .relations import (CONGRUENCE, BinRel, GuardExceeded, RelationError,
@@ -206,52 +206,41 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
     return ev.compile(e)((0,) * len(env), None)
 
 
-_REL_CACHE: dict = {}
+# Universes up to this size get every relation of each kind enumerated.
+ENUM_CAP = 4
+# The most variable assignments one concrete check enumerates.
+MAX_ENVS = 2_000_000
 
 
-def enumerate_relations(a: FiniteAlgebra, kind: str, enum_cap: int = 4,
+def enumerate_relations(a: FiniteAlgebra, kind: str,
                         seed_pair_cap: int = 2) -> list[BinRel]:
     """Deterministic family of relations of one kind on ``a``.
 
-    Complete for universes up to ``enum_cap``; larger universes get the
+    Complete for universes up to ``ENUM_CAP``; larger universes get the
     relations generated from all seed sets of at most ``seed_pair_cap``
     off-diagonal pairs (a sound refutation family, not a complete one).
     """
-    key = (a, kind, enum_cap, seed_pair_cap)
-    if key in _REL_CACHE:
-        return _REL_CACHE[key]
     n = a.size
-    out: list[BinRel] = []
     if kind == CONGRUENCE:
-        out = all_congruences(a)
-    elif n <= enum_cap:
-        offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+        return all_congruences(a)
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if n <= ENUM_CAP:
+        out = []
         for mask in range(1 << len(offdiag)):
             pairs = [offdiag[t] for t in range(len(offdiag))
                      if (mask >> t) & 1]
             r = BinRel.from_pairs(n, pairs)
             if is_compatible(a, r, kind):
                 out.append(r)
-    else:
-        seen = set()
-        offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-        seeds = itertools.chain.from_iterable(
-            itertools.combinations(offdiag, size)
-            for size in range(seed_pair_cap + 1))
-        for seed in seeds:
-            r = generate(a, list(seed), kind)
-            if r.rows not in seen:
-                seen.add(r.rows)
-                out.append(r)
-        out.sort(key=lambda r: r.rows)
-    _REL_CACHE[key] = out
-    return out
-
-
-def complete_enumeration(a: FiniteAlgebra, ident: Identity,
-                         enum_cap: int = 4) -> bool:
-    return all(kind == CONGRUENCE or a.size <= enum_cap
-               for _, kind in ident.var_kinds)
+        return out
+    found = {}
+    seeds = itertools.chain.from_iterable(
+        itertools.combinations(offdiag, size)
+        for size in range(seed_pair_cap + 1))
+    for seed in seeds:
+        r = generate(a, list(seed), kind)
+        found.setdefault(r.rows, r)
+    return [found[rows] for rows in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -263,36 +252,35 @@ class ConcreteResult:
     least_k: int | None = None   # least k holding everywhere, when scanned
 
 
-def check_concrete(a: FiniteAlgebra, ident: Identity, k: int | None = None,
-                   enum_cap: int = 4, seed_pair_cap: int = 2,
-                   max_envs: int = 2_000_000) -> ConcreteResult:
+def check_concrete(a: FiniteAlgebra, ident: Identity,
+                   k: int | None = None) -> ConcreteResult:
     """Quantify the declared variables over relations of ``a``.
 
-    Environments run in product order over the enumerated relations; the
-    first one whose side conditions hold and whose inclusion fails at ``k``
-    is the counterexample.  When ``k`` occurs on the right-hand side only,
-    each environment is tested from the largest count any earlier one
-    needed upwards: relations are reflexive and every operation is
-    monotone, so the right-hand side grows with its count, and
-    ``least_k`` -- the largest per-environment least count -- is the least
-    k at which the inclusion holds throughout.  It is None when the check
-    fails or k is not scanned.
+    Each declared kind is enumerated once per call, and variables of one
+    kind share its list.  Environments run in product order over them;
+    the first one whose side conditions hold and whose inclusion fails at
+    ``k`` is the counterexample.  When ``k`` occurs on the right-hand side
+    only, each environment is tested from the largest count any earlier
+    one needed upwards: relations are reflexive and every operation is
+    monotone, so the right-hand side grows with its count, and ``least_k``
+    -- the largest per-environment least count -- is the least k at which
+    the inclusion holds throughout.  It is None when the check fails or k
+    is not scanned.
     """
-    lhs_k, rhs_k = has_symbolic(ident.lhs), has_symbolic(ident.rhs)
-    if (lhs_k or rhs_k) and k is None:
-        raise CheckError(f"{ident.name} needs a value for k")
     if k is not None:
         _check_count(k)
-    spaces = []
-    for name, kind in ident.var_kinds:
-        spaces.append((name, enumerate_relations(a, kind, enum_cap,
-                                                 seed_pair_cap)))
-    total = 1
-    for _, space in spaces:
-        total *= len(space)
-    if total > max_envs:
+    lhs_k, rhs_k = has_symbolic(ident.lhs), has_symbolic(ident.rhs)
+    _check_k(ident, k, lhs_k or rhs_k)
+    kinds = [kind for _, kind in ident.var_kinds]
+    by_kind = {kind: enumerate_relations(a, kind)
+               for kind in dict.fromkeys(kinds)}
+    spaces = [(name, by_kind[kind]) for name, kind in ident.var_kinds]
+    total = math.prod(len(space) for _, space in spaces)
+    if total > MAX_ENVS:
         raise GuardExceeded(
-            f"{total} variable assignments exceed the cap {max_envs}")
+            f"{total} variable assignments exceed the cap {MAX_ENVS}")
+    complete = all(kind == CONGRUENCE or a.size <= ENUM_CAP
+                   for kind in kinds)
     ev = _Evaluator(a, spaces)
     conds = [(ev.compile(c.sub), ev.compile(c.sup))
              for c in ident.side_conditions]
@@ -312,14 +300,22 @@ def check_concrete(a: FiniteAlgebra, ident: Identity, k: int | None = None,
                 if m == k:
                     counterexample = {name: space[i] for (name, space), i
                                       in zip(spaces, env)}
-                    return ConcreteResult(
-                        False, counterexample,
-                        complete_enumeration(a, ident, enum_cap), checked)
+                    return ConcreteResult(False, counterexample, complete,
+                                          checked)
                 m += 1
             least = m
-    return ConcreteResult(True, None,
-                          complete_enumeration(a, ident, enum_cap), checked,
+    return ConcreteResult(True, None, complete, checked,
                           least if scan else None)
+
+
+def _check_k(ident: Identity, k: int | None, symbolic: bool) -> None:
+    """``k`` must be given exactly when ``ident`` holds the symbolic
+    count."""
+    if symbolic and k is None:
+        raise CheckError(f"{ident.name} needs a value for k")
+    if not symbolic and k is not None:
+        raise CheckError(f"{ident.name} has no symbolic count, so k = {k} "
+                         f"does not apply")
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +352,7 @@ def _expand_counts(e):
             raise PWGrammarError(f"left-hand {what} must be concrete and "
                                  f"positive")
         factors = [_expand_counts(f) for f in _factors(e)]
-        return compose_expr(*[factors[i % len(factors)]
-                              for i in range(e.count)])
+        return alternation(factors[0], factors[-1], e.count)
     raise PWGrammarError(f"not allowed on a generic left-hand side: "
                          f"{expr_str(e)}")
 
@@ -576,11 +571,8 @@ def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
     if k is not None:
         _check_count(k)
     cfg = _pw_config(ident)
-    rhs = ident.rhs
-    if has_symbolic(rhs):
-        if k is None:
-            raise CheckError(f"{ident.name} needs a value for k")
-        rhs = substitute_k(rhs, k)
+    _check_k(ident, k, has_symbolic(ident.rhs))
+    rhs = ident.rhs if k is None else substitute_k(ident.rhs, k)
     f, parts, frontier = _pw_setup(ctx, ident, cfg)
     reached = _reach(push_converse(rhs, ident.kinds()), frontier, parts)
     return bool(reached[f.generators[cfg.target]])
@@ -630,8 +622,8 @@ class SpectrumResult:
 
 
 def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
-             params: dict | None = None, ctx: PWContext | None = None,
-             enum_cap: int = 4, seed_pair_cap: int = 2) -> SpectrumResult:
+             params: dict | None = None,
+             ctx: PWContext | None = None) -> SpectrumResult:
     """Least scan value making the family's inclusion hold, up to ``cap``.
 
     The right-hand side only grows with the scan parameter.  Algebra-level
@@ -649,8 +641,7 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     ident = entry.identity(**params)
     evidence = {"checked_up_to": cap}
     if entry.level == ALGEBRA:
-        res = check_concrete(a, ident, k=cap, enum_cap=enum_cap,
-                             seed_pair_cap=seed_pair_cap)
+        res = check_concrete(a, ident, k=cap)
         k = res.least_k
         if res.counterexample:
             evidence["counterexample"] = {

@@ -201,27 +201,34 @@ def cmd_spectrum(args) -> int:
         p = dict(params)
         if primary is not None:
             p[primary] = m
-        return spectrum(a, args.family, cap=args.cap, params=p, ctx=ctx)
+        row = {"family": args.family, "param": primary, "m": m,
+               "level": entry.level}
+        try:
+            res = spectrum(a, args.family, cap=args.cap, params=p, ctx=ctx)
+        except (CapExceeded, GuardExceeded) as exc:
+            # one m over the caps leaves the others decided
+            return {**row, "value": None, "exceeded": None,
+                    "unchecked": str(exc)}
+        return {**row, "value": res.value, "exceeded": res.exceeded,
+                **({"evidence": res.evidence} if res.evidence else {})}
 
     if args.jobs > 1 and len(ms) > 1 and entry.level == ALGEBRA:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, ms))
+            rows = list(pool.map(run, ms))
     else:
-        results = [run(m) for m in ms]
-    rows = []
-    for m, res in zip(ms, results):
-        rows.append({"family": args.family, "param": primary, "m": m,
-                     "value": res.value, "exceeded": res.exceeded,
-                     "level": res.level,
-                     **({"evidence": res.evidence} if res.evidence else {})})
+        rows = [run(m) for m in ms]
     if args.json:
         print(_dump({"algebra": a.name, "scan": entry.scan,
                      "results": rows}))
     else:
         for row in rows:
             where = f"{args.family}({row['m']})" if primary else args.family
-            val = row["value"] if row["value"] is not None else "exceeds cap"
+            val = ("exceeds cap" if row["exceeded"] else
+                   f"unchecked ({row['unchecked']})" if "unchecked" in row
+                   else row["value"])
             print(f"{a.name} {where}: {entry.scan} = {val} [{row['level']}]")
+    if any("unchecked" in row for row in rows):
+        return EXIT_CAP
     if any(row["value"] is None for row in rows):
         return EXIT_REFUTED
     return EXIT_OK
@@ -257,8 +264,9 @@ def cmd_verify(args) -> int:
     caps = _caps_kwargs(args)
 
     def run(path):
-        return consistency_report(load_algebra(path), scan_cap=args.scan_cap,
-                                  **caps)
+        a = load_algebra(path)
+        return consistency_report(a, scan_cap=args.scan_cap,
+                                  ctx=PWContext(a, **caps))
 
     if args.jobs > 1 and len(args.files) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

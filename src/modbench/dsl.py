@@ -22,7 +22,7 @@ denotes the identity relation; ``k`` is the symbolic scan parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
 
@@ -132,60 +132,65 @@ def _check_count(count):
         raise DslError(f"count must be a nonnegative integer or 'k': {count!r}")
 
 
-def expr_vars(e: RelExpr) -> set[str]:
+def children(e: RelExpr) -> tuple:
+    """The direct subexpressions of a node, in order."""
+    if isinstance(e, (ComposeE, MeetE, GenE)):
+        return e.items
+    if isinstance(e, (ConvE, PowE)):
+        return (e.item,)
+    if isinstance(e, AltE):
+        return (e.first, e.second)
     if isinstance(e, VarE):
-        return {e.name}
-    if isinstance(e, (ComposeE, MeetE)):
-        out = set()
-        for it in e.items:
-            out |= expr_vars(it)
-        return out
-    if isinstance(e, ConvE):
-        return expr_vars(e.item)
-    if isinstance(e, GenE):
-        out = set()
-        for it in e.items:
-            out |= expr_vars(it)
-        return out
-    if isinstance(e, (AltE,)):
-        return expr_vars(e.first) | expr_vars(e.second)
-    if isinstance(e, PowE):
-        return expr_vars(e.item)
+        return ()
     raise DslError(f"not an expression: {e!r}")
 
 
-def has_symbolic(e: RelExpr) -> bool:
-    if isinstance(e, (AltE,)):
-        return (e.count == K or has_symbolic(e.first)
-                or has_symbolic(e.second))
-    if isinstance(e, PowE):
-        return e.count == K or has_symbolic(e.item)
-    if isinstance(e, (ComposeE, MeetE, GenE)):
-        return any(has_symbolic(it) for it in e.items)
+def rebuild(e: RelExpr, kids) -> RelExpr:
+    """A node of ``e``'s type and fields with the children ``kids``.
+
+    Built directly: nested compositions and intersections are kept as
+    given, not flattened as ``compose`` and ``meet`` would.
+    """
+    kids = tuple(kids)
+    if isinstance(e, (ComposeE, MeetE)):
+        return type(e)(kids)
+    if isinstance(e, GenE):
+        return GenE(e.kind, kids)
     if isinstance(e, ConvE):
-        return has_symbolic(e.item)
-    return False
+        return ConvE(*kids)
+    if isinstance(e, PowE):
+        return PowE(*kids, e.count)
+    if isinstance(e, AltE):
+        return AltE(*kids, e.count)
+    if isinstance(e, VarE):
+        return e
+    raise DslError(f"not an expression: {e!r}")
+
+
+def alternation(first, second, m: int) -> RelExpr:
+    """The composition first o second o first o ... of m >= 1 factors,
+    flattened like ``compose``."""
+    return compose(*[(first, second)[i % 2] for i in range(m)])
+
+
+def expr_vars(e: RelExpr) -> set[str]:
+    if isinstance(e, VarE):
+        return {e.name}
+    return set().union(*map(expr_vars, children(e)))
+
+
+def has_symbolic(e: RelExpr) -> bool:
+    return (getattr(e, "count", None) == K
+            or any(map(has_symbolic, children(e))))
 
 
 def substitute_k(e: RelExpr, k: int) -> RelExpr:
     _check_count(k)
-    if isinstance(e, VarE):
-        return e
-    if isinstance(e, ComposeE):
-        return ComposeE(tuple(substitute_k(i, k) for i in e.items))
-    if isinstance(e, MeetE):
-        return MeetE(tuple(substitute_k(i, k) for i in e.items))
-    if isinstance(e, ConvE):
-        return ConvE(substitute_k(e.item, k))
-    if isinstance(e, GenE):
-        return GenE(e.kind, tuple(substitute_k(i, k) for i in e.items))
-    if isinstance(e, AltE):
-        c = k if e.count == K else e.count
-        return AltE(substitute_k(e.first, k), substitute_k(e.second, k), c)
-    if isinstance(e, PowE):
-        c = k if e.count == K else e.count
-        return PowE(substitute_k(e.item, k), c)
-    raise DslError(f"not an expression: {e!r}")
+
+    def sub(x):
+        x = rebuild(x, map(sub, children(x)))
+        return replace(x, count=k) if getattr(x, "count", None) == K else x
+    return sub(e)
 
 
 def push_converse(e: RelExpr, kinds: dict[str, str]) -> RelExpr:
@@ -205,37 +210,18 @@ def push_converse(e: RelExpr, kinds: dict[str, str]) -> RelExpr:
             return push_converse(x.item, kinds)
         if isinstance(x, ComposeE):
             return ComposeE(tuple(conv(i) for i in reversed(x.items)))
-        if isinstance(x, MeetE):
-            return MeetE(tuple(conv(i) for i in x.items))
-        if isinstance(x, GenE):
-            if x.kind in (CONGRUENCE, TOLERANCE):
-                return GenE(x.kind, tuple(push_converse(i, kinds)
-                                          for i in x.items))
-            return GenE(x.kind, tuple(conv(i) for i in x.items))
+        if isinstance(x, GenE) and x.kind in (CONGRUENCE, TOLERANCE):
+            return push_converse(x, kinds)
         if isinstance(x, AltE):
             if x.count == K:
                 raise DslError("cannot take converse of symbolic alternation")
-            if x.count % 2 == 1:
-                return AltE(conv(x.first), conv(x.second), x.count)
-            return AltE(conv(x.second), conv(x.first), x.count)
-        if isinstance(x, PowE):
-            return PowE(conv(x.item), x.count)
-        raise DslError(f"not an expression: {x!r}")
+            if x.count % 2 == 0:
+                return AltE(conv(x.second), conv(x.first), x.count)
+        return rebuild(x, map(conv, children(x)))
 
     if isinstance(e, ConvE):
         return conv(push_converse(e.item, kinds))
-    if isinstance(e, ComposeE):
-        return ComposeE(tuple(push_converse(i, kinds) for i in e.items))
-    if isinstance(e, MeetE):
-        return MeetE(tuple(push_converse(i, kinds) for i in e.items))
-    if isinstance(e, GenE):
-        return GenE(e.kind, tuple(push_converse(i, kinds) for i in e.items))
-    if isinstance(e, AltE):
-        return AltE(push_converse(e.first, kinds),
-                    push_converse(e.second, kinds), e.count)
-    if isinstance(e, PowE):
-        return PowE(push_converse(e.item, kinds), e.count)
-    return e
+    return rebuild(e, (push_converse(x, kinds) for x in children(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -261,29 +261,13 @@ class FreeAlgebra:
         identifying those generators, so two elements are congruent exactly
         when their vectors agree on the assignments fixed by the merge.
         """
-        parent = list(range(self.g))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        mask = np.ones(self.tuple_count, dtype=bool)
         for i, j in pairs:
             if not (0 <= i < self.g and 0 <= j < self.g):
                 raise AlgebraError(f"generator pair ({i}, {j}) out of range")
-            parent[find(i)] = find(j)
-        roots = np.array([find(i) for i in range(self.g)])
-        size = self.base.size
-        idx = np.arange(self.tuple_count, dtype=np.int64)
-        mask = np.ones(self.tuple_count, dtype=bool)
-        for i in range(self.g):
-            r = int(roots[i])
-            if r == i:
-                continue
-            di = (idx // size ** (self.g - 1 - i)) % size
-            dr = (idx // size ** (self.g - 1 - r)) % size
-            mask &= di == dr
+            # a generator's vector is its digit column of the assignments
+            mask &= (self.vecs[self.generators[i]]
+                     == self.vecs[self.generators[j]])
         sub = self.vecs[:, mask]
         _, labels = np.unique(sub, axis=0, return_inverse=True)
         return labels.astype(np.int64)

@@ -30,9 +30,13 @@ class GuardExceeded(RuntimeError):
 
 
 class BinRel:
-    """Reflexive binary relation on {0..n-1}."""
+    """Reflexive binary relation on {0..n-1}.
 
-    __slots__ = ("n", "rows", "kind_hint")
+    A ``kind_hint`` is validated as far as that needs no algebra, and not
+    stored.
+    """
+
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows, kind_hint: str | None = None):
         self.n = n
@@ -50,7 +54,6 @@ class BinRel:
             if kind_hint == CONGRUENCE and not self.is_transitive():
                 raise RelationError("congruence hint on an intransitive "
                                     "relation")
-        self.kind_hint = kind_hint
 
     # -- constructors ------------------------------------------------------
 
@@ -76,7 +79,7 @@ class BinRel:
     def _of(n: int, rows: tuple) -> "BinRel":
         """Wrap rows that are already reflexive and in range, unchecked."""
         rel = object.__new__(BinRel)
-        rel.n, rel.rows, rel.kind_hint = n, rows, None
+        rel.n, rel.rows = n, rows
         return rel
 
     # -- basic structure ---------------------------------------------------
@@ -208,6 +211,20 @@ def transitive_closure(r: BinRel) -> BinRel:
 # -- compatibility and generation ------------------------------------------
 
 
+def _images(a: FiniteAlgebra, prs):
+    """(f(x1..xr), f(y1..yr)) for every operation f of ``a`` and every
+    r-tuple of pairs (xi, yi) from ``prs``; a constant gives a diagonal
+    pair."""
+    for opname, arity in a.signature.ops:
+        table = a.tables[opname]
+        for combo in itertools.product(prs, repeat=arity):
+            ia = ib = 0
+            for x, y in combo:
+                ia = ia * a.size + x
+                ib = ib * a.size + y
+            yield int(table[ia]), int(table[ib])
+
+
 def is_compatible(a: FiniteAlgebra, r: BinRel, kind: str) -> bool:
     """Check a relation kind exhaustively against the operation tables."""
     if r.n != a.size:
@@ -218,19 +235,7 @@ def is_compatible(a: FiniteAlgebra, r: BinRel, kind: str) -> bool:
         return False
     if kind == CONGRUENCE and not r.is_transitive():
         return False
-    prs = list(r.pairs())
-    for opname, arity in a.signature.ops:
-        table = a.tables[opname]
-        if arity == 0:
-            continue
-        for combo in itertools.product(prs, repeat=arity):
-            ia = ib = 0
-            for x, y in combo:
-                ia = ia * a.size + x
-                ib = ib * a.size + y
-            if not r.has(int(table[ia]), int(table[ib])):
-                return False
-    return True
+    return all(r.has(x, y) for x, y in _images(a, list(r.pairs())))
 
 
 def _congruence_from_pairs(a: FiniteAlgebra, pairs) -> BinRel:
@@ -293,29 +298,16 @@ def generate(a: FiniteAlgebra, pairs, kind: str) -> BinRel:
         return _congruence_from_pairs(a, pairs)
 
     rel = BinRel.from_pairs(a.size, pairs)
-    if KIND_LEVEL[kind] >= KIND_LEVEL[TOLERANCE]:
-        rel = union(rel, rel.converse())
     while True:
-        new = rel
-        for opname, arity in a.signature.ops:
-            if arity == 0:
-                continue
-            table = a.tables[opname]
-            prs = list(new.pairs())
-            rows = list(new.rows)
-            for combo in itertools.product(prs, repeat=arity):
-                ia = ib = 0
-                for x, y in combo:
-                    ia = ia * a.size + x
-                    ib = ib * a.size + y
-                rows[int(table[ia])] |= 1 << int(table[ib])
-            new = BinRel(a.size, rows)
+        rows = list(rel.rows)
+        for x, y in _images(a, list(rel.pairs())):
+            rows[x] |= 1 << y
+        new = BinRel._of(a.size, tuple(rows))
         if KIND_LEVEL[kind] >= KIND_LEVEL[TOLERANCE]:
             new = union(new, new.converse())
         if new == rel:
-            break
+            return BinRel(a.size, rel.rows, kind)
         rel = new
-    return BinRel(a.size, rel.rows, kind)
 
 
 def cong_join(alpha: BinRel, beta: BinRel) -> BinRel:

@@ -45,13 +45,10 @@ def _status(measured, claimed, scan_cap):
 
 def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
                        m_range=(3, 7), dstar_range=(1, 3),
-                       cap_entries: int | None = None,
-                       work_budget: int | None = None,
                        ctx: PWContext | None = None) -> dict:
     """Per-algebra report dictionary; see the module docstring."""
     if ctx is None:
-        caps = {"cap_entries": cap_entries, "work_budget": work_budget}
-        ctx = PWContext(a, **{k: v for k, v in caps.items() if v is not None})
+        ctx = PWContext(a)
     report = {"algebra": a.name, "size": a.size}
 
     try:

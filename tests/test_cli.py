@@ -164,3 +164,41 @@ def test_negative_scan_limits_are_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "nonnegative" in err
+
+
+def test_spectrum_prints_decided_rows_beside_unchecked_ones(capsys):
+    # DAY(3) fits F(4) under the cap; DAY(4) needs F(5), which exceeds it,
+    # and DAY(5) is skipped after that failure
+    argv = ("spectrum", "lattice2", "--family", "DAY", "--m-from", "3",
+            "--m-to", "5", "--cap-entries", "10000")
+    code, out, err = run(capsys, *argv, "--json")
+    rows = json.loads(out)["results"]
+    assert (code, err) == (3, "")
+    assert [(row["m"], row["value"]) for row in rows] == \
+        [(3, 3), (4, None), (5, None)]
+    assert "unchecked" not in rows[0] and rows[0]["exceeded"] is False
+    assert rows[1]["exceeded"] is None
+    assert "exceeds 10000 vector entries" in rows[1]["unchecked"]
+    assert "skipped" in rows[2]["unchecked"]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 3 and lines[0] == "lattice2 DAY(3): k = 3 [variety]"
+    assert lines[1].startswith("lattice2 DAY(4): k = unchecked (free ")
+    # an environment guard is reported the same way
+    code, out, _ = run(capsys, "spectrum", "chain3", "--family", "AGI",
+                       "--json")
+    (row,) = json.loads(out)["results"]
+    assert code == 3 and row["value"] is None
+    assert "exceed the cap" in row["unchecked"]
+
+
+def test_k_without_a_symbolic_count_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "ident.idl"
+    path.write_text("cong a b; a & b <= a\n")
+    for argv in (("one", "--identity", "QDIST", "--mode", "pw"),
+                 ("z2", "--identity", "BBB", "--mode", "concrete"),
+                 ("z2", "--idl", str(path))):
+        for k in ("0", "5"):
+            code, out, err = run(capsys, "check", *argv, "--k", k)
+            assert (code, out) == (2, ""), argv
+            assert "no symbolic count" in err

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modbench.catalog import CATALOG, CatalogError, get_entry
-from modbench.dsl import (AltE, ComposeE, ConvE, DslError, K, MeetE, PowE,
-                          VarE, compose, expr_str, identity_str, meet,
-                          parse_identity, push_converse, substitute_k)
+from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, K, MeetE,
+                          PowE, VarE, _check_count, children, compose,
+                          expr_str, expr_vars, has_symbolic, identity_str,
+                          meet, parse_identity, push_converse, rebuild,
+                          substitute_k)
 from modbench.relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
 
 
@@ -106,3 +109,175 @@ def test_parse_gen_tol_and_gen_cong():
         "cong a; tol D; adm R; a & gen_tol(R) <= gen_cong(D, conv(R))")
     printed = identity_str(ident)
     assert identity_str(parse_identity(printed)) == printed
+
+
+# ---------------------------------------------------------------------------
+# The structural walks on children/rebuild, against their per-node-type
+# recursive forms
+
+
+def _old_expr_vars(e):
+    if isinstance(e, VarE):
+        return {e.name}
+    if isinstance(e, (ComposeE, MeetE)):
+        out = set()
+        for it in e.items:
+            out |= _old_expr_vars(it)
+        return out
+    if isinstance(e, ConvE):
+        return _old_expr_vars(e.item)
+    if isinstance(e, GenE):
+        out = set()
+        for it in e.items:
+            out |= _old_expr_vars(it)
+        return out
+    if isinstance(e, AltE):
+        return _old_expr_vars(e.first) | _old_expr_vars(e.second)
+    if isinstance(e, PowE):
+        return _old_expr_vars(e.item)
+    raise DslError(f"not an expression: {e!r}")
+
+
+def _old_has_symbolic(e):
+    if isinstance(e, AltE):
+        return (e.count == K or _old_has_symbolic(e.first)
+                or _old_has_symbolic(e.second))
+    if isinstance(e, PowE):
+        return e.count == K or _old_has_symbolic(e.item)
+    if isinstance(e, (ComposeE, MeetE, GenE)):
+        return any(_old_has_symbolic(it) for it in e.items)
+    if isinstance(e, ConvE):
+        return _old_has_symbolic(e.item)
+    return False
+
+
+def _old_substitute_k(e, k):
+    _check_count(k)
+    if isinstance(e, VarE):
+        return e
+    if isinstance(e, ComposeE):
+        return ComposeE(tuple(_old_substitute_k(i, k) for i in e.items))
+    if isinstance(e, MeetE):
+        return MeetE(tuple(_old_substitute_k(i, k) for i in e.items))
+    if isinstance(e, ConvE):
+        return ConvE(_old_substitute_k(e.item, k))
+    if isinstance(e, GenE):
+        return GenE(e.kind, tuple(_old_substitute_k(i, k) for i in e.items))
+    if isinstance(e, AltE):
+        c = k if e.count == K else e.count
+        return AltE(_old_substitute_k(e.first, k),
+                    _old_substitute_k(e.second, k), c)
+    if isinstance(e, PowE):
+        c = k if e.count == K else e.count
+        return PowE(_old_substitute_k(e.item, k), c)
+    raise DslError(f"not an expression: {e!r}")
+
+
+def _old_push_converse(e, kinds):
+    def conv(x):
+        if isinstance(x, VarE):
+            if kinds.get(x.name) in (CONGRUENCE, TOLERANCE):
+                return x
+            return ConvE(x)
+        if isinstance(x, ConvE):
+            return _old_push_converse(x.item, kinds)
+        if isinstance(x, ComposeE):
+            return ComposeE(tuple(conv(i) for i in reversed(x.items)))
+        if isinstance(x, MeetE):
+            return MeetE(tuple(conv(i) for i in x.items))
+        if isinstance(x, GenE):
+            if x.kind in (CONGRUENCE, TOLERANCE):
+                return GenE(x.kind, tuple(_old_push_converse(i, kinds)
+                                          for i in x.items))
+            return GenE(x.kind, tuple(conv(i) for i in x.items))
+        if isinstance(x, AltE):
+            if x.count == K:
+                raise DslError("cannot take converse of symbolic alternation")
+            if x.count % 2 == 1:
+                return AltE(conv(x.first), conv(x.second), x.count)
+            return AltE(conv(x.second), conv(x.first), x.count)
+        if isinstance(x, PowE):
+            return PowE(conv(x.item), x.count)
+        raise DslError(f"not an expression: {x!r}")
+
+    if isinstance(e, ConvE):
+        return conv(_old_push_converse(e.item, kinds))
+    if isinstance(e, ComposeE):
+        return ComposeE(tuple(_old_push_converse(i, kinds) for i in e.items))
+    if isinstance(e, MeetE):
+        return MeetE(tuple(_old_push_converse(i, kinds) for i in e.items))
+    if isinstance(e, GenE):
+        return GenE(e.kind, tuple(_old_push_converse(i, kinds)
+                                  for i in e.items))
+    if isinstance(e, AltE):
+        return AltE(_old_push_converse(e.first, kinds),
+                    _old_push_converse(e.second, kinds), e.count)
+    if isinstance(e, PowE):
+        return PowE(_old_push_converse(e.item, kinds), e.count)
+    return e
+
+
+def _outcome(fn, *args):
+    """The repr of a result or of the DslError raised instead, so that
+    node types and counts are compared exactly."""
+    try:
+        return repr(fn(*args))
+    except DslError as exc:
+        return f"DslError({exc})"
+
+
+def _assert_walks_match(e, kinds, k):
+    assert expr_vars(e) == _old_expr_vars(e)
+    assert has_symbolic(e) == _old_has_symbolic(e)
+    assert _outcome(substitute_k, e, k) == _outcome(_old_substitute_k, e, k)
+    for x in (e, ConvE(e)):
+        assert (_outcome(push_converse, x, kinds)
+                == _outcome(_old_push_converse, x, kinds))
+
+
+def test_walks_match_on_the_catalog():
+    for name in sorted(CATALOG):
+        ident = get_entry(name).identity()
+        exprs = [ident.lhs, ident.rhs]
+        for c in ident.side_conditions:
+            exprs += [c.sup, c.sub]
+        for e in exprs:
+            for k in range(3):
+                _assert_walks_match(e, ident.kinds(), k)
+
+
+_KINDS = {"a": CONGRUENCE, "b": CONGRUENCE, "D": TOLERANCE,
+          "R": ADMISSIBLE, "S": ADMISSIBLE}
+_COUNTS = st.sampled_from([0, 1, 2, 3, K])
+_GEN_KINDS = st.sampled_from([ADMISSIBLE, TOLERANCE, CONGRUENCE])
+
+
+def _nodes(inner):
+    # nodes are built directly, so compositions and intersections nest
+    items = st.lists(inner, min_size=1, max_size=3).map(tuple)
+    return st.one_of(items.map(ComposeE), items.map(MeetE), inner.map(ConvE),
+                     st.builds(GenE, _GEN_KINDS, items),
+                     st.builds(AltE, inner, inner, _COUNTS),
+                     st.builds(PowE, inner, _COUNTS))
+
+
+_TREES = st.recursive(st.sampled_from([VarE(n) for n in _KINDS]), _nodes,
+                      max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=_TREES, k=st.integers(-1, 3))
+def test_walks_match_on_random_trees(e, k):
+    _assert_walks_match(e, _KINDS, k)
+
+
+def test_rebuild_keeps_nesting_and_rejects_non_expressions():
+    a, b = VarE("a"), VarE("b")
+    nested = MeetE((MeetE((a, b)), a))
+    assert rebuild(nested, children(nested)) == nested
+    assert substitute_k(nested, 1) == nested
+    for bad in (3, "a"):
+        with pytest.raises(DslError, match="not an expression"):
+            children(bad)
+        with pytest.raises(DslError, match="not an expression"):
+            rebuild(bad, ())

@@ -127,6 +127,13 @@ def test_gen_pair_congruence_matches_worklist(z2, lattice2):
                     assert (labels[x] == labels[y]) == cg.has(x, y)
 
 
+def test_gen_pair_congruence_rejects_out_of_range_generators(z2):
+    f = build_free(z2, 2)
+    for pair in ((-1, 0), (0, 2)):
+        with pytest.raises(AlgebraError, match="out of range"):
+            f.gen_pair_congruence([pair])
+
+
 def test_gen_pair_congruence_quotient_size(chain3):
     f = build_free(chain3, 4)
     labels = f.gen_pair_congruence([(0, 1)])
