@@ -4,8 +4,11 @@ Two routes:
 
 * ``check_concrete`` quantifies the variables over actual relations of one
   algebra (all congruences; enumerated admissible relations and tolerances)
-  and evaluates both sides with the bitset calculus.  For relation
-  variables this is algebra-level evidence, not a variety-wide verdict.
+  and evaluates both sides with the bitset calculus, in batches of
+  environments held as arrays of interned relation ids.  Each operation
+  runs the scalar calculus once per distinct argument in the call and
+  gathers the results back.  For relation variables this is
+  algebra-level evidence, not a variety-wide verdict.
 
 * ``pw_check`` decides congruence-variable inclusions for the whole
   generated variety: one free generator per node of the left-hand chain
@@ -19,25 +22,25 @@ a composite meets a congruence inside an intersection.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 import functools
 import itertools
 import math
-from operator import itemgetter
 
 import numpy as np
 
 from .algebras import FiniteAlgebra
 from .catalog import ALGEBRA, CatalogError, get_entry
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
-                  VarE, _check_count, alternation, expr_str, expr_vars,
-                  has_symbolic, push_converse, substitute_k)
+                  VarE, _check_count, alternation, expr_str, has_symbolic,
+                  push_converse, substitute_k)
 from .dsl import meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 from .relations import (CONGRUENCE, BinRel, GuardExceeded, RelationError,
-                        all_congruences, alt, compose, generate,
-                        is_compatible, meet)
+                        all_congruences, compose, generate, is_compatible,
+                        meet, union)
 
 
 class CheckError(ValueError):
@@ -51,143 +54,140 @@ class PWGrammarError(CheckError):
 # ---------------------------------------------------------------------------
 # Concrete evaluation
 
-# A table entry costs about 100 bytes besides its value, and the environment
-# guard lets a node range over up to 2M keys; past this many a node keeps
-# one slot instead.
-_TABLE_KEYS = 4096
+# Environments evaluated together.  Past 4,096 the id arrays and the
+# np.unique work arrays raise peak memory (16,384 adds about 3.5 MB)
+# without making a check any faster.
+BATCH = 4096
 
 
-class _Evaluator:
-    """Evaluates expressions over environments drawn from fixed spaces.
+class _Calculus:
+    """The relations of one algebra met during one call, interned as ids,
+    and the calculus on arrays of ids.
 
-    ``spaces`` lists ``(name, relations)`` per variable; an environment is
-    a tuple of indices into them, and a compiled node maps (environment,
-    count) to a relation, where the count replaces the symbolic ``k``.
-    Each distinct subexpression compiles to one node that keeps its last
-    value in a single slot, keyed on the indices of the variables it uses
-    (and on the count when it contains ``k``), so stepping through
-    environments in product order recomputes only what the changed
-    variables reach.  A k-free node whose variables are not a prefix of
-    that order sees its keys come back, and keeps every value in a table
-    when there are at most ``_TABLE_KEYS`` keys.  ``generate`` is
-    memoised on (kind, seed rows).
+    An operation on a batch takes the distinct arguments in it, computes
+    the scalar ``compose``, ``meet``, ``generate`` ... once for each one
+    not seen earlier in the call, and gathers the results back.  The memo
+    holds only what the call used, so nothing is tabulated in advance and
+    |A| is not bounded.
     """
 
-    def __init__(self, a: FiniteAlgebra, spaces):
+    def __init__(self, a: FiniteAlgebra):
         self.a = a
-        self.spaces = spaces
-        self.pos = {name: i for i, (name, _) in enumerate(spaces)}
-        self._nodes: dict = {}
-        self._generated: dict = {}
+        self.rels: list[BinRel] = []
+        self._ids: dict[tuple, int] = {}
+        # operation -> {argument key: result}; a pair of ids (i, j) is the
+        # key i << 32 | j, a single id its own key
+        self._memo: dict = collections.defaultdict(dict)
+        self.identity = self.intern(BinRel.identity(a.size))
 
-    def compile(self, e):
-        node = self._nodes.get(e)
-        if node is None:
-            node = self._nodes[e] = self._build(e)
-        return node
+    def intern(self, rel: BinRel) -> int:
+        i = self._ids.get(rel.rows)
+        if i is None:
+            i = self._ids[rel.rows] = len(self.rels)
+            self.rels.append(rel)
+        return i
 
-    def _build(self, e):
+    def lift(self, op, x: np.ndarray, y: np.ndarray | None = None):
+        """``op`` applied to each environment's ids ``x`` (and ``y``).
+
+        ``op`` is ``"o"``, ``"&"``, ``"|"``, ``"<="`` or ``"conv"``, a
+        relation kind (``generate``), or the factor count of an
+        alternation of ``x`` and ``y``.
+        """
+        key = x if y is None else x << 32 | y
+        uniq, inv = np.unique(key, return_inverse=True)
+        vals = [self._one(op, u) for u in uniq.tolist()]
+        return np.array(vals, dtype=bool if op == "<=" else np.int64)[inv]
+
+    def _one(self, op, key: int):
+        memo = self._memo[op]
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._compute(op, key >> 32, key & 0xFFFFFFFF)
+        return out
+
+    def _compute(self, op, i: int, j: int):
+        """``op`` of ids ``i`` and ``j``; a unary ``op`` takes ``j``."""
+        r, s = self.rels[i], self.rels[j]
+        if op == "<=":
+            return r <= s
+        if isinstance(op, int):
+            # the alternation i o j o i o ... of op >= 1 factors
+            if op == 1:
+                return i
+            head = self._one(op - 1, i << 32 | j)
+            return self._one("o", head << 32 | (j if op % 2 == 0 else i))
+        if op == "o":
+            rel = compose(r, s)
+        elif op == "&":
+            rel = meet(r, s)
+        elif op == "|":
+            rel = union(r, s)
+        elif op == "conv":
+            rel = s.converse()
+        else:
+            rel = generate(self.a, s.pairs(), op)
+        return self.intern(rel)
+
+
+class _Batch:
+    """Environments as columns of interned ids, one per variable.
+
+    ``eval`` gives an expression's id per environment.  A k-free
+    subexpression is evaluated once per batch and kept, and ``take``
+    carries what is kept into a sub-batch.
+    """
+
+    def __init__(self, calc: _Calculus, cols: dict, n: int):
+        self.calc, self.cols, self.n = calc, cols, n
+        self._kept: dict = {}
+
+    def take(self, rows: np.ndarray) -> "_Batch":
+        """The environments at the positions ``rows``, in that order."""
+        sub = _Batch(self.calc, {v: c[rows] for v, c in self.cols.items()},
+                     len(rows))
+        sub._kept = {e: ids[rows] for e, ids in self._kept.items()}
+        return sub
+
+    def eval(self, e, count: int | None = None) -> np.ndarray:
+        """Ids of ``e`` with ``count`` replacing the symbolic count."""
+        if has_symbolic(e):
+            return self._node(e, count)
+        ids = self._kept.get(e)
+        if ids is None:
+            ids = self._kept[e] = self._node(e, count)
+        return ids
+
+    def _node(self, e, count):
+        calc = self.calc
         if isinstance(e, VarE):
-            if e.name not in self.pos:
-                def unbound(c, k):
-                    raise CheckError(f"unbound variable {e.name}")
-                return unbound
-            p = self.pos[e.name]
-            space = self.spaces[p][1]
-            return lambda c, k: space[c[p]]
-        if isinstance(e, (ComposeE, MeetE)):
-            items = [self.compile(it) for it in e.items]
-            op = compose if isinstance(e, ComposeE) else meet
-
-            def fold(c, k):
-                out = items[0](c, k)
-                for it in items[1:]:
-                    out = op(out, it(c, k))
-                return out
-            return self._cached(e, fold)
-        if isinstance(e, ConvE):
-            item = self.compile(e.item)
-            return self._cached(e, lambda c, k: item(c, k).converse())
-        if isinstance(e, GenE):
-            return self._cached(e, self._gen(e))
+            if e.name not in self.cols:
+                raise CheckError(f"unbound variable {e.name}")
+            return self.cols[e.name]
         if isinstance(e, (AltE, PowE)):
-            return self._alternation(e)
-        raise CheckError(f"not an expression: {e!r}")
-
-    def _variables(self, e) -> list[int]:
-        return sorted(self.pos[v] for v in expr_vars(e) if v in self.pos)
-
-    @staticmethod
-    def _key(ps: list[int], with_k: bool):
-        """Cache key: the indices of the variables at ``ps``, and the count."""
-        pick = itemgetter(*ps) if ps else (lambda c: ())
-        if with_k:
-            return lambda c, k: (pick(c), k)
-        return lambda c, k: pick(c)
-
-    def _cached(self, e, compute):
-        with_k = has_symbolic(e)
-        ps = self._variables(e)
-        key_of = self._key(ps, with_k)
-        keys = math.prod(len(self.spaces[p][1]) for p in ps)
-        # in product order the values of a node over a prefix of the
-        # variables never come back, so one slot holds all it can reuse
-        if not with_k and ps != list(range(len(ps))) and keys <= _TABLE_KEYS:
-            table = {}
-
-            def tabled(c, k):
-                key = key_of(c, k)
-                value = table.get(key)
-                if value is None:
-                    value = table[key] = compute(c, k)
-                return value
-            return tabled
-        slot = [None, None]               # key, value
-
-        def node(c, k):
-            key = key_of(c, k)
-            if key != slot[0]:
-                slot[1] = compute(c, k)
-                slot[0] = key
-            return slot[1]
-        return node
-
-    def _gen(self, e: GenE):
-        a, kind, memo = self.a, e.kind, self._generated
-        items = [self.compile(it) for it in e.items]
-
-        def compute(c, k):
-            rows = [0] * a.size
-            for it in items:
-                for i, r in enumerate(it(c, k).rows):
-                    rows[i] |= r
-            key = (kind, tuple(rows))
-            rel = memo.get(key)
-            if rel is None:
-                seeds = BinRel(a.size, rows).pairs()
-                rel = memo[key] = generate(a, seeds, kind)
-            return rel
-        return compute
-
-    def _alternation(self, e):
-        factors = [self.compile(f) for f in _factors(e)]
-        first, second = factors[0], factors[-1]
-        count = e.count
-        identity = BinRel.identity(self.a.size)
-
-        def compute(c, k):
-            m = k if count == K else count
+            m = count if e.count == K else e.count
             if m is None:
                 raise CheckError("symbolic count not substituted")
             if m == 0:
-                return identity
-            return alt(first(c, k), second(c, k), m)
-        return self._cached(e, compute)
+                return np.full(self.n, calc.identity, dtype=np.int64)
+            factors = [self.eval(f, count) for f in _factors(e)]
+            return calc.lift(m, factors[0], factors[-1])
+        if isinstance(e, ConvE):
+            return calc.lift("conv", self.eval(e.item, count))
+        op = {ComposeE: "o", MeetE: "&", GenE: "|"}.get(type(e))
+        if op is None:
+            raise CheckError(f"not an expression: {e!r}")
+        out = self.eval(e.items[0], count)
+        for it in e.items[1:]:
+            out = calc.lift(op, out, self.eval(it, count))
+        if isinstance(e, GenE):
+            out = calc.lift(e.kind, out)
+        return out
 
 
 def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
               kinds: dict[str, str] | None = None) -> BinRel:
-    """Structural evaluation over explicit relations.
+    """Structural evaluation over explicit relations: a batch of one.
 
     Alternation and power counts must be concrete; a count of 0 yields the
     identity relation.  When ``kinds`` is given, bound relations are
@@ -202,8 +202,9 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
                 raise CheckError(
                     f"variable {name} bound to a relation that is not "
                     f"{kind}")
-    ev = _Evaluator(a, [(name, [rel]) for name, rel in env.items()])
-    return ev.compile(e)((0,) * len(env), None)
+    calc = _Calculus(a)
+    cols = {name: np.array([calc.intern(rel)]) for name, rel in env.items()}
+    return calc.rels[int(_Batch(calc, cols, 1).eval(e)[0])]
 
 
 # Universes up to this size get every relation of each kind enumerated.
@@ -257,15 +258,16 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     """Quantify the declared variables over relations of ``a``.
 
     Each declared kind is enumerated once per call, and variables of one
-    kind share its list.  Environments run in product order over them;
-    the first one whose side conditions hold and whose inclusion fails at
-    ``k`` is the counterexample.  When ``k`` occurs on the right-hand side
-    only, each environment is tested from the largest count any earlier
-    one needed upwards: relations are reflexive and every operation is
-    monotone, so the right-hand side grows with its count, and ``least_k``
-    -- the largest per-environment least count -- is the least k at which
-    the inclusion holds throughout.  It is None when the check fails or k
-    is not scanned.
+    kind share its list.  Environments run in product order over them, in
+    batches of at most ``BATCH``; the first one whose side conditions hold
+    and whose inclusion fails at ``k`` is the counterexample.  When ``k``
+    occurs on the right-hand side only, a batch is tested from the largest
+    count an earlier batch needed upwards, each step keeping only the
+    environments still failing: relations are reflexive and every
+    operation is monotone, so the right-hand side grows with its count,
+    and ``least_k`` -- the largest per-environment least count -- is the
+    least k at which the inclusion holds throughout.  It is None when the
+    check fails or k is not scanned.
     """
     if k is not None:
         _check_count(k)
@@ -281,31 +283,56 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
             f"{total} variable assignments exceed the cap {MAX_ENVS}")
     complete = all(kind == CONGRUENCE or a.size <= ENUM_CAP
                    for kind in kinds)
-    ev = _Evaluator(a, spaces)
-    conds = [(ev.compile(c.sub), ev.compile(c.sup))
-             for c in ident.side_conditions]
-    lhs, rhs = ev.compile(ident.lhs), ev.compile(ident.rhs)
+    calc = _Calculus(a)
+    names = [name for name, _ in spaces]
+    ids = [np.array([calc.intern(r) for r in space], dtype=np.int64)
+           for _, space in spaces]
     scan = rhs_k and not lhs_k
     least = 0
     checked = 0
-    for env in itertools.product(*[range(len(s)) for _, s in spaces]):
-        for sub, sup in conds:
-            if not sub(env, None) <= sup(env, None):
+    for start in range(0, total, BATCH):
+        stop = min(start + BATCH, total)
+        digits = _digits(ids, np.arange(start, stop))
+        batch = _Batch(calc, {name: space[d] for name, space, d
+                              in zip(names, ids, digits)}, stop - start)
+        ok = np.ones(batch.n, dtype=bool)
+        for c in ident.side_conditions:
+            ok &= calc.lift("<=", batch.eval(c.sub), batch.eval(c.sup))
+        rows = np.flatnonzero(ok)
+        if not rows.size:
+            continue
+        batch = batch.take(rows)
+        # the batch is tried at m; the environments failing go on to m + 1
+        pending, left = np.arange(rows.size), batch.eval(ident.lhs, k)
+        m = least if scan else k
+        while True:
+            holds = calc.lift("<=", left, batch.eval(ident.rhs, m))
+            fails = np.flatnonzero(~holds)
+            if not fails.size:
                 break
-        else:
-            checked += 1
-            left = lhs(env, k)
-            m = least if scan else k
-            while not left <= rhs(env, m):
-                if m == k:
-                    counterexample = {name: space[i] for (name, space), i
-                                      in zip(spaces, env)}
-                    return ConcreteResult(False, counterexample, complete,
-                                          checked)
-                m += 1
-            least = m
+            pending, left = pending[fails], left[fails]
+            if m == k:
+                env = _digits(ids, start + int(rows[pending[0]]))
+                counterexample = {name: space[i] for (name, space), i
+                                  in zip(spaces, env)}
+                return ConcreteResult(False, counterexample, complete,
+                                      checked + int(pending[0]) + 1)
+            batch = batch.take(fails)
+            m += 1
+        least = m
+        checked += rows.size
     return ConcreteResult(True, None, complete, checked,
                           least if scan else None)
+
+
+def _digits(ids: list[np.ndarray], env):
+    """Each variable's index into its space for environment number(s)
+    ``env`` of the product order (the last variable varies fastest)."""
+    out = []
+    for space in reversed(ids):
+        env, digit = divmod(env, len(space))
+        out.append(digit)
+    return out[::-1]
 
 
 def _check_k(ident: Identity, k: int | None, symbolic: bool) -> None:

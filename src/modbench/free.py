@@ -249,11 +249,6 @@ class FreeAlgebra:
         self._terms[e] = t
         return t
 
-    def element_of_vector(self, vec) -> int | None:
-        vec = np.asarray(vec, dtype=np.uint8)
-        hits = np.nonzero((self.vecs == vec).all(axis=1))[0]
-        return int(hits[0]) if hits.size else None
-
     def gen_pair_congruence(self, pairs) -> np.ndarray:
         """Class labels of the congruence generated by generator pairs.
 
@@ -271,39 +266,6 @@ class FreeAlgebra:
         sub = self.vecs[:, mask]
         _, labels = np.unique(sub, axis=0, return_inverse=True)
         return labels.astype(np.int64)
-
-    def induced_table(self, op: str, guard: int = 4_000_000) -> np.ndarray:
-        """Induced operation table on elements (small free algebras only)."""
-        arity = self.base.signature.arity(op)
-        n = self.n_elements
-        if n ** arity > guard:
-            raise CapExceeded(f"induced table for {op!r} needs {n ** arity} "
-                              f"entries (guard {guard})", n)
-        table = self.base.tables[op]
-        if arity == 0:
-            vec = np.full(self.vecs.shape[1], int(table[0]), dtype=np.uint8)
-            return np.array([self.element_of_vector(vec)], dtype=np.int64)
-        out = np.empty(n ** arity, dtype=np.int64)
-        lookup = {self.vecs[i].tobytes(): i for i in range(n)}
-        for flat in range(n ** arity):
-            rest, args = flat, []
-            for _ in range(arity):
-                args.append(rest % n)
-                rest //= n
-            args.reverse()
-            idx = np.zeros(self.vecs.shape[1], dtype=np.int64)
-            for e in args:
-                idx = idx * self.base.size + self.vecs[e]
-            out[flat] = lookup[table[idx].astype(np.uint8).tobytes()]
-        return out
-
-    def to_finite_algebra(self, name: str | None = None,
-                          guard: int = 4_000_000) -> FiniteAlgebra:
-        from .algebras import Signature
-        tables = {op: self.induced_table(op, guard)
-                  for op in self.base.signature.names()}
-        return FiniteAlgebra(name or f"F({self.base.name},{self.g})",
-                             self.n_elements, self.base.signature, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import importlib.resources
 
+import numpy as np
 import pytest
 
 from modbench.algebras import FiniteAlgebra, Signature, parse_algebra
 from modbench.checks import PWContext
+from modbench.free import CapExceeded, FreeAlgebra
 
 CORPUS = ("one", "z2", "lattice2", "chain3", "semilattice2", "pixley3")
 
@@ -125,3 +127,38 @@ def jonsson_friendly_algebra(rng, idx: int) -> FiniteAlgebra:
                     table.append(z if x == y else x)
         tables = {"f": table}
     return FiniteAlgebra(f"cd{idx}", size, Signature(tuple(ops)), tables)
+
+
+# ---------------------------------------------------------------------------
+# A built free algebra as a plain finite algebra (small ones only), the
+# oracle for the partition and saturation routes
+
+
+def induced_table(f: FreeAlgebra, op: str,
+                  guard: int = 4_000_000) -> np.ndarray:
+    """The operation table ``op`` induces on the elements of ``f``."""
+    arity = f.base.signature.arity(op)
+    n = f.n_elements
+    if n ** arity > guard:
+        raise CapExceeded(f"induced table for {op!r} needs {n ** arity} "
+                          f"entries (guard {guard})", n)
+    table = f.base.tables[op]
+    lookup = {f.vecs[i].tobytes(): i for i in range(n)}
+    out = np.empty(n ** arity, dtype=np.int64)
+    for flat in range(n ** arity):
+        rest, args = flat, []
+        for _ in range(arity):
+            args.append(rest % n)
+            rest //= n
+        args.reverse()
+        idx = np.zeros(f.vecs.shape[1], dtype=np.int64)
+        for e in args:
+            idx = idx * f.base.size + f.vecs[e]
+        out[flat] = lookup[table[idx].astype(np.uint8).tobytes()]
+    return out
+
+
+def free_as_algebra(f: FreeAlgebra) -> FiniteAlgebra:
+    tables = {op: induced_table(f, op) for op in f.base.signature.names()}
+    return FiniteAlgebra(f"F({f.base.name},{f.g})", f.n_elements,
+                         f.base.signature, tables)

@@ -3,20 +3,22 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modbench import checks
 from modbench.algebras import FiniteAlgebra, Signature
 from modbench.catalog import ALGEBRA, CATALOG, VARIETY, get_entry
 from modbench.checks import (CheckError, PWContext, PWGrammarError,
                              check_concrete, enumerate_relations, eval_expr,
                              pw_analyze, pw_check, spectrum, walk_scan)
-from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, K, MeetE,
-                          PowE, VarE, compose, has_symbolic, parse_identity,
-                          substitute_k)
+from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, Identity, K,
+                          MeetE, PowE, VarE, compose, has_symbolic,
+                          parse_identity, substitute_k)
 from modbench.free import CapExceeded
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 RelationError, generate)
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
+from conftest import free_as_algebra
 
 
 def test_eval_expr_basics(chain3):
@@ -280,7 +282,7 @@ def test_reach_agrees_with_bitset_eval(corpus, pw_context):
             env = {v: _labels_to_binrel(ctx.partition(cfg.nodes,
                                                       seed_map.get(v, ())))
                    for v, _ in ident.var_kinds}
-            fa = f.to_finite_algebra()
+            fa = free_as_algebra(f)
             src = f.generators[cfg.source]
             dst = f.generators[cfg.target]
             for k in range(0, 5):
@@ -451,6 +453,78 @@ def test_symbolic_count_on_both_sides_is_not_scanned(chain3):
         assert (res.holds, res.counterexample, res.envs_checked) == \
             (holds, env, checked)
         assert res.least_k is None
+
+
+@pytest.mark.parametrize("name", ["z2", "semilattice2", "lattice2",
+                                  "pixley3"])
+def test_batch_size_changes_no_output(corpus, monkeypatch, name):
+    # one batch by default on these algebras; sizes 1 and 7 split every
+    # check, so counterexamples and the running least k cross batches
+    a = corpus[name]
+
+    def results():
+        return {(family, k): check_concrete(a, get_entry(family).identity(),
+                                            k=k)
+                for family in ALGEBRA_FAMILIES for k in (0, 1, 4)}
+
+    want = results()
+    for size in (1, 7):
+        monkeypatch.setattr(checks, "BATCH", size)
+        assert results() == want, size
+
+
+def test_identity_without_variables_is_one_empty_environment(chain3):
+    # no DSL statement lacks variables, so the identity is built past the
+    # declaration check; its single empty environment is evaluated and
+    # meets the undeclared variable
+    ident = object.__new__(Identity)
+    for field, value in (("name", "bare"), ("var_kinds", ()),
+                         ("lhs", VarE("x")), ("rhs", VarE("x")),
+                         ("side_conditions", ()), ("notes", "")):
+        object.__setattr__(ident, field, value)
+    with pytest.raises(CheckError, match="unbound variable x"):
+        check_concrete(chain3, ident)
+    # an empty environment evaluates what needs no variable
+    assert eval_expr(chain3, AltE(VarE("x"), VarE("y"), 0), {}) == \
+        BinRel.identity(3)
+
+
+def test_chain3_agai_beyond_the_oracle(chain3):
+    res = check_concrete(chain3, get_entry("AGAI").identity(), k=4)
+    assert (res.holds, res.counterexample, res.envs_checked,
+            res.least_k) == (True, None, 62_500, 1)
+
+
+def test_chain3_ag_counterexample_in_a_late_batch(chain3):
+    res = check_concrete(chain3, get_entry("AG").identity(), k=0)
+    assert not res.holds and res.envs_checked == 170_277
+    assert res.envs_checked > checks.BATCH
+    assert {name: rel.to_bitstrings()
+            for name, rel in res.counterexample.items()} == {
+        "a": ["100", "011", "011"], "t1": ["100", "010", "001"],
+        "t2": ["100", "011", "001"], "R": ["100", "011", "001"],
+        "S": ["100", "010", "001"]}
+
+
+def test_concrete_matches_oracle_on_a_seeded_five_element_algebra():
+    # |A| = 5 is past ENUM_CAP, so relations come from seeds of at most two
+    # pairs: 11 of the cycle's 16 admissible relations
+    cycle5 = FiniteAlgebra("cycle5", 5, Signature((("f", 1),)),
+                           {"f": [1, 2, 3, 4, 0]})
+    for family in ALGEBRA_FAMILIES:
+        if family in ("AG", "AGI"):       # 16,506 and 181,566 environments
+            continue
+        ident = get_entry(family).identity()
+        held = []
+        for k in (0, 1, 2):
+            got = check_concrete(cycle5, ident, k=k)
+            holds, env, checked = _oracle_check(cycle5, ident, k)
+            assert (got.holds, got.counterexample, got.envs_checked) == \
+                (holds, env, checked), (family, k)
+            assert not got.complete
+            held.append(holds)
+        want = held.index(True) if held[-1] else None
+        assert got.least_k == want, family
 
 
 def test_least_k_is_the_spectrum(z2, chain3):

@@ -11,7 +11,7 @@ from modbench.free import (App, CapExceeded, Var, build_free, eval_term,
                            eval_term_vector, parse_term, subst_vars,
                            term_str)
 from modbench.relations import CONGRUENCE, generate
-from conftest import random_algebra
+from conftest import free_as_algebra, induced_table, random_algebra
 
 
 def test_build_counts(z2, lattice2, semilattice2):
@@ -89,7 +89,7 @@ def test_universal_property(z2, lattice2):
     # evaluating witnesses at any generator assignment is a homomorphism
     for a, g in [(z2, 2), (lattice2, 3)]:
         f = build_free(a, g)
-        tables = {op: f.induced_table(op) for op in a.signature.names()}
+        tables = {op: induced_table(f, op) for op in a.signature.names()}
         for assign in itertools.product(range(a.size), repeat=g):
             hom = [eval_term(a, f.term_of(e), assign)
                    for e in range(f.n_elements)]
@@ -116,7 +116,7 @@ def test_gen_pair_congruence_matches_worklist(z2, lattice2):
     # congruence generation on the free algebra itself
     for a, g in [(z2, 2), (lattice2, 3)]:
         f = build_free(a, g)
-        fa = f.to_finite_algebra()
+        fa = free_as_algebra(f)
         for pairs in ([(0, 1)], [(0, 1), (1, 2)][:g - 1]):
             pairs = [p for p in pairs if p[0] < g and p[1] < g]
             labels = f.gen_pair_congruence(pairs)
@@ -146,7 +146,7 @@ def test_random_small_builds_are_closed():
     for _ in range(6):
         a = random_algebra(rng, size=2, max_arity=2)
         f = build_free(a, 2)
-        fa = f.to_finite_algebra()
+        fa = free_as_algebra(f)
         for opname, arity in a.signature.ops:
             table = fa.tables[opname]
             assert table.size == f.n_elements ** arity
