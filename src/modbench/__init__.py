@@ -22,7 +22,7 @@ from .free import (App, CapExceeded, FreeAlgebra, Term, Var, build_free,
 from .relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                         GuardExceeded, RelationError, all_congruences, alt,
                         compose, cong_join, converse, generate,
-                        is_compatible, meet, power, union)
+                        is_compatible, meet, union)
 from .report import consistency_report
 from .witness import (WitnessChain, WitnessError, day_witness_chain,
                       find_nte_decomposition, gumm_witness_chain,

@@ -3,16 +3,26 @@
 ``F_V(g)`` for ``V`` the variety generated by a finite algebra ``A`` is
 realized as the subalgebra of ``A^(A^g)`` generated by the g projection
 vectors.  The breadth-first closure stores element vectors bit-plane packed
-(one uint64 lane block per plane) and evaluates operations by bitwise muxing
-over value combinations, which keeps the pair loop off the table-lookup path.
+(one uint64 lane block per plane).  Each operation table is compiled once
+per build into a straight-line program of bitwise steps over the argument
+planes (a reduced Shannon decision diagram per output plane), which keeps
+the pair loop off the table-lookup path.
 
-Deduplication works on one 64-bit key per candidate row: the packed row
-itself when it is one uint64 word with room left for a chunk position, a
-fingerprint otherwise.  Each chunk of candidates is sorted once by key, and
-only its distinct keys are probed in the sorted key index of the known
-elements, which new elements are merged into.  Fingerprint matches are
-confirmed on the rows, and a chunk with a collision is deduplicated by exact
-row comparison, so element identity is exact.
+Candidates are made and deduplicated in chunks of about 512 KB of packed
+rows, so a chunk's temporaries stay in cache.  Deduplication works on one
+64-bit key per candidate row: the packed row itself when it is one uint64
+word with room left for a chunk position, a fingerprint otherwise.  Each
+chunk of candidates is sorted once by key, and only its distinct keys are
+probed in the sorted key index of the known elements, which new elements
+are merged into.  Fingerprint matches are confirmed on the rows, and a
+chunk with a collision is deduplicated by exact row comparison, so element
+identity is exact.
+
+Elements appear in the order of first occurrence in the global candidate
+sequence, so neither they nor their witnesses depend on the chunk size, and
+neither do refusals: the work budget is checked once per closure level, and
+the entries cap refuses with ``elements_reached`` the first element count
+that does not fit, ``cap_entries // coordinates + 1``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ from .algebras import AlgebraError, FiniteAlgebra
 DEFAULT_CAP_ENTRIES = 10_000_000
 # work units: operation applications x value-combination count x packed width
 DEFAULT_WORK_BUDGET = 8_000_000_000
+# candidate rows per chunk: (rows x packed width) uint64 arrays of 512 KB
+_CHUNK_WORDS = 1 << 16
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class CapExceeded(RuntimeError):
@@ -288,7 +301,7 @@ class _Builder:
         self.cap_entries = cap_entries
         self.c = c
         self.width = n_planes * words
-        self.chunk = max(1 << 16, 6_000_000 // self.width)
+        self.chunk = max(1, _CHUNK_WORDS // self.width)
         self.exact = (self.width == 1
                       and c + (self.chunk - 1).bit_length() <= 64)
         self.rows = np.empty((256, self.width), dtype=np.uint64)
@@ -296,7 +309,7 @@ class _Builder:
         self.weights = (rng.integers(1, 2 ** 63, size=self.width,
                                      dtype=np.uint64) * 2 + 1)
         # padded tail bits of each plane must stay zero after every op
-        self.row_mask = np.full(self.width, np.uint64(0xFFFFFFFFFFFFFFFF))
+        self.row_mask = np.full(self.width, _ALL_ONES)
         tail = c % 64
         if tail:
             for b in range(n_planes):
@@ -315,10 +328,10 @@ class _Builder:
         for a generator)."""
         k = rows.shape[0]
         if (self.n + k) * self.c > self.cap_entries:
+            first = self.cap_entries // self.c + 1   # first count over cap
             raise CapExceeded(
                 f"free algebra exceeds {self.cap_entries} vector entries "
-                f"({self.n + k} elements of {self.c} coordinates)",
-                self.n + k)
+                f"({first} elements of {self.c} coordinates)", first)
         if self.n + k > self.rows.shape[0]:
             self.rows = np.resize(self.rows, (max(self.n + k,
                                                   2 * self.rows.shape[0]),
@@ -419,47 +432,103 @@ class _Builder:
         return known
 
 
-def _op_combos(table: np.ndarray, size: int, arity: int):
-    """Nonzero (value-combination, result) entries of one operation table."""
-    combos = []
-    for flat in range(size ** arity):
-        rest, args = flat, []
-        for _ in range(arity):
-            args.append(rest % size)
-            rest //= size
-        args.reverse()
-        v = int(table[flat])
-        if v:
-            combos.append((tuple(args), v))
-    return combos
+def _compile_op(table: np.ndarray, size: int, arity: int,
+                n_planes: int) -> tuple[list, list]:
+    """One operation table as a straight-line program over bit planes.
+
+    The variables are the argument planes: register ``i * n_planes + b``
+    holds bit b of argument i.  Each output plane is a reduced Shannon
+    decision diagram over them (Bryant, IEEE TC 1986), tested argument by
+    argument and high bit first, built bottom-up from the table with
+    subfunctions shared across planes.  Codes >= ``size`` occur in no
+    element, so a branch that only they reach is a don't-care and the test
+    above it is dropped.  A node ``x ? hi : lo`` with a constant child is one
+    AND, OR or AND with the complemented variable; any other is
+    ``lo ^ (x & (lo ^ hi))``.
+
+    Returns ``(steps, roots)``.  Each step ``(ufunc, a, b)`` appends a
+    register computed from registers a and b (b is None for a NOT);
+    ``roots[b]`` is output plane b as a register or a constant bool.
+    """
+    dont_care = -1
+    codes = 1 << n_planes
+    lut = np.full((codes,) * arity, dont_care, dtype=np.int64)
+    lut[(slice(0, size),) * arity] = table.reshape((size,) * arity)
+    lut = lut.ravel()
+    nodes: list[tuple[int, int, int]] = []   # (variable, lo, hi); id = 2 + i
+    unique: dict[tuple[int, int, int], int] = {}
+
+    def node(x, lo, hi):
+        if lo == dont_care or lo == hi:
+            return hi
+        if hi == dont_care:
+            return lo
+        key = (x, lo, hi)
+        if key not in unique:
+            unique[key] = 2 + len(nodes)
+            nodes.append(key)
+        return unique[key]
+
+    roots = []
+    for b in range(n_planes):
+        level = np.where(lut < 0, dont_care, (lut >> b) & 1).tolist()
+        # the flat index has argument 0's high bit most significant
+        for v in reversed(range(arity * n_planes)):
+            x = (v // n_planes) * n_planes + n_planes - 1 - v % n_planes
+            level = [node(x, level[k], level[k + 1])
+                     for k in range(0, len(level), 2)]
+        roots.append(level[0])
+
+    n_vars = arity * n_planes
+    steps: list = []
+    reg: dict[int, int] = {}
+    negated: dict[int, int] = {}
+
+    def step(f, a, b=None):
+        steps.append((f, a, b))
+        return n_vars + len(steps) - 1
+
+    def neg(x):
+        if x not in negated:
+            negated[x] = step(np.invert, x)
+        return negated[x]
+
+    # nodes are made children first, so this order is topological
+    for i, (x, lo, hi) in enumerate(nodes):
+        if (lo, hi) == (0, 1):
+            r = x
+        elif (lo, hi) == (1, 0):
+            r = neg(x)
+        elif lo == 0:
+            r = step(np.bitwise_and, x, reg[hi])
+        elif hi == 0:
+            r = step(np.bitwise_and, reg[lo], neg(x))
+        elif lo == 1:
+            r = step(np.bitwise_or, reg[hi], neg(x))
+        elif hi == 1:
+            r = step(np.bitwise_or, reg[lo], x)
+        else:
+            d = step(np.bitwise_xor, reg[lo], reg[hi])
+            r = step(np.bitwise_xor, reg[lo], step(np.bitwise_and, x, d))
+        reg[2 + i] = r
+    return steps, [bool(r) if r < 2 else reg[r] for r in roots]
 
 
-def _indicators(planes: np.ndarray, size: int, n_planes: int,
-                words: int) -> list[np.ndarray]:
-    """Per-value indicator masks for one packed argument batch."""
-    blocks = [planes[:, b * words:(b + 1) * words] for b in range(n_planes)]
-    out = []
-    for v in range(size):
-        m = None
-        for b in range(n_planes):
-            part = blocks[b] if (v >> b) & 1 else ~blocks[b]
-            m = part if m is None else m & part
-        out.append(m)
-    return out
-
-
-def _apply_op_packed(builder: _Builder, combos, size: int,
-                     arg_rows: list[np.ndarray]) -> np.ndarray:
-    np_, w = builder.n_planes, builder.words
-    inds = [_indicators(rows, size, np_, w) for rows in arg_rows]
-    out = np.zeros_like(arg_rows[0])
-    for args, v in combos:
-        m = inds[0][args[0]]
-        for pos in range(1, len(args)):
-            m = m & inds[pos][args[pos]]
-        for b in range(np_):
-            if (v >> b) & 1:
-                out[:, b * w:(b + 1) * w] |= m
+def _run_op(builder: _Builder, program, arg_rows: list[np.ndarray]
+            ) -> np.ndarray:
+    """Result rows of one compiled operation on gathered argument rows."""
+    steps, roots = program
+    w = builder.words
+    regs = [rows[:, b * w:(b + 1) * w]
+            for rows in arg_rows for b in range(builder.n_planes)]
+    for f, a, b in steps:
+        regs.append(f(regs[a]) if b is None else f(regs[a], regs[b]))
+    out = np.empty_like(arg_rows[0])
+    for b, root in enumerate(roots):
+        if isinstance(root, bool):
+            out[:, b * w:(b + 1) * w] = _ALL_ONES if root else 0
+        else:
+            out[:, b * w:(b + 1) * w] = regs[root]
     out &= builder.row_mask
     return out
 
@@ -512,7 +581,8 @@ def build_free(a: FiniteAlgebra, g: int,
 
     ops = [(name, ar, a.tables[name]) for name, ar in a.signature.ops]
     op_index = {name: i for i, (name, _, _) in enumerate(ops)}
-    combos_by_op = {name: _op_combos(tab, size, ar) for name, ar, tab in ops}
+    programs = {name: _compile_op(tab, size, ar, n_planes)
+                for name, ar, tab in ops if ar}
     symmetric = {}
     for name, ar, tab in ops:
         symmetric[name] = (ar == 2 and
@@ -561,10 +631,11 @@ def build_free(a: FiniteAlgebra, g: int,
             raise CapExceeded(
                 f"free algebra work budget exceeded (next closure level "
                 f"needs {projected} more units of {work_budget})", builder.n)
-        for name, ar, tab in ops:
+        # the level's chunks below add up to exactly ``projected``
+        units_used += projected
+        for name, ar, _ in ops:
             if ar == 0:
                 continue
-            combos = combos_by_op[name]
             blocks = []
             if symmetric[name]:
                 blocks.append("sym")
@@ -584,16 +655,11 @@ def build_free(a: FiniteAlgebra, g: int,
                     gen = (_offset(idxs, offsets)
                            for idxs in _block_chunks(sizes, builder.chunk))
                 for arg_idx in gen:
-                    m = arg_idx[0].shape[0]
-                    if m == 0:
-                        continue
-                    units_used += m * op_cost[name]
-                    if units_used > work_budget:
-                        raise CapExceeded(
-                            f"free algebra work budget {work_budget} "
-                            f"exceeded", builder.n)
-                    arg_rows = [builder.rows[ix] for ix in arg_idx]
-                    res = _apply_op_packed(builder, combos, size, arg_rows)
+                    # np.take gathers narrow rows much faster than
+                    # fancy indexing does
+                    arg_rows = [np.take(builder.rows, ix, axis=0)
+                                for ix in arg_idx]
+                    res = _run_op(builder, programs[name], arg_rows)
                     keys = builder.keys(res)
                     pos = builder.new_rows(res, keys)
                     if pos.size:

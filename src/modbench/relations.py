@@ -185,11 +185,6 @@ def alt(r: BinRel, s: BinRel, m: int) -> BinRel:
     return out
 
 
-def power(r: BinRel, h: int) -> BinRel:
-    """r o r o ... with h factors (h-fold relational composition)."""
-    return alt(r, r, h)
-
-
 def transitive_closure(r: BinRel) -> BinRel:
     rows = list(r.rows)
     changed = True

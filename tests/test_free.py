@@ -105,8 +105,11 @@ def test_universal_property(z2, lattice2):
 
 
 def test_cap_exceeded(lattice2):
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as over:
         build_free(lattice2, 4, cap_entries=100)
+    # the first element count that does not fit in 100 entries of 16
+    assert over.value.elements_reached == 7
+    assert "(7 elements of 16 coordinates)" in str(over.value)
     with pytest.raises(CapExceeded):
         build_free(lattice2, 4, work_budget=10)
 
@@ -262,3 +265,93 @@ def test_build_matches_set_closure(a, g):
     assert set(got) == want
     for e in range(f.n_elements):
         assert np.array_equal(eval_term_vector(a, f.term_of(e), g), f.vecs[e])
+
+
+# ---------------------------------------------------------------------------
+# Chunk size: elements, witnesses and refusals follow the global candidate
+# order, never the chunking.
+
+# words per chunk; one word gives one row per chunk, which makes every
+# symmetric-pair row of a frontier element past the first larger than a chunk
+_CHUNKINGS = [1, 13, free._CHUNK_WORDS]
+
+
+def _outcome(a, g, **caps):
+    try:
+        return _build_outputs(build_free(a, g, **caps))
+    except CapExceeded as exc:
+        return ("refused", str(exc), exc.elements_reached)
+
+
+def _outcomes_per_chunking(monkeypatch, cases):
+    per = []
+    for words in _CHUNKINGS:
+        monkeypatch.setattr(free, "_CHUNK_WORDS", words)
+        per.append([_outcome(a, g, **caps) for a, g, caps in cases])
+    return per
+
+
+def test_corpus_builds_do_not_depend_on_chunk_size(monkeypatch, corpus):
+    cases = [(a, g, {"cap_entries": cap, "work_budget": budget})
+             for a in corpus.values() for g in (1, 2, 3, 4)
+             for cap, budget in ((200, 10 ** 7), (2_000, 10 ** 7),
+                                 (2_000, 10 ** 5))]
+    per = _outcomes_per_chunking(monkeypatch, cases)
+    refused = [o for o in per[0] if o[0] == "refused"]
+    assert any("vector entries" in o[1] for o in refused)
+    assert any("work budget" in o[1] for o in refused)
+    assert len(refused) < len(cases)
+    assert per[1] == per[0] and per[2] == per[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_small_algebras(), g=st.integers(1, 3))
+def test_random_builds_do_not_depend_on_chunk_size(a, g):
+    cases = [(a, g, {"cap_entries": 12 * a.size ** g})]
+    with pytest.MonkeyPatch.context() as mp:
+        per = _outcomes_per_chunking(mp, cases)
+    assert per[1] == per[0] and per[2] == per[0]
+
+
+# ---------------------------------------------------------------------------
+# Compiled operations against direct table lookup
+
+
+def _lookup_rows(table, size, vals_per_arg):
+    flat = np.zeros_like(vals_per_arg[0], dtype=np.int64)
+    for vals in vals_per_arg:
+        flat = flat * size + vals
+    return table[flat].astype(np.uint8)
+
+
+def _table_cases():
+    rng = np.random.default_rng(7)
+    for size in range(1, 6):
+        for arity in (1, 2, 3):
+            n = size ** arity
+            yield size, arity, rng.integers(0, size, n)
+            yield size, arity, np.full(n, size - 1)          # constant
+            yield size, arity, np.zeros(n, dtype=np.int64)   # constant 0
+            for i in range(arity):                           # projections
+                yield size, arity, (np.arange(n) // size ** (arity - 1 - i)
+                                    % size)
+
+
+@pytest.mark.parametrize("c", [1, 100])
+def test_compiled_ops_match_table_lookup(c):
+    rng = np.random.default_rng(c)
+    m = 50
+    for size, arity, table in _table_cases():
+        n_planes = max(1, (size - 1).bit_length())
+        words = (c + 63) // 64
+        builder = free._Builder(n_planes, words, 10 ** 9, c, arity)
+        vals = [rng.integers(0, size, (m, c)).astype(np.uint8)
+                for _ in range(arity)]
+        arg_rows = [free._pack_planes(v, n_planes, words) for v in vals]
+        program = free._compile_op(table, size, arity, n_planes)
+        got = free._run_op(builder, program, arg_rows)
+        want = _lookup_rows(table, size, vals)
+        # packed from c coordinates, so the padded tail bits are zero
+        assert np.array_equal(
+            got, free._pack_planes(want, n_planes, words)), (size, arity,
+                                                            table)
