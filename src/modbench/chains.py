@@ -6,21 +6,23 @@ defective Gumm (one absorption equation dropped), Jonsson and ALVIN
 
 A scheme equation holds in the generated variety iff it holds in the
 generating algebra, so verification is exhaustive over assignments there.
-Searches run in the free algebra on 3 or 4 generators, as the alternating
-saturation walk (``checks.Walk``) of a catalog right-hand side -- DAY(3),
-DAY_REV(3) or TSCHANTZ(2) -- between the canonical generated congruences;
-witnesses of path elements become the chain terms.
+Each search is the saturation walk (``checks.walk_scan``) of an identity
+built from catalog entries -- DAY(3), TSCHANTZ(2), or TSCHANTZ(2)'s
+left-hand side with DAY(3)'s or DAY_REV(3)'s right-hand side -- in the
+free algebra on the 4 or 3 generators of the configuration
+``checks.pw_analyze`` derives; witnesses of path elements become the chain
+terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebras import FiniteAlgebra
 from .catalog import get_entry
-from .checks import PWConfig, PWContext, walk_scan
+from .checks import PWContext, walk_scan
 from .free import (Var, eval_term_vector, term_str, term_vars,
                    DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 # only for bench/tracer.py, which patches these names and needs them here
@@ -214,10 +216,12 @@ def _backtrack(walk, target):
     return path
 
 
-def _path_chain(scheme, walk, f, end):
-    """The chain of the walk's path from generator 0 to generator ``end``.
-    Its end terms are the forced projections even when generators collapse;
-    a walk of no steps (a degenerate variety) leaves just those two."""
+def _path_chain(scheme, walk, f):
+    """The chain of the walk's path from generator 0 to the target, the
+    last generator.  Its end terms are the forced projections even when
+    generators collapse; a walk of no steps (a degenerate variety) leaves
+    just those two."""
+    end = f.g - 1
     terms = [Var(0), Var(end)]
     if walk.reached:
         terms = [f.term_of(e) for e in _backtrack(walk, f.generators[end])]
@@ -227,23 +231,15 @@ def _path_chain(scheme, walk, f, end):
                      tuple(terms))
 
 
-# The configurations the searches walk, in their own generator numbering:
-# a, b, c, d for Day; x, y, z for Gumm, Jonsson and ALVIN.
-_DAY_CONFIG = PWConfig(4, (("a", ((0, 3), (1, 2))), ("b", ((0, 1), (2, 3))),
-                           ("g", ((1, 2),))), 0, 3)
-_GUMM_CONFIG = PWConfig(3, (("a", ((0, 2),)), ("b", ((0, 1),)),
-                            ("g", ((1, 2),))), 0, 2)
-
-
-def _search(a, scheme, family, cfg, limit, ctx, caps, chain_of):
-    """Walk ``family``'s right-hand side (default parameters) on ``cfg``
-    and verify the chain ``chain_of(walk, f, parts)`` extracts from it.
-    Without a context, a fresh one with ``caps`` is used."""
+def _search(a, scheme, ident, limit, ctx, caps, chain_of):
+    """Walk ``ident`` as ``walk_scan`` does and verify the chain
+    ``chain_of(walk, f, parts)`` extracts from it.  Without a context, a
+    fresh one with ``caps`` is used."""
     if limit < 0:
         raise ChainError(f"scan limit must be nonnegative: {limit}")
     ctx = ctx or PWContext(a, *caps)
     # a Jonsson or ALVIN walk is one step longer than its chain parameter
-    walk, f, parts = walk_scan(ctx, get_entry(family).identity(), cfg,
+    walk, f, parts = walk_scan(ctx, ident,
                                limit + (scheme in (JONSSON, ALVIN)))
     if walk.reached is None:
         return SearchResult(scheme, False, None, None, walk.stalled,
@@ -269,9 +265,9 @@ def search_day(a: FiniteAlgebra, k_max: int = 64,
     and partitions, under its own caps; without one, a fresh context with
     ``cap_entries`` and ``work_budget`` is used.
     """
-    return _search(a, DAY, "DAY", _DAY_CONFIG, k_max, ctx,
+    return _search(a, DAY, get_entry("DAY").identity(), k_max, ctx,
                    (cap_entries, work_budget),
-                   lambda walk, f, _: _path_chain(DAY, walk, f, 3))
+                   lambda walk, f, _: _path_chain(DAY, walk, f))
 
 
 def search_gumm(a: FiniteAlgebra, n_max: int = 64,
@@ -286,15 +282,16 @@ def search_gumm(a: FiniteAlgebra, n_max: int = 64,
     TSCHANTZ(2)'s right-hand side.
     """
     def chain_of(walk, f, parts):
-        path = _backtrack(walk, f.generators[2])
+        z = f.g - 1
+        path = _backtrack(walk, f.generators[z])
         # p is the first w with x gamma w beta e1, where e1 starts the walk
         pb, pg = parts["b"], parts["g"]
         x = f.generators[0]
         w = int(np.nonzero((pg == pg[x]) & (pb == pb[path[0]]))[0][0])
         terms = [f.term_of(w)] + [f.term_of(e) for e in path]
-        terms[-1] = Var(2)  # the path ends at the z generator
+        terms[-1] = Var(z)  # the path ends at the target
         return TermChain(GUMM, walk.reached, tuple(terms))
-    return _search(a, GUMM, "TSCHANTZ", _GUMM_CONFIG, n_max, ctx,
+    return _search(a, GUMM, get_entry("TSCHANTZ").identity(), n_max, ctx,
                    (cap_entries, work_budget), chain_of)
 
 
@@ -304,11 +301,13 @@ def search_jonsson(a: FiniteAlgebra, n_max: int = 64, alvin: bool = False,
                    work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
     """Minimal n with a Jonsson(n) (or ALVIN) chain j_0..j_{n+1}.
 
-    Same configuration as the Gumm search, but the walk stays inside the
-    alternation of alpha&beta and alpha&gamma, DAY(3)'s right-hand side;
-    ALVIN starts with alpha&gamma, DAY_REV(3)'s.  The walk length is n+1.
+    TSCHANTZ(2)'s left-hand side, as in the Gumm search, but the walk
+    stays inside the alternation of alpha&beta and alpha&gamma, DAY(3)'s
+    right-hand side; ALVIN starts with alpha&gamma, DAY_REV(3)'s.  The
+    walk length is n+1.
     """
     scheme = ALVIN if alvin else JONSSON
-    return _search(a, scheme, "DAY_REV" if alvin else "DAY", _GUMM_CONFIG,
-                   n_max, ctx, (cap_entries, work_budget),
-                   lambda walk, f, _: _path_chain(scheme, walk, f, 2))
+    ident = replace(get_entry("DAY_REV" if alvin else "DAY").identity(),
+                    lhs=get_entry("TSCHANTZ").identity().lhs)
+    return _search(a, scheme, ident, n_max, ctx, (cap_entries, work_budget),
+                   lambda walk, f, _: _path_chain(scheme, walk, f))

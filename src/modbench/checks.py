@@ -384,19 +384,32 @@ def _expand_counts(e):
                          f"{expr_str(e)}")
 
 
-def pw_analyze(lhs, kinds: dict[str, str]) -> PWConfig:
-    """Generic configuration of a left-hand side.
+def pw_analyze(ident: Identity) -> PWConfig:
+    """Generic configuration of an identity the reduction decides.
 
-    Grammar: an atom is an intersection of congruence variables with at
-    most one parenthesized chain; a chain is a composition of atoms.  Each
-    atom spans an edge; its variables collect that edge as a generating
-    pair; its chain splits the edge with fresh nodes.
+    Grammar of the left-hand side: an atom is an intersection of
+    congruence variables with at most one parenthesized chain; a chain is
+    a composition of atoms.  Each atom spans an edge; its variables collect
+    that edge as a generating pair; its chain splits the edge with fresh
+    nodes.  The source is node 0, chain nodes follow in allocation order
+    and the target is numbered last.
     """
-    lhs = _expand_counts(lhs)
-    counter = itertools.count()
+    for name, kind in ident.var_kinds:
+        if kind != CONGRUENCE:
+            raise PWGrammarError(
+                f"{ident.name}: variable {name} is not a congruence; use "
+                f"the concrete check")
+    if ident.side_conditions:
+        raise PWGrammarError(f"{ident.name}: side conditions are not "
+                             f"supported by the generic reduction")
+    if has_symbolic(ident.lhs):
+        raise PWGrammarError("symbolic count on the left-hand side")
+    lhs = _expand_counts(ident.lhs)
+    counter = itertools.count(1)
     seeds: dict[str, list] = {}
 
     def do_atom(e, u, w):
+        # w is None for the target, which is numbered once all are known
         vars_, chain = [], None
         items = e.items if isinstance(e, MeetE) else (e,)
         for it in items:
@@ -411,9 +424,6 @@ def pw_analyze(lhs, kinds: dict[str, str]) -> PWConfig:
                 raise PWGrammarError(
                     f"not allowed in a generic atom: {expr_str(it)}")
         for v in vars_:
-            if kinds.get(v) != CONGRUENCE:
-                raise PWGrammarError(
-                    f"variable {v} is not a congruence variable")
             seeds.setdefault(v, []).append((u, w))
         if chain is not None:
             prev = u
@@ -422,14 +432,13 @@ def pw_analyze(lhs, kinds: dict[str, str]) -> PWConfig:
                 do_atom(factor, prev, nxt)
                 prev = nxt
 
-    source, target = next(counter), next(counter)
-    do_atom(lhs, source, target)
-    nodes = 0
-    for pairs in seeds.values():
-        for u, w in pairs:
-            nodes = max(nodes, u + 1, w + 1)
-    return PWConfig(nodes, tuple((v, tuple(ps)) for v, ps in seeds.items()),
-                    source, target)
+    do_atom(lhs, 0, None)
+    target = next(counter)
+    return PWConfig(target + 1,
+                    tuple((v, tuple((u, target if w is None else w)
+                                    for u, w in ps))
+                          for v, ps in seeds.items()),
+                    0, target)
 
 
 class PWContext:
@@ -448,7 +457,8 @@ class PWContext:
     def free(self, g: int) -> FreeAlgebra:
         if g in self._free:
             return self._free[g]
-        # counts fail in falling order, so the largest one <= g failed first
+        # the entries |F(g)|*|A|^g and the closure work grow with g, so a
+        # build over the caps on at most g generators rules this one out
         skipped = [bad for bad in self._failed if bad <= g]
         if skipped:
             raise CapExceeded(
@@ -565,47 +575,38 @@ def _meet_reach(e: MeetE, frontier, parts):
     return out
 
 
-def _pw_config(ident: Identity) -> PWConfig:
-    """The generic configuration of an identity the reduction decides."""
-    for name, kind in ident.var_kinds:
-        if kind != CONGRUENCE:
-            raise PWGrammarError(
-                f"{ident.name}: variable {name} is not a congruence; use "
-                f"the concrete check")
-    if ident.side_conditions:
-        raise PWGrammarError(f"{ident.name}: side conditions are not "
-                             f"supported by the generic reduction")
-    if has_symbolic(ident.lhs):
-        raise PWGrammarError("symbolic count on the left-hand side")
-    return pw_analyze(ident.lhs, ident.kinds())
-
-
-def _pw_setup(ctx: PWContext, ident: Identity, cfg: PWConfig):
-    """The free algebra on ``cfg``'s nodes, each variable's labels (seed
-    pairs are node numbers, which are free-generator positions) and the
-    source generator as a frontier."""
+def _pw_setup(ctx: PWContext, ident: Identity, rhs_of):
+    """What a walk of ``ident`` starts from: the free algebra on its
+    configuration's nodes, each variable's labels (seed pairs are node
+    numbers, which are free-generator positions), the source generator as
+    a frontier, the target generator, and ``rhs_of()``, the right-hand
+    side in the form the caller walks.  ``rhs_of`` runs after the
+    left-hand side is analysed and before any free algebra is built."""
+    cfg = pw_analyze(ident)
+    rhs = rhs_of()
     f = ctx.free(cfg.nodes)
     seeds = dict(cfg.seeds)
     parts = {name: ctx.partition(cfg.nodes, seeds.get(name, ()))
              for name, _ in ident.var_kinds}
     frontier = np.zeros(f.n_elements, dtype=bool)
     frontier[f.generators[cfg.source]] = True
-    return f, parts, frontier
+    return f, parts, frontier, f.generators[cfg.target], rhs
 
 
 def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
     """Variety-wide verdict for a congruence-variable inclusion."""
     if k is not None:
         _check_count(k)
-    cfg = _pw_config(ident)
-    _check_k(ident, k, has_symbolic(ident.rhs))
-    rhs = ident.rhs if k is None else substitute_k(ident.rhs, k)
-    f, parts, frontier = _pw_setup(ctx, ident, cfg)
-    reached = _reach(push_converse(rhs, ident.kinds()), frontier, parts)
-    return bool(reached[f.generators[cfg.target]])
+
+    def rhs_of():
+        _check_k(ident, k, has_symbolic(ident.rhs))
+        rhs = ident.rhs if k is None else substitute_k(ident.rhs, k)
+        return push_converse(rhs, ident.kinds())
+    _, parts, frontier, target, rhs = _pw_setup(ctx, ident, rhs_of)
+    return bool(_reach(rhs, frontier, parts)[target])
 
 
-def walk_scan(ctx: PWContext, ident: Identity, cfg: PWConfig,
+def walk_scan(ctx: PWContext, ident: Identity,
               limit: int) -> tuple[Walk, FreeAlgebra, dict]:
     """One walk deciding ``ident`` at every k up to ``limit``.
 
@@ -615,18 +616,21 @@ def walk_scan(ctx: PWContext, ident: Identity, cfg: PWConfig,
     trailing walk holds the target, so ``Walk.reached`` is the least such
     k.  Returns the walk, the free algebra and the variables' labels.
     """
-    rhs = push_converse(ident.rhs, ident.kinds())
-    *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
-    if (not isinstance(tail, (AltE, PowE)) or tail.count != K
-            or any(has_symbolic(x) for x in (*prefix, *_factors(tail)))):
-        raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly once, "
-                             f"as the count of a trailing alternation or "
-                             f"power")
-    f, parts, frontier = _pw_setup(ctx, ident, cfg)
+    def rhs_of():
+        rhs = push_converse(ident.rhs, ident.kinds())
+        *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
+        if (not isinstance(tail, (AltE, PowE)) or tail.count != K
+                or any(has_symbolic(x) for x in (*prefix, *_factors(tail)))):
+            raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly "
+                                 f"once, as the count of a trailing "
+                                 f"alternation or power")
+        return prefix, tail
+    f, parts, frontier, target, (prefix, tail) = _pw_setup(ctx, ident,
+                                                           rhs_of)
     for factor in prefix:
         frontier = _reach(factor, frontier, parts)
     walk = Walk(tail, frontier, parts)
-    walk.run(limit, f.generators[cfg.target])
+    walk.run(limit, target)
     return walk, f, parts
 
 
@@ -675,11 +679,11 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
                 name: rel.to_bitstrings()
                 for name, rel in res.counterexample.items()}
     else:
-        cfg = _pw_config(ident)
-        walk, f, _ = walk_scan(ctx or PWContext(a), ident, cfg, cap)
+        walk, f, _ = walk_scan(ctx or PWContext(a), ident, cap)
         k = walk.reached
         if k is not None and k < cap:
-            if not walk.run(k + 1)[f.generators[cfg.target]]:
+            # the target is the last generator
+            if not walk.run(k + 1)[f.generators[f.g - 1]]:
                 raise AssertionError(
                     f"{family}: right-hand side not monotone at "
                     f"{k} -> {k + 1}")

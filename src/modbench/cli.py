@@ -16,7 +16,6 @@ import importlib.resources
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebras import AlgebraError, FiniteAlgebra, parse_algebra
 from .bounds import BoundError, bound, bound_names
@@ -63,10 +62,13 @@ def _parse_params(pairs) -> dict:
 
 def _caps_kwargs(args) -> dict:
     out = {}
-    if getattr(args, "cap_entries", None) is not None:
-        out["cap_entries"] = args.cap_entries
-    if getattr(args, "work_budget", None) is not None:
-        out["work_budget"] = args.work_budget
+    for cap in ("cap_entries", "work_budget"):
+        value = getattr(args, cap, None)
+        if value is not None:
+            if value < 0:
+                flag = "--" + cap.replace("_", "-")
+                raise ValueError(f"{flag} must be nonnegative: {value}")
+            out[cap] = value
     return out
 
 
@@ -193,7 +195,12 @@ def cmd_spectrum(args) -> int:
         primary = entry.params[0][0]
         m_lo = args.m_from if args.m_from is not None else entry.params[0][1]
         m_hi = args.m_to if args.m_to is not None else m_lo
+        if m_hi < m_lo:
+            raise ValueError(f"--m-to {m_hi} is below --m-from {m_lo}")
         ms = list(range(m_lo, m_hi + 1))
+    elif args.m_from is not None or args.m_to is not None:
+        raise CatalogError(f"{args.family} has no parameter for "
+                           f"--m-from/--m-to")
     else:
         primary, ms = None, [None]
 
@@ -212,11 +219,7 @@ def cmd_spectrum(args) -> int:
         return {**row, "value": res.value, "exceeded": res.exceeded,
                 **({"evidence": res.evidence} if res.evidence else {})}
 
-    if args.jobs > 1 and len(ms) > 1 and entry.level == ALGEBRA:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, ms))
-    else:
-        rows = [run(m) for m in ms]
+    rows = [run(m) for m in ms]
     if args.json:
         print(_dump({"algebra": a.name, "scan": entry.scan,
                      "results": rows}))
@@ -262,17 +265,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     caps = _caps_kwargs(args)
-
-    def run(path):
+    reports = []
+    for path in args.files:
         a = load_algebra(path)
-        return consistency_report(a, scan_cap=args.scan_cap,
-                                  ctx=PWContext(a, **caps))
-
-    if args.jobs > 1 and len(args.files) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, args.files))
-    else:
-        reports = [run(path) for path in args.files]
+        reports.append(consistency_report(a, scan_cap=args.scan_cap,
+                                          ctx=PWContext(a, **caps)))
     ok = all(rep["ok"] for rep in reports)
     if args.json:
         print(_dump(reports if len(reports) > 1 else reports[0]))
@@ -355,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-to", type=int, default=None)
     p.add_argument("--cap", type=int, default=64)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     add_caps(p)
     p.set_defaults(fn=cmd_spectrum)
@@ -372,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full consistency report")
     p.add_argument("files", nargs="+")
     p.add_argument("--scan-cap", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     add_caps(p)
     p.set_defaults(fn=cmd_verify)

@@ -1,24 +1,27 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modbench import checks
 from modbench.algebras import FiniteAlgebra, Signature
 from modbench.catalog import ALGEBRA, CATALOG, VARIETY, get_entry
-from modbench.checks import (CheckError, PWContext, PWGrammarError,
-                             check_concrete, enumerate_relations, eval_expr,
-                             pw_analyze, pw_check, spectrum, walk_scan)
+from modbench.checks import (CheckError, PWConfig, PWContext,
+                             PWGrammarError, check_concrete,
+                             enumerate_relations, eval_expr, pw_analyze,
+                             pw_check, spectrum, walk_scan)
 from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, Identity, K,
                           MeetE, PowE, VarE, compose, has_symbolic,
-                          parse_identity, substitute_k)
+                          parse_identity, push_converse, substitute_k)
 from modbench.free import CapExceeded
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 RelationError, generate)
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
-from conftest import free_as_algebra
+from conftest import free_as_algebra, random_algebra
 
 
 def test_eval_expr_basics(chain3):
@@ -117,19 +120,19 @@ def test_pw_rejects_relation_variables(z2, pw_context):
 
 
 def test_pw_analyze_day_config():
-    day = get_entry("DAY").identity(m=3)
-    cfg = pw_analyze(day.lhs, day.kinds())
-    assert cfg.nodes == 4
-    seeds = dict(cfg.seeds)
-    assert len(seeds["a"]) == 2   # the outer pair plus the middle edge
-    assert len(seeds["b"]) == 2
-    assert len(seeds["g"]) == 1
+    # source 0, chain nodes in allocation order, target last: the Day
+    # search walks a, b, c, d and the Gumm search x, y, z
+    assert pw_analyze(get_entry("DAY").identity(m=3)) == PWConfig(
+        4, (("a", ((0, 3), (1, 2))), ("b", ((0, 1), (2, 3))),
+            ("g", ((1, 2),))), 0, 3)
+    assert pw_analyze(get_entry("TSCHANTZ").identity(m=2)) == PWConfig(
+        3, (("a", ((0, 2),)), ("b", ((0, 1),)), ("g", ((1, 2),))), 0, 2)
 
 
 def test_pw_analyze_rejects_bad_lhs():
     ident = parse_identity("cong a b; a & conv(b) <= a")
     with pytest.raises(PWGrammarError):
-        pw_analyze(ident.lhs, ident.kinds())
+        pw_analyze(ident)
 
 
 def test_spectrum_values(z2, lattice2, pw_context):
@@ -276,7 +279,7 @@ def test_reach_agrees_with_bitset_eval(corpus, pw_context):
         ctx = pw_context(a)
         for fam, params in fams:
             ident = get_entry(fam).identity(**params)
-            cfg = pw_analyze(ident.lhs, ident.kinds())
+            cfg = pw_analyze(ident)
             f = ctx.free(cfg.nodes)
             seed_map = dict(cfg.seeds)
             env = {v: _labels_to_binrel(ctx.partition(cfg.nodes,
@@ -593,10 +596,57 @@ def test_variety_scan_families_end_in_a_k_alternation(z2):
                 "cong a b; a <= pow(a, k) o alt(a, b, k)",
                 "cong a b; a <= alt(a & pow(b, k), b, k)",
                 "cong a b; a <= a & alt(a, b, k)"):
-        ident = parse_identity(bad)
-        cfg = pw_analyze(ident.lhs, ident.kinds())
         with pytest.raises(PWGrammarError):
-            walk_scan(ctx, ident, cfg, 4)
+            walk_scan(ctx, parse_identity(bad), 4)
+
+
+def _numbered_verdicts(ctx, ident, cfg, perm):
+    """The inclusion at k = 0..4 with ``cfg``'s node u numbered perm[u]."""
+    f = ctx.free(cfg.nodes)
+    seeds = dict(cfg.seeds)
+    parts = {v: ctx.partition(cfg.nodes, [(perm[u], perm[w])
+                                          for u, w in seeds.get(v, ())])
+             for v, _ in ident.var_kinds}
+    frontier = np.zeros(f.n_elements, dtype=bool)
+    frontier[f.generators[perm[cfg.source]]] = True
+    target = f.generators[perm[cfg.target]]
+    return [bool(checks._reach(push_converse(substitute_k(ident.rhs, k),
+                                             ident.kinds()),
+                               frontier, parts)[target])
+            for k in range(5)]
+
+
+def _small_random_algebras(count):
+    """The first ``count`` draws from a fixed seed whose F(4) has more
+    than 8 elements and fits 200,000 vector entries, each with a context
+    under that cap."""
+    rng = random.Random(5)
+    while count:
+        a = random_algebra(rng, size=rng.choice([2, 3]), max_arity=2)
+        ctx = PWContext(a, cap_entries=200_000)
+        try:
+            if ctx.free(4).n_elements <= 8:
+                continue
+        except CapExceeded:
+            continue
+        count -= 1
+        yield a, ctx
+
+
+def test_verdicts_do_not_depend_on_generator_numbering(corpus, pw_context):
+    # pw_analyze numbers the source 0 and the target last; every other
+    # numbering of the configuration's nodes gives the same verdicts
+    cases = [(corpus[name], pw_context(corpus[name]))
+             for name in ("one", "z2", "lattice2", "semilattice2")]
+    cases += _small_random_algebras(3)
+    for a, ctx in cases:
+        for family in VARIETY_SCAN_FAMILIES:
+            ident = get_entry(family).identity()
+            cfg = pw_analyze(ident)
+            want = [pw_check(ctx, ident, k=k) for k in range(5)]
+            for perm in itertools.permutations(range(cfg.nodes)):
+                assert _numbered_verdicts(ctx, ident, cfg, perm) == want, \
+                    (a.name, family, perm)
 
 
 def _pw_scan(ctx, ident, cap):
@@ -640,13 +690,11 @@ def test_spectrum_stops_at_a_fixed_point(semilattice2, lattice2, pw_context):
     ctx = pw_context(semilattice2)
     res = spectrum(semilattice2, "DAY", ctx=ctx)
     assert (res.value, res.exceeded, res.evidence) == _pw_scan(ctx, ident, 64)
-    walk, _, _ = walk_scan(ctx, ident, pw_analyze(ident.lhs, ident.kinds()),
-                           64)
+    walk, _, _ = walk_scan(ctx, ident, 64)
     assert walk.stalled and walk.reached is None and len(walk.layers) < 64
     # a cap below the value: not stalled, stopped at the cap
     ctx = pw_context(lattice2)
-    walk, _, _ = walk_scan(ctx, ident, pw_analyze(ident.lhs, ident.kinds()),
-                           2)
+    walk, _, _ = walk_scan(ctx, ident, 2)
     assert not walk.stalled and walk.reached is None
     assert len(walk.layers) == 3
 

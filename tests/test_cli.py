@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from modbench.cli import main
 from modbench.bounds import bound
 from modbench.checks import PWContext, spectrum
@@ -122,8 +124,7 @@ def test_bounds_direct_flags(capsys):
 
 
 def test_verify_multiple_files_parallel(capsys):
-    code, out, _ = run(capsys, "verify", "one", "z2", "--jobs", "2",
-                       "--json")
+    code, out, _ = run(capsys, "verify", "one", "z2", "--json")
     assert code == 0
     data = json.loads(out)
     assert [rep["algebra"] for rep in data] == ["one", "z2"]
@@ -131,11 +132,40 @@ def test_verify_multiple_files_parallel(capsys):
 
 def test_spectrum_jobs_flag(capsys):
     code, out, _ = run(capsys, "spectrum", "chain3", "--family", "TOLC",
-                       "--m-from", "1", "--m-to", "2", "--jobs", "2",
-                       "--json")
+                       "--m-from", "1", "--m-to", "2", "--json")
     assert code == 0
     data = json.loads(out)
+    assert [row["m"] for row in data["results"]] == [1, 2]
     assert all(row["value"] is not None for row in data["results"])
+
+
+def test_jobs_is_gone(capsys):
+    for argv in (("verify", "one", "z2"),
+                 ("spectrum", "z2", "--family", "DAY")):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_spectrum_range_flags_are_usage_errors(capsys):
+    code, out, err = run(capsys, "spectrum", "z2", "--family", "DAY",
+                         "--m-from", "5", "--m-to", "3")
+    assert (code, out) == (2, "") and "below" in err
+    for flag in ("--m-from", "--m-to"):
+        code, out, err = run(capsys, "spectrum", "z2", "--family", "AGA",
+                             flag, "3")
+        assert (code, out) == (2, "") and "no parameter" in err
+
+
+def test_negative_caps_are_usage_errors(capsys):
+    for flag in ("--cap-entries", "--work-budget"):
+        for argv in (("free", "z2", "-g", "2"),
+                     ("terms", "z2", "--scheme", "day"),
+                     ("spectrum", "z2", "--family", "DAY")):
+            code, out, err = run(capsys, *argv, flag, "-1")
+            assert (code, out) == (2, ""), (argv, flag)
+            assert f"{flag} must be nonnegative" in err
 
 
 def test_load_algebra_from_path(capsys, tmp_path):
