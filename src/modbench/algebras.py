@@ -55,6 +55,9 @@ class FiniteAlgebra:
                  tables: dict[str, "np.ndarray | list[int]"]):
         if size < 1:
             raise AlgebraError("size must be positive")
+        if size > 1 << 16:
+            raise AlgebraError(f"size {size} exceeds 65536: table entries "
+                               f"are 16-bit")
         if set(tables) != set(signature.names()):
             raise AlgebraError("tables do not match signature")
         self.name = name
@@ -157,6 +160,10 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             raise AlgebraFormatError("arity must be nonnegative", line)
         if opname in tables:
             raise AlgebraFormatError(f"duplicate operation {opname!r}", line)
+        if size > 1 and arity > (len(tokens) - pos).bit_length():
+            # size ** arity exceeds the tokens left; do not compute it
+            raise AlgebraFormatError(f"table for {opname!r} is too short",
+                                     line)
         entries = []
         for _ in range(size ** arity):
             tok, line = take(f"table entry for {opname!r}")

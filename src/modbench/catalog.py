@@ -2,10 +2,11 @@
 
 Each entry builds an :class:`~modbench.dsl.Identity`, possibly with the
 symbolic count ``k`` left in the right-hand side (those families support
-spectrum scans).  Entries are tagged ``variety`` when they quantify only
-congruence variables and are decided variety-wide by the generic
-free-algebra reduction, or ``algebra`` when they involve admissible or
-tolerance variables and are decided by enumeration on one algebra.
+spectrum scans).  An identity's level follows from its variable kinds
+(``level_of``): ``variety`` when it quantifies only congruence variables
+and is decided variety-wide by the generic free-algebra reduction,
+``algebra`` when it involves admissible or tolerance variables and is
+decided by enumeration on one algebra.
 
 Variable conventions: a, b, g are congruences; R, S, T, t1.. are
 admissible relations; D, P are tolerances.
@@ -31,14 +32,23 @@ class CatalogError(ValueError):
     pass
 
 
+def level_of(ident: Identity) -> str:
+    """``VARIETY`` when every variable is a congruence, else ``ALGEBRA``."""
+    if all(kind == CONGRUENCE for _, kind in ident.var_kinds):
+        return VARIETY
+    return ALGEBRA
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    level: str
     params: tuple          # ((name, default), ...)
     scan: str | None       # display name of the symbolic parameter, if any
     build: object          # callable(**params) -> Identity
-    note: str = ""
+
+    @property
+    def level(self) -> str:
+        return level_of(self.identity())
 
     def defaults(self) -> dict:
         return dict(self.params)
@@ -94,6 +104,7 @@ def _swap_bg(e):
 
 
 def _dstar(l):
+    # nested modularity with l bracket levels
     _require(l >= 1, "DSTAR needs l >= 1")
     cur = meet(A, compose(B, meet(A, G), B))
     for _ in range(l - 1):
@@ -131,6 +142,7 @@ def _tstarstar(m):
 
 
 def _ttriple(m, h, k):
+    # a boolean query: h and k are not minimized jointly
     _require(m >= 3, "TTRIPLE needs m >= 3")
     _require(h >= 0 and k >= 0, "TTRIPLE needs h, k >= 0")
     lhs = meet(A, alternation(B, G, m))
@@ -181,29 +193,27 @@ def _tolc(h, m):
 
 
 def _ed():
+    # holds at the Day alternation length when it is even
     lhs = meet(A, compose(D, meet(A, G), B))
     rhs = AltE(compose(meet(A, D), meet(A, D)), meet(A, G), K)
     return Identity("ED", _cong("a", "b", "g") + _tol("D"), lhs, rhs,
-                    side_conditions=(Contains(D, B),),
-                    notes="D is a tolerance containing b; holds at the Day "
-                          "alternation length when it is even")
+                    side_conditions=(Contains(D, B),))
 
 
 def _eddd():
+    # holds at one less than the Day alternation length
     lhs = meet(A, compose(D, meet(A, G), D))
     rhs = compose(meet(A, D),
                   AltE(meet(A, G), compose(meet(A, D), meet(A, D)), K))
-    return Identity("EDDD", _cong("a", "g") + _tol("D"), lhs, rhs,
-                    notes="holds at one less than the Day alternation length")
+    return Identity("EDDD", _cong("a", "g") + _tol("D"), lhs, rhs)
 
 
 def _nte():
+    # the representable tolerance is inlined as R o conv(R)
     delta = compose(R, ConvE(R))
     lhs = meet(A, compose(delta, meet(A, G), delta))
     rhs = AltE(meet(A, delta), meet(A, G), K)
-    return Identity("NTE", _cong("a", "g") + _adm("R"), lhs, rhs,
-                    notes="the representable tolerance is inlined as "
-                          "R o conv(R)")
+    return Identity("NTE", _cong("a", "g") + _adm("R"), lhs, rhs)
 
 
 # -- Gumm-term consequences ---------------------------------------------------
@@ -217,6 +227,7 @@ def _aga_rhs(first_gen_items, ts):
 
 
 def _aga():
+    # the scan parameter is the Gumm alternation count
     lhs = meet(A, compose(R, S))
     return Identity("AGA", _cong("a") + _adm("R", "S"), lhs,
                     _aga_rhs((ConvE(R), S), (R, S)))
@@ -348,52 +359,41 @@ def _qmod3(h, t, n, p):
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _register(name, level, params, scan, build, note=""):
-    CATALOG[name] = CatalogEntry(name, level, params, scan, build, note)
+def _register(name, params, scan, build):
+    CATALOG[name] = CatalogEntry(name, params, scan, build)
 
 
-_register("DAY", VARIETY, (("m", 3),), "k", _day,
-          "alternation-length modularity: a & alt(b, a&g, m) <= "
-          "alt(a&b, a&g, k)")
-_register("DAY_REV", VARIETY, (("m", 3),), "k", _day_rev,
-          "reversed modularity (right side starts with a&g)")
-_register("DSTAR", VARIETY, (("l", 1),), "k", _dstar,
-          "nested modularity with l bracket levels")
-_register("TSCHANTZ", VARIETY, (("m", 2),), "k", _tschantz,
-          "a & alt(b,g,m) <= (a & (g o b)) o alt(a&g, a&b, k)")
-_register("TSCHANTZ_REV", VARIETY, (("m", 3),), "k", _tschantz_rev)
-_register("TSTAR", VARIETY, (("m", 3),), "k", _tstar)
-_register("TSTARSTAR", VARIETY, (("m", 3),), "k", _tstarstar)
-_register("TTRIPLE", VARIETY, (("m", 3), ("h", 1), ("k", 1)), None, _ttriple,
-          "boolean query; h and k are not minimized jointly")
-_register("TR_REL", ALGEBRA, (("m", 2),), "k", _tr_rel)
-_register("TR_REL_REV", ALGEBRA, (("m", 3),), "k", _tr_rel_rev)
-_register("RMOD", ALGEBRA, (("m", 2),), "k", _rmod,
-          "a & pow(R, m) <= pow(a&R, k)")
-_register("RRMOD", ALGEBRA, (("m", 3),), "k", _rrmod)
-_register("TOLC", ALGEBRA, (("h", 1), ("m", 1)), "ell", _tolc,
-          "pow(D,h) & pow(P,m) <= pow(D&P, ell)")
-_register("ED", ALGEBRA, (), "k", _ed)
-_register("EDDD", ALGEBRA, (), "k", _eddd)
-_register("NTE", ALGEBRA, (), "k", _nte)
-_register("AGA", ALGEBRA, (), "n", _aga,
-          "scan parameter is the Gumm alternation count")
-_register("AG", ALGEBRA, (("m", 2),), "n", _ag)
-_register("AGAI", ALGEBRA, (), "n", _agai)
-_register("AGI", ALGEBRA, (("m", 2),), "n", _agi)
-_register("BBB", VARIETY, (("n", 1),), None, _bbb)
-_register("Q2_BASE", VARIETY, (("r", 1),), "s", _q2_base)
-_register("Q2_A", VARIETY, (("r", 1), ("s", 2), ("n", 1)), None, _q2_a)
-_register("Q2_B", VARIETY, (("r", 1), ("s", 2), ("n", 1), ("q", 1)),
-          None, _q2_b)
-_register("AGT_4HB", VARIETY, (("h", 0), ("n", 1)), None, _agt_4hb)
-_register("AGT_4HBCONV", VARIETY, (("h", 0), ("n", 1)), None, _agt_4hbconv)
-_register("AGT_4H", VARIETY, (("h", 1), ("n", 1)), None, _agt_4h)
-_register("QDIST", VARIETY, (("q", 1), ("n", 1)), None, _qdist)
-_register("QDISTCONV", VARIETY, (("q", 1), ("n", 1)), None, _qdistconv)
-_register("QMOD2", VARIETY, (("h", 1), ("t", 2), ("n", 1)), None, _qmod2)
-_register("QMOD3", VARIETY, (("h", 1), ("t", 2), ("n", 1), ("p", 1)),
-          None, _qmod3)
+_register("DAY", (("m", 3),), "k", _day)
+_register("DAY_REV", (("m", 3),), "k", _day_rev)
+_register("DSTAR", (("l", 1),), "k", _dstar)
+_register("TSCHANTZ", (("m", 2),), "k", _tschantz)
+_register("TSCHANTZ_REV", (("m", 3),), "k", _tschantz_rev)
+_register("TSTAR", (("m", 3),), "k", _tstar)
+_register("TSTARSTAR", (("m", 3),), "k", _tstarstar)
+_register("TTRIPLE", (("m", 3), ("h", 1), ("k", 1)), None, _ttriple)
+_register("TR_REL", (("m", 2),), "k", _tr_rel)
+_register("TR_REL_REV", (("m", 3),), "k", _tr_rel_rev)
+_register("RMOD", (("m", 2),), "k", _rmod)
+_register("RRMOD", (("m", 3),), "k", _rrmod)
+_register("TOLC", (("h", 1), ("m", 1)), "ell", _tolc)
+_register("ED", (), "k", _ed)
+_register("EDDD", (), "k", _eddd)
+_register("NTE", (), "k", _nte)
+_register("AGA", (), "n", _aga)
+_register("AG", (("m", 2),), "n", _ag)
+_register("AGAI", (), "n", _agai)
+_register("AGI", (("m", 2),), "n", _agi)
+_register("BBB", (("n", 1),), None, _bbb)
+_register("Q2_BASE", (("r", 1),), "s", _q2_base)
+_register("Q2_A", (("r", 1), ("s", 2), ("n", 1)), None, _q2_a)
+_register("Q2_B", (("r", 1), ("s", 2), ("n", 1), ("q", 1)), None, _q2_b)
+_register("AGT_4HB", (("h", 0), ("n", 1)), None, _agt_4hb)
+_register("AGT_4HBCONV", (("h", 0), ("n", 1)), None, _agt_4hbconv)
+_register("AGT_4H", (("h", 1), ("n", 1)), None, _agt_4h)
+_register("QDIST", (("q", 1), ("n", 1)), None, _qdist)
+_register("QDISTCONV", (("q", 1), ("n", 1)), None, _qdistconv)
+_register("QMOD2", (("h", 1), ("t", 2), ("n", 1)), None, _qmod2)
+_register("QMOD3", (("h", 1), ("t", 2), ("n", 1), ("p", 1)), None, _qmod3)
 
 
 def get_entry(name: str) -> CatalogEntry:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebras import FiniteAlgebra
 from .catalog import get_entry
-from .checks import PWContext, walk_scan
+from .checks import PWContext, context_for, walk_scan
 from .free import (Var, eval_term_vector, term_str, term_vars,
                    DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 # only for bench/tracer.py, which patches these names and needs them here
@@ -191,11 +191,17 @@ class SearchResult:
     """
 
     scheme: str
-    found: bool
-    value: int | None
     chain: TermChain | None
     proven_absent: bool
     free_elements: int
+
+    @property
+    def found(self) -> bool:
+        return self.chain is not None
+
+    @property
+    def value(self) -> int | None:
+        return self.chain.param if self.found else None
 
     def describe(self) -> str:
         if self.found:
@@ -234,22 +240,22 @@ def _path_chain(scheme, walk, f):
 def _search(a, scheme, ident, limit, ctx, caps, chain_of):
     """Walk ``ident`` as ``walk_scan`` does and verify the chain
     ``chain_of(walk, f, parts)`` extracts from it.  Without a context, a
-    fresh one with ``caps`` is used."""
+    fresh one with ``caps`` is used; a context for another algebra is a
+    ``CheckError``."""
     if limit < 0:
         raise ChainError(f"scan limit must be nonnegative: {limit}")
-    ctx = ctx or PWContext(a, *caps)
+    ctx = context_for(a, ctx, *caps)
     # a Jonsson or ALVIN walk is one step longer than its chain parameter
     walk, f, parts = walk_scan(ctx, ident,
                                limit + (scheme in (JONSSON, ALVIN)))
     if walk.reached is None:
-        return SearchResult(scheme, False, None, None, walk.stalled,
-                            f.n_elements)
+        return SearchResult(scheme, None, walk.stalled, f.n_elements)
     chain = chain_of(walk, f, parts)
     verdict = verify_chain(a, chain)
     if not verdict.valid:
         raise AssertionError(f"extracted {scheme} chain fails verification: "
                              f"{verdict.violations}")
-    return SearchResult(scheme, True, chain.param, chain, False, f.n_elements)
+    return SearchResult(scheme, chain, False, f.n_elements)
 
 
 def search_day(a: FiniteAlgebra, k_max: int = 64,

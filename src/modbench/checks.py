@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .algebras import FiniteAlgebra
-from .catalog import ALGEBRA, CatalogError, get_entry
+from .catalog import ALGEBRA, CatalogError, get_entry, level_of
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
                   VarE, _check_count, alternation, expr_str, has_symbolic,
                   push_converse, substitute_k)
@@ -351,9 +351,10 @@ def _check_k(ident: Identity, k: int | None, symbolic: bool) -> None:
 
 @dataclass(frozen=True)
 class PWConfig:
-    nodes: int
+    """Seed pairs over nodes 0 .. ``target``, which are free-generator
+    positions; the source is node 0."""
+
     seeds: tuple          # ((var, ((u, w), ...)), ...)
-    source: int
     target: int
 
 
@@ -434,11 +435,10 @@ def pw_analyze(ident: Identity) -> PWConfig:
 
     do_atom(lhs, 0, None)
     target = next(counter)
-    return PWConfig(target + 1,
-                    tuple((v, tuple((u, target if w is None else w)
+    return PWConfig(tuple((v, tuple((u, target if w is None else w)
                                     for u, w in ps))
                           for v, ps in seeds.items()),
-                    0, target)
+                    target)
 
 
 class PWContext:
@@ -478,6 +478,19 @@ class PWContext:
         if key not in self._parts:
             self._parts[key] = self.free(g).gen_pair_congruence(list(pairs))
         return self._parts[key]
+
+
+def context_for(a: FiniteAlgebra, ctx: PWContext | None = None,
+                cap_entries: int = DEFAULT_CAP_ENTRIES,
+                work_budget: int = DEFAULT_WORK_BUDGET) -> PWContext:
+    """``ctx`` if it was built for ``a``; without one, a fresh context
+    with the caps.  A context built for another algebra is an error."""
+    if ctx is None:
+        return PWContext(a, cap_entries, work_budget)
+    if ctx.algebra != a:
+        raise CheckError(f"context built for {ctx.algebra.name!r}, not for "
+                         f"{a.name!r}")
+    return ctx
 
 
 def _partition_like(e, parts):
@@ -575,34 +588,29 @@ def _meet_reach(e: MeetE, frontier, parts):
     return out
 
 
-def _pw_setup(ctx: PWContext, ident: Identity, rhs_of):
-    """What a walk of ``ident`` starts from: the free algebra on its
-    configuration's nodes, each variable's labels (seed pairs are node
-    numbers, which are free-generator positions), the source generator as
-    a frontier, the target generator, and ``rhs_of()``, the right-hand
-    side in the form the caller walks.  ``rhs_of`` runs after the
-    left-hand side is analysed and before any free algebra is built."""
-    cfg = pw_analyze(ident)
-    rhs = rhs_of()
-    f = ctx.free(cfg.nodes)
+def _pw_setup(ctx: PWContext, ident: Identity, cfg: PWConfig):
+    """What a walk of ``ident`` under ``cfg`` starts from: the free
+    algebra on generators 0 .. ``cfg.target``, each variable's labels, the
+    source generator as a frontier, and the target generator."""
+    g = cfg.target + 1
+    f = ctx.free(g)
     seeds = dict(cfg.seeds)
-    parts = {name: ctx.partition(cfg.nodes, seeds.get(name, ()))
+    parts = {name: ctx.partition(g, seeds.get(name, ()))
              for name, _ in ident.var_kinds}
     frontier = np.zeros(f.n_elements, dtype=bool)
-    frontier[f.generators[cfg.source]] = True
-    return f, parts, frontier, f.generators[cfg.target], rhs
+    frontier[f.generators[0]] = True
+    return f, parts, frontier, f.generators[cfg.target]
 
 
 def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
     """Variety-wide verdict for a congruence-variable inclusion."""
     if k is not None:
         _check_count(k)
-
-    def rhs_of():
-        _check_k(ident, k, has_symbolic(ident.rhs))
-        rhs = ident.rhs if k is None else substitute_k(ident.rhs, k)
-        return push_converse(rhs, ident.kinds())
-    _, parts, frontier, target, rhs = _pw_setup(ctx, ident, rhs_of)
+    cfg = pw_analyze(ident)
+    _check_k(ident, k, has_symbolic(ident.rhs))
+    rhs = ident.rhs if k is None else substitute_k(ident.rhs, k)
+    rhs = push_converse(rhs, ident.kinds())
+    _, parts, frontier, target = _pw_setup(ctx, ident, cfg)
     return bool(_reach(rhs, frontier, parts)[target])
 
 
@@ -616,17 +624,15 @@ def walk_scan(ctx: PWContext, ident: Identity,
     trailing walk holds the target, so ``Walk.reached`` is the least such
     k.  Returns the walk, the free algebra and the variables' labels.
     """
-    def rhs_of():
-        rhs = push_converse(ident.rhs, ident.kinds())
-        *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
-        if (not isinstance(tail, (AltE, PowE)) or tail.count != K
-                or any(has_symbolic(x) for x in (*prefix, *_factors(tail)))):
-            raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly "
-                                 f"once, as the count of a trailing "
-                                 f"alternation or power")
-        return prefix, tail
-    f, parts, frontier, target, (prefix, tail) = _pw_setup(ctx, ident,
-                                                           rhs_of)
+    cfg = pw_analyze(ident)
+    rhs = push_converse(ident.rhs, ident.kinds())
+    *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
+    if (not isinstance(tail, (AltE, PowE)) or tail.count != K
+            or any(has_symbolic(x) for x in (*prefix, *_factors(tail)))):
+        raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly once, "
+                             f"as the count of a trailing alternation or "
+                             f"power")
+    f, parts, frontier, target = _pw_setup(ctx, ident, cfg)
     for factor in prefix:
         frontier = _reach(factor, frontier, parts)
     walk = Walk(tail, frontier, parts)
@@ -643,13 +649,12 @@ class SpectrumResult:
     family: str
     params: tuple            # ((name, value), ...) without the scan param
     value: int | None        # minimal scan value, or None when it exceeds cap
-    exceeded: bool
     level: str               # variety | algebra
     evidence: dict | None = None
 
     @property
-    def display(self) -> str:
-        return str(self.value) if self.value is not None else "exceeds cap"
+    def exceeded(self) -> bool:
+        return self.value is None
 
 
 def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
@@ -670,8 +675,9 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
         raise CatalogError(f"{family} has no scan parameter; use check")
     params = dict(params or {})
     ident = entry.identity(**params)
+    level = level_of(ident)
     evidence = {"checked_up_to": cap}
-    if entry.level == ALGEBRA:
+    if level == ALGEBRA:
         res = check_concrete(a, ident, k=cap)
         k = res.least_k
         if res.counterexample:
@@ -679,7 +685,7 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
                 name: rel.to_bitstrings()
                 for name, rel in res.counterexample.items()}
     else:
-        walk, f, _ = walk_scan(ctx or PWContext(a), ident, cap)
+        walk, f, _ = walk_scan(context_for(a, ctx), ident, cap)
         k = walk.reached
         if k is not None and k < cap:
             # the target is the last generator
@@ -687,5 +693,5 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
                 raise AssertionError(
                     f"{family}: right-hand side not monotone at "
                     f"{k} -> {k + 1}")
-    return SpectrumResult(family, tuple(params.items()), k, k is None,
-                          entry.level, evidence if k is None else None)
+    return SpectrumResult(family, tuple(params.items()), k, level,
+                          evidence if k is None else None)

@@ -19,7 +19,7 @@ import sys
 
 from .algebras import AlgebraError, FiniteAlgebra, parse_algebra
 from .bounds import BoundError, bound, bound_names
-from .catalog import ALGEBRA, VARIETY, CATALOG, CatalogError, get_entry
+from .catalog import VARIETY, CATALOG, CatalogError, get_entry, level_of
 from .chains import search_day, search_gumm, search_jonsson
 from .checks import (CheckError, PWContext, check_concrete, pw_check,
                      spectrum)
@@ -78,8 +78,6 @@ def _caps_kwargs(args) -> dict:
 
 def cmd_alg(args) -> int:
     a = load_algebra(args.file)
-    if args.command != "info":
-        raise AlgebraError(f"unknown alg subcommand {args.command!r}")
     info = {"name": a.name, "size": a.size,
             "ops": [{"name": n, "arity": r} for n, r in a.signature.ops]}
     try:
@@ -147,13 +145,9 @@ def cmd_check(args) -> int:
     if args.idl:
         with open(args.idl) as handle:
             ident = parse_identity(handle.read().strip())
-        level = (VARIETY if all(k == "congruence"
-                                for _, k in ident.var_kinds) else ALGEBRA)
     else:
-        entry = get_entry(args.identity)
-        ident = entry.identity(**params)
-        level = entry.level
-    mode = args.mode or ("pw" if level == VARIETY else "concrete")
+        ident = get_entry(args.identity).identity(**params)
+    mode = args.mode or ("pw" if level_of(ident) == VARIETY else "concrete")
     out = {"algebra": a.name, "identity": ident.name,
            "statement": identity_str(ident), "mode": mode, "k": args.k}
     if mode == "pw":

@@ -245,7 +245,6 @@ class Identity:
     lhs: object
     rhs: object
     side_conditions: tuple = ()
-    notes: str = ""
 
     def kinds(self) -> dict[str, str]:
         return dict(self.var_kinds)
@@ -342,10 +341,18 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest bracket nesting the parser accepts.  The deepest catalog
+# expression, DSTAR(3), nests 8 levels; every walk over a parsed expression
+# takes a few frames per level, so this stays well inside Python's
+# recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -395,10 +402,15 @@ class _Parser:
         return Identity("adhoc", tuple(var_kinds), lhs, rhs)
 
     def parse_expr(self):
+        if self.depth == MAX_DEPTH:
+            raise DslError(f"expression nested deeper than {MAX_DEPTH} "
+                           f"levels", self.here())
+        self.depth += 1
         items = [self.parse_term()]
         while self.peek() == "o":
             self.next()
             items.append(self.parse_term())
+        self.depth -= 1
         return compose(*items)
 
     def parse_term(self):

@@ -302,8 +302,12 @@ class _Builder:
         self.c = c
         self.width = n_planes * words
         self.chunk = max(1, _CHUNK_WORDS // self.width)
+        # new_rows packs a position of max(1, (m - 1).bit_length()) bits
+        # beside the row.  m is at most the chunk, or x + 1 <= 2 ** c for a
+        # symmetric-pair chunk of one x; c is a power of 2, so it is at most
+        # 32 when this holds, and then either position fits
         self.exact = (self.width == 1
-                      and c + (self.chunk - 1).bit_length() <= 64)
+                      and c + max(1, (self.chunk - 1).bit_length()) <= 64)
         self.rows = np.empty((256, self.width), dtype=np.uint64)
         rng = np.random.default_rng(0x5EED_0F0D)
         self.weights = (rng.integers(1, 2 ** 63, size=self.width,
@@ -363,8 +367,6 @@ class _Builder:
         """
         m = rows.shape[0]
         b = max(1, (m - 1).bit_length())
-        if self.exact and self.c + b > 64:
-            return self._new_rows_exact(rows, keys)
         low = np.uint64((1 << b) - 1)
         if self.exact:
             packed = keys << b
@@ -676,8 +678,6 @@ def build_free(a: FiniteAlgebra, g: int,
 
 def _sym_pair_chunks(xs_all: np.ndarray, chunk: int):
     """Unordered pairs (x, y), y <= x, x running over the frontier."""
-    if xs_all.size == 0:
-        return
     counts_all = xs_all + 1
     start = 0
     while start < xs_all.size:

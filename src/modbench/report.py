@@ -15,7 +15,7 @@ from .bounds import IDENTITY, SPECTRUM, TERMS, BoundError, bound
 from .catalog import get_entry
 from .chains import (as_defective, extend_chain, search_day, search_gumm,
                      search_jonsson, verify_chain)
-from .checks import PWContext, pw_check, spectrum
+from .checks import PWContext, context_for, pw_check, spectrum
 from .free import CapExceeded
 from .witness import jonsson_to_day, pad_to_even
 
@@ -25,6 +25,9 @@ UNCHECKED = "unchecked"
 
 UNCHECKED_VALUE = "unchecked"
 EXCEEDS_CAP = "exceeds cap"
+
+DAY_MS = range(3, 8)
+DSTAR_LS = range(1, 4)
 
 
 def _measure_spectrum(ctx, a, family, params, cap):
@@ -44,11 +47,9 @@ def _status(measured, claimed, scan_cap):
 
 
 def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
-                       m_range=(3, 7), dstar_range=(1, 3),
                        ctx: PWContext | None = None) -> dict:
     """Per-algebra report dictionary; see the module docstring."""
-    if ctx is None:
-        ctx = PWContext(a)
+    ctx = context_for(a, ctx)
     report = {"algebra": a.name, "size": a.size}
 
     try:
@@ -84,12 +85,12 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
                    "dayTerms": day_k + 1, "gummTerms": gumm_n + 2})
 
     spectra = {}
-    for m in range(m_range[0], m_range[1] + 1):
+    for m in DAY_MS:
         spectra[("DAY", m)] = _measure_spectrum(ctx, a, "DAY", {"m": m},
                                                 scan_cap)
         spectra[("DAY_REV", m)] = _measure_spectrum(ctx, a, "DAY_REV",
                                                     {"m": m}, scan_cap)
-    for l in range(dstar_range[0], dstar_range[1] + 1):
+    for l in DSTAR_LS:
         spectra[("DSTAR", l)] = _measure_spectrum(ctx, a, "DSTAR", {"l": l},
                                                   scan_cap)
     spectra[("TSCHANTZ", 2)] = _measure_spectrum(ctx, a, "TSCHANTZ",
@@ -138,7 +139,7 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
     for i in (0, 1):
         add("THM2", h=2, r=r, i=i)  # silently skipped when r = 1
     if day_k <= 3:
-        for m in range(m_range[0], m_range[1] + 1):
+        for m in DAY_MS:
             add("SMALL_I", m=m)
     if day_k <= 4:
         for q in (2, 3):
@@ -157,7 +158,7 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
     padded_gumm = pad_to_even(a, gumm.chain)
     if verify_chain(a, as_defective(padded_gumm)).valid:
         add("NUMDD", n=padded_gumm.param)
-    for l in range(dstar_range[0], dstar_range[1] + 1):
+    for l in DSTAR_LS:
         add("DST", l=l, r=r)
     add("LTT", k=day_k)  # skipped for the degenerate k = 1
     add("BBB", n=max(1, n))
@@ -186,10 +187,8 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
         checks.append({"name": name, "status": PASS if ok else FAIL,
                        "detail": detail})
 
-    day_vals = {m: spectra[("DAY", m)] for m in
-                range(m_range[0], m_range[1] + 1)}
-    rev_vals = {m: spectra[("DAY_REV", m)] for m in
-                range(m_range[0], m_range[1] + 1)}
+    day_vals = {m: spectra[("DAY", m)] for m in DAY_MS}
+    rev_vals = {m: spectra[("DAY_REV", m)] for m in DAY_MS}
     both = {m: (day_vals[m], rev_vals[m]) for m in day_vals
             if isinstance(day_vals[m], int) and isinstance(rev_vals[m], int)}
     check("day_rev_gap",

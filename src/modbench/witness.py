@@ -207,12 +207,11 @@ def gumm_witness_chain(a: FiniteAlgebra, chain: TermChain, variant: str,
 # Jonsson terms to Day terms
 
 
-def pad_to_even(a: FiniteAlgebra, chain: TermChain,
-                minimum: int = 2) -> TermChain:
+def pad_to_even(a: FiniteAlgebra, chain: TermChain) -> TermChain:
     """Repeat the final projection until the parameter is even and at
-    least ``minimum``; revalidates."""
+    least 2; revalidates."""
     out = chain
-    while out.param % 2 or out.param < minimum:
+    while out.param % 2 or out.param < 2:
         out = extend_chain(out)
     if out is not chain:
         verdict = verify_chain(a, out)

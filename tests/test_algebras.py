@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modbench.algebras import (AlgebraError, AlgebraFormatError,
                                FiniteAlgebra, Signature, parse_algebra,
@@ -110,3 +111,31 @@ def test_signature_validation():
         Signature((("f", -1),))
     with pytest.raises(AlgebraError):
         FiniteAlgebra("x", 2, Signature((("f", 1),)), {"f": [0, 2]})
+
+
+def test_size_beyond_16_bit_tables_rejected():
+    # entries are stored as uint16; a larger universe would be truncated
+    # or overflow the int64 conversion
+    for size, entry in ((70_000, 69_999), (10 ** 30, 10 ** 25)):
+        with pytest.raises(AlgebraError, match="exceeds 65536"):
+            parse_algebra(f"algebra x\nsize {size}\nop c 0\n{entry}\n")
+    assert parse_algebra("algebra x\nsize 65536\nop c 0\n65535\n"
+                         ).apply("c", ()) == 65535
+
+
+_ALG_TOKENS = st.one_of(
+    st.sampled_from(["algebra", "size", "op", "x", "f", "#", "\n", "-1"]),
+    st.integers(0, 4).map(str), st.integers(0, 10 ** 30).map(str))
+_ALG_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.builds(lambda size, rest: f"algebra x\nsize {size}\n" + " ".join(rest),
+              st.integers(-1, 10 ** 30), st.lists(_ALG_TOKENS, max_size=30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ALG_TEXTS)
+def test_parse_algebra_raises_only_algebra_errors(text):
+    try:
+        parse_algebra(text)
+    except AlgebraError:
+        pass

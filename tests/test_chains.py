@@ -4,7 +4,7 @@ from modbench.chains import (ALVIN, DAY, GUMM, JONSSON, ChainError,
                              TermChain, as_defective, extend_chain,
                              search_day, search_gumm, search_jonsson,
                              verify_chain)
-from modbench.checks import pw_check
+from modbench.checks import CheckError, PWContext, pw_check
 from modbench.catalog import get_entry
 from modbench.free import App, Var
 
@@ -222,3 +222,8 @@ def test_scan_limit_is_inclusive(lattice2, pw_context):
         assert res.found and res.value == value, scheme
         res = _search(lattice2, scheme, ctx, value - 1)
         assert not res.found and not res.proven_absent, scheme
+
+
+def test_context_for_another_algebra_is_refused(z2, lattice2):
+    with pytest.raises(CheckError, match="'lattice2', not for 'z2'"):
+        search_day(z2, ctx=PWContext(lattice2))

@@ -21,7 +21,7 @@ from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
-from conftest import free_as_algebra, random_algebra
+from conftest import free_as_algebra, load_corpus, random_algebra
 
 
 def test_eval_expr_basics(chain3):
@@ -123,10 +123,10 @@ def test_pw_analyze_day_config():
     # source 0, chain nodes in allocation order, target last: the Day
     # search walks a, b, c, d and the Gumm search x, y, z
     assert pw_analyze(get_entry("DAY").identity(m=3)) == PWConfig(
-        4, (("a", ((0, 3), (1, 2))), ("b", ((0, 1), (2, 3))),
-            ("g", ((1, 2),))), 0, 3)
+        (("a", ((0, 3), (1, 2))), ("b", ((0, 1), (2, 3))),
+         ("g", ((1, 2),))), 3)
     assert pw_analyze(get_entry("TSCHANTZ").identity(m=2)) == PWConfig(
-        3, (("a", ((0, 2),)), ("b", ((0, 1),)), ("g", ((1, 2),))), 0, 2)
+        (("a", ((0, 2),)), ("b", ((0, 1),)), ("g", ((1, 2),))), 2)
 
 
 def test_pw_analyze_rejects_bad_lhs():
@@ -148,6 +148,15 @@ def test_spectrum_exceeds_cap(semilattice2, pw_context):
     res = spectrum(semilattice2, "DAY", cap=6, params={"m": 3},
                    ctx=pw_context(semilattice2))
     assert res.value is None and res.exceeded
+
+
+def test_context_must_be_for_the_same_algebra(z2, lattice2, pw_context):
+    with pytest.raises(CheckError, match="'z2', not for 'lattice2'"):
+        spectrum(lattice2, "DAY", ctx=PWContext(z2))
+    # an equal algebra, loaded again, is answered from the same context
+    again = load_corpus("lattice2")
+    assert again is not lattice2
+    assert spectrum(again, "DAY", ctx=pw_context(lattice2)).value == 3
 
 
 def test_spectrum_algebra_level(z2, chain3):
@@ -280,13 +289,14 @@ def test_reach_agrees_with_bitset_eval(corpus, pw_context):
         for fam, params in fams:
             ident = get_entry(fam).identity(**params)
             cfg = pw_analyze(ident)
-            f = ctx.free(cfg.nodes)
+            g = cfg.target + 1
+            f = ctx.free(g)
             seed_map = dict(cfg.seeds)
-            env = {v: _labels_to_binrel(ctx.partition(cfg.nodes,
+            env = {v: _labels_to_binrel(ctx.partition(g,
                                                       seed_map.get(v, ())))
                    for v, _ in ident.var_kinds}
             fa = free_as_algebra(f)
-            src = f.generators[cfg.source]
+            src = f.generators[0]
             dst = f.generators[cfg.target]
             for k in range(0, 5):
                 rhs = substitute_k(ident.rhs, k)
@@ -294,6 +304,43 @@ def test_reach_agrees_with_bitset_eval(corpus, pw_context):
                 want = rel.has(src, dst)
                 got = pw_check(ctx, ident, k=k)
                 assert got == want, (name, fam, k)
+
+
+def test_meets_of_two_composites_agree_with_bitset_eval(corpus, pw_context):
+    # a meet with two composite items is reached one source at a time
+    texts = ("cong a b g; a & (b o g) <= alt((b o g) & (g o b), a & g, k)",
+             "cong a b g; a & (b o g) <= "
+             "alt(a & b, a & (b o g) & (g o b), k)")
+    for name in ("one", "z2", "lattice2", "semilattice2"):
+        ctx = pw_context(corpus[name])
+        for text in texts:
+            ident = parse_identity(text)
+            cfg = pw_analyze(ident)
+            g = cfg.target + 1
+            f = ctx.free(g)
+            seeds = dict(cfg.seeds)
+            env = {v: _labels_to_binrel(ctx.partition(g, seeds.get(v, ())))
+                   for v, _ in ident.var_kinds}
+            fa = free_as_algebra(f)
+            for k in range(4):
+                rel = eval_expr(fa, substitute_k(ident.rhs, k), env)
+                want = rel.has(f.generators[0], f.generators[cfg.target])
+                assert pw_check(ctx, ident, k=k) == want, (name, text, k)
+
+
+def test_lhs_alternation_is_its_composition(corpus, pw_context):
+    rhs = " <= alt(a & g, a & b, k)"
+    alt = parse_identity("cong a b g; a & alt(b, g, 3)" + rhs)
+    comp = parse_identity("cong a b g; a & (b o g o b)" + rhs)
+    assert pw_analyze(alt) == pw_analyze(comp)
+    for name in ("one", "z2", "lattice2", "semilattice2"):
+        ctx = pw_context(corpus[name])
+        assert ([pw_check(ctx, alt, k=k) for k in range(4)]
+                == [pw_check(ctx, comp, k=k) for k in range(4)]), name
+    for count in ("0", "k"):
+        with pytest.raises(PWGrammarError):
+            pw_analyze(parse_identity(
+                f"cong a b g; a & alt(b, g, {count})" + rhs))
 
 
 def test_relational_families_on_maltsev_algebra(z2):
@@ -483,7 +530,7 @@ def test_identity_without_variables_is_one_empty_environment(chain3):
     ident = object.__new__(Identity)
     for field, value in (("name", "bare"), ("var_kinds", ()),
                          ("lhs", VarE("x")), ("rhs", VarE("x")),
-                         ("side_conditions", ()), ("notes", "")):
+                         ("side_conditions", ())):
         object.__setattr__(ident, field, value)
     with pytest.raises(CheckError, match="unbound variable x"):
         check_concrete(chain3, ident)
@@ -602,13 +649,14 @@ def test_variety_scan_families_end_in_a_k_alternation(z2):
 
 def _numbered_verdicts(ctx, ident, cfg, perm):
     """The inclusion at k = 0..4 with ``cfg``'s node u numbered perm[u]."""
-    f = ctx.free(cfg.nodes)
+    g = cfg.target + 1
+    f = ctx.free(g)
     seeds = dict(cfg.seeds)
-    parts = {v: ctx.partition(cfg.nodes, [(perm[u], perm[w])
-                                          for u, w in seeds.get(v, ())])
+    parts = {v: ctx.partition(g, [(perm[u], perm[w])
+                                  for u, w in seeds.get(v, ())])
              for v, _ in ident.var_kinds}
     frontier = np.zeros(f.n_elements, dtype=bool)
-    frontier[f.generators[perm[cfg.source]]] = True
+    frontier[f.generators[perm[0]]] = True
     target = f.generators[perm[cfg.target]]
     return [bool(checks._reach(push_converse(substitute_k(ident.rhs, k),
                                              ident.kinds()),
@@ -644,7 +692,7 @@ def test_verdicts_do_not_depend_on_generator_numbering(corpus, pw_context):
             ident = get_entry(family).identity()
             cfg = pw_analyze(ident)
             want = [pw_check(ctx, ident, k=k) for k in range(5)]
-            for perm in itertools.permutations(range(cfg.nodes)):
+            for perm in itertools.permutations(range(cfg.target + 1)):
                 assert _numbered_verdicts(ctx, ident, cfg, perm) == want, \
                     (a.name, family, perm)
 

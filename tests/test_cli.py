@@ -232,3 +232,48 @@ def test_k_without_a_symbolic_count_is_a_usage_error(capsys, tmp_path):
             code, out, err = run(capsys, "check", *argv, "--k", k)
             assert (code, out) == (2, ""), argv
             assert "no symbolic count" in err
+
+
+def test_deep_nesting_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.idl"
+    for opener, depth in (("(", 3000), ("conv(", 400)):
+        path.write_text("cong a; " + opener * depth + "a" + ")" * depth
+                        + " <= a")
+        code, out, err = run(capsys, "check", "z2", "--idl", str(path))
+        assert (code, out) == (2, ""), opener
+        assert "nested deeper than 100 levels (at position" in err
+
+
+def test_check_concrete_json(capsys):
+    code, out, _ = run(capsys, "check", "lattice2", "--identity", "DAY",
+                       "--mode", "concrete", "--k", "2", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["holds"] and data["level"] == "algebra"
+    assert (data["complete"], data["envsChecked"]) == (True, 8)
+    assert "counterexample" not in data
+    code, out, _ = run(capsys, "check", "chain3", "--identity", "DAY",
+                       "--mode", "concrete", "--k", "2", "--json")
+    data = json.loads(out)
+    assert code == 1 and not data["holds"]
+    assert (data["complete"], data["envsChecked"]) == (True, 55)
+    assert data["counterexample"] == {"a": ["111", "111", "111"],
+                                      "b": ["100", "011", "011"],
+                                      "g": ["110", "110", "001"]}
+
+
+def test_terms_gumm_text(capsys):
+    code, out, _ = run(capsys, "terms", "lattice2", "--scheme", "gumm")
+    assert code == 0
+    assert out.splitlines() == [
+        "lattice2 gumm: gumm: minimal parameter 1",
+        "  t0: x0",
+        "  t1: (meet (meet (join x2 x0) (join x1 x0)) (join x2 x1))",
+        "  t2: x2"]
+
+
+def test_free_witnesses_text(capsys):
+    code, out, _ = run(capsys, "free", "lattice2", "-g", "2", "--witnesses")
+    assert code == 0
+    assert out.splitlines() == [
+        "F(lattice2, 2): 4 elements over 4 assignments",
+        "  0: x0", "  1: x1", "  2: (meet x1 x0)", "  3: (join x1 x0)"]

@@ -281,3 +281,30 @@ def test_rebuild_keeps_nesting_and_rejects_non_expressions():
             children(bad)
         with pytest.raises(DslError, match="not an expression"):
             rebuild(bad, ())
+
+
+def test_nesting_past_the_limit_is_a_dsl_error():
+    deepest = "cong a; " + "(" * 99 + "a" + ")" * 99 + " <= a"
+    assert parse_identity(deepest).lhs == VarE("a")
+    for opener in ("(", "conv(", "alt(", "gen_adm("):
+        text = "cong a; " + opener * 100 + "a" + ")" * 100 + " <= a"
+        with pytest.raises(DslError, match="nested deeper than 100 levels"
+                           ) as exc:
+            parse_identity(text)
+        assert exc.value.pos is not None
+
+
+_DSL_TOKENS = st.sampled_from(
+    ["cong", "tol", "adm", "a", "b", "R", "D", ";", "(", ")", "o", "&",
+     "<=", ",", "conv", "alt", "pow", "gen_adm", "gen_tol", "gen_cong", "k",
+     "0", "2", "99999999999999999999"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=60),
+                      st.lists(_DSL_TOKENS, max_size=40).map(" ".join)))
+def test_parse_identity_raises_only_dsl_errors(text):
+    try:
+        parse_identity(text)
+    except DslError:
+        pass

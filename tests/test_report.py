@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from modbench.checks import CheckError, PWContext
 from modbench.report import consistency_report
 
 
@@ -59,3 +62,8 @@ def test_status_logic():
     # a scan that exceeded the cap refutes any claim within the cap
     assert _status("exceeds cap", 4, 64) == "fail"
     assert _status("exceeds cap", 100, 64) == "unchecked"
+
+
+def test_report_refuses_a_context_for_another_algebra(z2, lattice2):
+    with pytest.raises(CheckError, match="'lattice2', not for 'z2'"):
+        consistency_report(z2, ctx=PWContext(lattice2))

@@ -90,6 +90,24 @@ def test_gumm_witness_agai(lattice2):
     assert w.validate()
 
 
+def test_gumm_witness_backward_ladder(lattice2):
+    # the blocks j_2, j_4, ... step back through the converses, so they
+    # need n >= 2
+    chain = search_gumm(lattice2).chain
+    r = generate(lattice2, [(0, 1)], ADMISSIBLE)
+    s = generate(lattice2, [(1, 0)], ADMISSIBLE)
+    for n in (2, 3):
+        chain = extend_chain(chain)
+        assert chain.param == n
+        aga = gumm_witness_chain(lattice2, chain, AGA, alpha=BinRel.full(2),
+                                 r=r, s=s, a_el=0, b_el=1, c_el=0)
+        assert len(aga.step_labels) == 1 + 2 * n and aga.validate()
+        ag = gumm_witness_chain(lattice2, chain, AG, alpha=BinRel.full(2),
+                                r=r, s=s, ts=[r, s, s], ladder=[0, 1, 0, 0],
+                                b_el=1)
+        assert len(ag.step_labels) == 1 + 3 * n and ag.validate()
+
+
 def test_gumm_witness_defective_parity(lattice2):
     chain = search_gumm(lattice2).chain  # n = 1, odd
     r = generate(lattice2, [(0, 1)], ADMISSIBLE)
