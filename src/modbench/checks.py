@@ -375,7 +375,7 @@ def _expand_counts(e):
     if isinstance(e, MeetE):
         return meet_expr(*[_expand_counts(i) for i in e.items])
     if isinstance(e, (AltE, PowE)):
-        if e.count == K or e.count < 1:
+        if e.count < 1:
             what = "alternation" if isinstance(e, AltE) else "power"
             raise PWGrammarError(f"left-hand {what} must be concrete and "
                                  f"positive")

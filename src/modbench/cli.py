@@ -143,6 +143,9 @@ def cmd_check(args) -> int:
     a = load_algebra(args.file)
     params = _parse_params(args.param)
     if args.idl:
+        if params:
+            raise ValueError("--param applies to catalog identities only, "
+                             "not to --idl")
         with open(args.idl) as handle:
             ident = parse_identity(handle.read().strip())
     else:

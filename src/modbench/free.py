@@ -3,20 +3,24 @@
 ``F_V(g)`` for ``V`` the variety generated by a finite algebra ``A`` is
 realized as the subalgebra of ``A^(A^g)`` generated by the g projection
 vectors.  The breadth-first closure stores element vectors bit-plane packed
-(one uint64 lane block per plane).  Each operation table is compiled once
-per build into a straight-line program of bitwise steps over the argument
-planes (a reduced Shannon decision diagram per output plane), which keeps
-the pair loop off the table-lookup path.
+and word-major: one contiguous uint64 vector per (plane, word) across all
+elements, so gathering arguments, every step of an operation program and
+the fingerprint fold each run over contiguous memory however wide a row
+is.  Each operation table is compiled once per build into a straight-line
+program of bitwise steps over the argument planes (a reduced Shannon
+decision diagram per output plane), which keeps the pair loop off the
+table-lookup path.
 
-Candidates are made and deduplicated in chunks of about 512 KB of packed
-rows, so a chunk's temporaries stay in cache.  Deduplication works on one
-64-bit key per candidate row: the packed row itself when it is one uint64
-word with room left for a chunk position, a fingerprint otherwise.  Each
-chunk of candidates is sorted once by key, and only its distinct keys are
-probed in the sorted key index of the known elements, which new elements
-are merged into.  Fingerprint matches are confirmed on the rows, and a
-chunk with a collision is deduplicated by exact row comparison, so element
-identity is exact.
+Candidates are made and deduplicated in chunks of at most about 512 KB of
+packed rows, so a chunk's temporaries stay in cache; a chunk holds whole
+runs of the last argument position, or one piece of a run too long for a
+chunk.  Deduplication works on one 64-bit key per candidate row: the packed
+row itself when it is one uint64 word with room left for a chunk position,
+a fingerprint otherwise.  Each chunk of candidates is sorted once by key,
+and only its distinct keys are probed in the sorted key index of the known
+elements, which new elements are merged into.  Fingerprint matches are
+confirmed on the rows, and a chunk with a collision is deduplicated by
+exact row comparison, so element identity is exact.
 
 Elements appear in the order of first occurrence in the global candidate
 sequence, so neither they nor their witnesses depend on the chunk size, and
@@ -27,6 +31,7 @@ that does not fit, ``cap_entries // coordinates + 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,46 +183,49 @@ def _check_vector_size(a: FiniteAlgebra) -> None:
 
 # ---------------------------------------------------------------------------
 # Plane packing helpers
+#
+# Packed rows are word-major: an (n_planes * words, N) uint64 array whose
+# row ``b * words + j`` holds word j of bit plane b of all N elements.
 
 
 def _pack_planes(vals: np.ndarray, n_planes: int, words: int) -> np.ndarray:
-    """uint8 values (N, C) -> packed planes (N, n_planes * words) uint64."""
+    """uint8 values (N, C) -> word-major planes (n_planes * words, N)."""
     n, c = vals.shape
-    out = np.empty((n, n_planes * words), dtype=np.uint64)
+    out = np.empty((n_planes * words, n), dtype=np.uint64)
     pad = words * 64 - c
     for b in range(n_planes):
         plane = (vals >> b) & 1
         if pad:
             plane = np.pad(plane, ((0, 0), (0, pad)))
         packed = np.packbits(plane, axis=1, bitorder="little")
-        out[:, b * words:(b + 1) * words] = (
-            packed.reshape(n, words, 8).view(np.uint64).reshape(n, words))
-    return np.ascontiguousarray(out)
+        out[b * words:(b + 1) * words] = packed.view(np.uint64).T
+    return out
 
 
 def _unpack_planes(rows: np.ndarray, n_planes: int, words: int,
                    c: int) -> np.ndarray:
-    n = rows.shape[0]
+    n = rows.shape[1]
     out = np.zeros((n, c), dtype=np.uint8)
     for b in range(n_planes):
-        block = np.ascontiguousarray(rows[:, b * words:(b + 1) * words])
-        bits = np.unpackbits(block.view(np.uint8).reshape(n, words * 8),
-                             axis=1, bitorder="little")[:, :c]
+        block = np.ascontiguousarray(rows[b * words:(b + 1) * words].T)
+        bits = np.unpackbits(block.view(np.uint8), axis=1,
+                             bitorder="little")[:, :c]
         out |= bits << b
     return out
 
 
 def _fingerprint(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """64-bit hash of each packed row, folded word by word.
+    """64-bit hash of each packed row (column of ``rows``), folded word by
+    word.
 
     A plain weighted sum of the words (mod 2**64) collides on rows that
     differ in the high bits of several words; the xorshift between multiplies
     breaks that linearity.  Rows differing in one word never collide.
     """
-    h = rows[:, 0] * weights[0]
-    for j in range(1, rows.shape[1]):
+    h = rows[0] * weights[0]
+    for j in range(1, rows.shape[0]):
         h ^= h >> 29
-        h += rows[:, j]
+        h += rows[j]
         h *= weights[j]
     return h
 
@@ -286,7 +294,8 @@ class FreeAlgebra:
 
 
 class _Builder:
-    """Packed element rows and a sorted index of one 64-bit key per row.
+    """Word-major packed element rows (one column per element) and a sorted
+    index of one 64-bit key per row.
 
     When a row is one word whose used bits leave room for a chunk position
     beside them, the word is the key and key equality is row equality.
@@ -308,16 +317,14 @@ class _Builder:
         # 32 when this holds, and then either position fits
         self.exact = (self.width == 1
                       and c + max(1, (self.chunk - 1).bit_length()) <= 64)
-        self.rows = np.empty((256, self.width), dtype=np.uint64)
+        self.rows = np.empty((self.width, 256), dtype=np.uint64)
         rng = np.random.default_rng(0x5EED_0F0D)
         self.weights = (rng.integers(1, 2 ** 63, size=self.width,
                                      dtype=np.uint64) * 2 + 1)
-        # padded tail bits of each plane must stay zero after every op
-        self.row_mask = np.full(self.width, _ALL_ONES)
+        # padded tail bits of each plane's last word must stay zero after
+        # every op; None when the planes have no padding
         tail = c % 64
-        if tail:
-            for b in range(n_planes):
-                self.row_mask[(b + 1) * words - 1] = np.uint64((1 << tail) - 1)
+        self.tail_mask = np.uint64((1 << tail) - 1) if tail else None
         self.n = 0
         self._keys_sorted = np.empty(0, dtype=np.uint64)
         self._key_perm = np.empty(0, dtype=np.int64)  # element per sorted key
@@ -330,17 +337,19 @@ class _Builder:
         """Add distinct new rows with their witness: ``op`` applied to the
         element indices in each row of ``args`` (-1 and the variable index
         for a generator)."""
-        k = rows.shape[0]
+        k = rows.shape[1]
         if (self.n + k) * self.c > self.cap_entries:
             first = self.cap_entries // self.c + 1   # first count over cap
             raise CapExceeded(
                 f"free algebra exceeds {self.cap_entries} vector entries "
                 f"({first} elements of {self.c} coordinates)", first)
-        if self.n + k > self.rows.shape[0]:
-            self.rows = np.resize(self.rows, (max(self.n + k,
-                                                  2 * self.rows.shape[0]),
-                                              self.width))
-        self.rows[self.n:self.n + k] = rows
+        if self.n + k > self.rows.shape[1]:
+            grown = np.empty((self.width,
+                              max(self.n + k, 2 * self.rows.shape[1])),
+                             dtype=np.uint64)
+            grown[:, :self.n] = self.rows[:, :self.n]
+            self.rows = grown
+        self.rows[:, self.n:self.n + k] = rows
         order = np.argsort(keys, kind="stable")
         new_keys = keys[order]
         at = np.searchsorted(self._keys_sorted, new_keys, side="right")
@@ -353,7 +362,7 @@ class _Builder:
         self.w_args.append(padded)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        return rows[:, 0] if self.exact else _fingerprint(rows, self.weights)
+        return rows[0] if self.exact else _fingerprint(rows, self.weights)
 
     def new_rows(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Ascending positions of the first occurrence of each row that is
@@ -365,7 +374,7 @@ class _Builder:
         each group is checked to hold one row and each probe hit to be that
         row; a failed check sends the chunk to the exact path.
         """
-        m = rows.shape[0]
+        m = rows.shape[1]
         b = max(1, (m - 1).bit_length())
         low = np.uint64((1 << b) - 1)
         if self.exact:
@@ -394,9 +403,10 @@ class _Builder:
                 rep = np.empty(m, dtype=np.int64)
                 rep[(packed & low).astype(np.int64)] = np.repeat(
                     first, np.diff(starts, append=m))
-                pure = np.array_equal(rows, rows[rep])
+                pure = np.array_equal(rows, np.take(rows, rep, axis=1))
             if not (pure and np.array_equal(
-                    rows[first[hit]], self.rows[self._key_perm[at[hit]]])):
+                    np.take(rows, first[hit], axis=1),
+                    np.take(self.rows, self._key_perm[at[hit]], axis=1))):
                 return self._new_rows_exact(rows, keys)
         return np.sort(first[~hit])
 
@@ -404,7 +414,7 @@ class _Builder:
                         keys: np.ndarray) -> np.ndarray:
         """:meth:`new_rows` by row comparison, for chunks with collisions."""
         miss = np.flatnonzero(~self.known_mask(rows, keys))
-        _, first = np.unique(rows[miss], axis=0, return_index=True)
+        _, first = np.unique(rows[:, miss], axis=1, return_index=True)
         return miss[np.sort(first)]
 
     def known_mask(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -416,13 +426,14 @@ class _Builder:
         """
         index = self._keys_sorted
         k = index.size
-        known = np.zeros(rows.shape[0], dtype=bool)
+        known = np.zeros(rows.shape[1], dtype=bool)
         pos = np.searchsorted(index, keys)
         cand = np.nonzero((pos < k) & (index[np.minimum(pos, k - 1)]
                                        == keys))[0]
         while cand.size:
             p = pos[cand]
-            match = (rows[cand] == self.rows[self._key_perm[p]]).all(axis=1)
+            match = (rows[:, cand]
+                     == self.rows[:, self._key_perm[p]]).all(axis=0)
             known[cand[match]] = True
             # unresolved candidates may match a later element with equal key
             cand = cand[~match]
@@ -448,9 +459,14 @@ def _compile_op(table: np.ndarray, size: int, arity: int,
     AND, OR or AND with the complemented variable; any other is
     ``lo ^ (x & (lo ^ hi))``.
 
-    Returns ``(steps, roots)``.  Each step ``(ufunc, a, b)`` appends a
-    register computed from registers a and b (b is None for a NOT);
-    ``roots[b]`` is output plane b as a register or a constant bool.
+    Returns ``(steps, fills, n_slots)``.  Each step ``(ufunc, a, b, slot)``
+    appends a register computed from registers a and b (b is None for a
+    NOT) into buffer ``slot``.  Buffers 0 .. n_planes - 1 are the output
+    planes: a step register that is the root of a plane is written there
+    directly.  A register's other buffer is reused once its last reader has
+    run, so a program needs ``n_slots`` buffers however long it is.  Each
+    fill ``(b, root)`` sets an output plane that no step writes, from a
+    register or a constant bool.
     """
     dont_care = -1
     codes = 1 << n_planes
@@ -513,43 +529,88 @@ def _compile_op(table: np.ndarray, size: int, arity: int,
             d = step(np.bitwise_xor, reg[lo], reg[hi])
             r = step(np.bitwise_xor, reg[lo], step(np.bitwise_and, x, d))
         reg[2 + i] = r
-    return steps, [bool(r) if r < 2 else reg[r] for r in roots]
+    roots = [bool(r) if r < 2 else reg[r] for r in roots]
+
+    slot_of: dict[int, int] = {}   # step register -> buffer
+    fills = []
+    for b, r in enumerate(roots):
+        if isinstance(r, bool) or r < n_vars or r in slot_of:
+            fills.append((b, r))
+        else:
+            slot_of[r] = b
+    last_read = {}
+    for i, (_, a, b) in enumerate(steps):
+        last_read[a] = last_read[b] = i
+    program, spare, n_slots = [], [], n_planes
+    for i, (f, a, b) in enumerate(steps):
+        # argument registers and output planes never free a buffer
+        spare += [slot_of[r] for r in {a, b} - {None}
+                  if r >= n_vars and last_read[r] == i
+                  and slot_of[r] >= n_planes]
+        r = n_vars + i
+        if r not in slot_of:
+            slot_of[r] = spare.pop() if spare else n_slots
+            n_slots = max(n_slots, slot_of[r] + 1)
+        program.append((f, a, b, slot_of[r]))
+    return program, fills, n_slots
 
 
 def _run_op(builder: _Builder, program, arg_rows: list[np.ndarray]
             ) -> np.ndarray:
-    """Result rows of one compiled operation on gathered argument rows."""
-    steps, roots = program
-    w = builder.words
-    regs = [rows[:, b * w:(b + 1) * w]
-            for rows in arg_rows for b in range(builder.n_planes)]
-    for f, a, b in steps:
-        regs.append(f(regs[a]) if b is None else f(regs[a], regs[b]))
-    out = np.empty_like(arg_rows[0])
-    for b, root in enumerate(roots):
+    """Result rows of one compiled operation on gathered argument rows.
+
+    Every register is one plane of one argument or step: a contiguous
+    (words, m) block of the word-major rows.
+    """
+    steps, fills, n_slots = program
+    n_planes, w = builder.n_planes, builder.words
+    m = arg_rows[0].shape[1]
+    regs = [rows[b * w:(b + 1) * w] for rows in arg_rows
+            for b in range(n_planes)]
+    bufs = np.empty((n_slots, w, m), dtype=np.uint64)
+    for f, a, b, slot in steps:
+        regs.append(f(regs[a], out=bufs[slot]) if b is None
+                    else f(regs[a], regs[b], out=bufs[slot]))
+    for b, root in fills:
         if isinstance(root, bool):
-            out[:, b * w:(b + 1) * w] = _ALL_ONES if root else 0
+            bufs[b] = _ALL_ONES if root else 0
         else:
-            out[:, b * w:(b + 1) * w] = regs[root]
-    out &= builder.row_mask
-    return out
+            bufs[b] = regs[root]
+    if builder.tail_mask is not None:
+        bufs[:n_planes, w - 1] &= builder.tail_mask
+    return bufs[:n_planes].reshape(n_planes * w, m)
 
 
-def _block_chunks(sizes, chunk):
-    """Mixed-radix enumeration of a block, last position varying fastest."""
-    total = 1
-    for s in sizes:
-        total *= s
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk, total)
-        flat = np.arange(lo, hi, dtype=np.int64)
-        idxs = []
-        for s in reversed(sizes):
-            idxs.append(flat % s)
-            flat = flat // s
-        yield list(reversed(idxs))
-        lo = hi
+def _block_chunks(sizes, offsets, chunk):
+    """Mixed-radix enumeration of a block, last position varying fastest:
+    position p runs over ``sizes[p]`` elements from ``offsets[p]``.
+
+    A run is the candidates that share every position but the last.  Each
+    chunk is whole runs, or one of the equal pieces of a run longer than
+    ``chunk``.  The outer positions are split once per run and repeated
+    along it; the last position's indices are the same range in every run,
+    tiled once per piece.
+    """
+    *outer, last = sizes
+    runs = math.prod(outer)
+    per = max(1, chunk // last)
+    pieces = -(-last // chunk)
+    bounds = [(last * i // pieces, last * (i + 1) // pieces)
+              for i in range(pieces)]
+    tails = [np.tile(np.arange(lo + offsets[-1], hi + offsets[-1],
+                               dtype=np.int64), min(per, runs))
+             for lo, hi in bounds]
+    for r0 in range(0, runs, per):
+        r1 = min(r0 + per, runs)
+        flat = np.arange(r0, r1, dtype=np.int64)
+        heads = []
+        for s, off in zip(reversed(outer), reversed(offsets[:-1])):
+            heads.append(flat % s + off)
+            flat //= s
+        heads.reverse()
+        for (lo, hi), tail in zip(bounds, tails):
+            m = (r1 - r0) * (hi - lo)
+            yield [np.repeat(h, hi - lo) for h in heads] + [tail[:m]]
 
 
 def build_free(a: FiniteAlgebra, g: int,
@@ -597,7 +658,7 @@ def build_free(a: FiniteAlgebra, g: int,
         vec = digits[:, i].reshape(1, -1)
         rows = _pack_planes(vec, n_planes, words)
         hit = [e for e in range(builder.n)
-               if np.array_equal(builder.rows[e], rows[0])]
+               if np.array_equal(builder.rows[:, e], rows[:, 0])]
         if hit:
             generators.append(hit[0])
         else:
@@ -608,7 +669,7 @@ def build_free(a: FiniteAlgebra, g: int,
             continue
         vec = np.full((1, c), int(tab[0]), dtype=np.uint8)
         rows = _pack_planes(vec, n_planes, words)
-        if not any(np.array_equal(builder.rows[e], rows[0])
+        if not any(np.array_equal(builder.rows[:, e], rows[:, 0])
                    for e in range(builder.n)):
             builder.append(rows, builder.keys(rows),
                            op_index[name], np.empty((1, 0), dtype=np.int64))
@@ -653,23 +714,21 @@ def build_free(a: FiniteAlgebra, g: int,
                     xs_all = np.arange(old, level_total, dtype=np.int64)
                     gen = _sym_pair_chunks(xs_all, builder.chunk)
                 else:
-                    sizes, offsets = block
-                    gen = (_offset(idxs, offsets)
-                           for idxs in _block_chunks(sizes, builder.chunk))
+                    gen = _block_chunks(*block, builder.chunk)
                 for arg_idx in gen:
-                    # np.take gathers narrow rows much faster than
-                    # fancy indexing does
-                    arg_rows = [np.take(builder.rows, ix, axis=0)
+                    # np.take gathers columns much faster than fancy
+                    # indexing does
+                    arg_rows = [np.take(builder.rows, ix, axis=1)
                                 for ix in arg_idx]
                     res = _run_op(builder, programs[name], arg_rows)
                     keys = builder.keys(res)
                     pos = builder.new_rows(res, keys)
                     if pos.size:
                         builder.append(
-                            res[pos], keys[pos], op_index[name],
+                            res[:, pos], keys[pos], op_index[name],
                             np.stack([ix[pos] for ix in arg_idx], axis=1))
 
-    vecs = _unpack_planes(builder.rows[:builder.n], n_planes, words, c)
+    vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, words, c)
     return FreeAlgebra(a, g, vecs, tuple(generators),
                        np.concatenate(builder.w_op),
                        np.concatenate(builder.w_args),
@@ -696,10 +755,6 @@ def _sym_pair_chunks(xs_all: np.ndarray, chunk: int):
         jy = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offs, counts)
         yield [ia, jy]
         start = end
-
-
-def _offset(idxs, offsets):
-    return [ix + off if off else ix for ix, off in zip(idxs, offsets)]
 
 
 # ---------------------------------------------------------------------------

@@ -337,10 +337,14 @@ def test_lhs_alternation_is_its_composition(corpus, pw_context):
         ctx = pw_context(corpus[name])
         assert ([pw_check(ctx, alt, k=k) for k in range(4)]
                 == [pw_check(ctx, comp, k=k) for k in range(4)]), name
-    for count in ("0", "k"):
-        with pytest.raises(PWGrammarError):
+    for count, message in (("0", "must be concrete and positive"),
+                           ("k", "symbolic count on the left-hand side")):
+        with pytest.raises(PWGrammarError, match=message):
             pw_analyze(parse_identity(
                 f"cong a b g; a & alt(b, g, {count})" + rhs))
+    with pytest.raises(PWGrammarError, match="power must be concrete and "
+                                             "positive"):
+        pw_analyze(parse_identity("cong a b g; a & pow(b o g, 0)" + rhs))
 
 
 def test_relational_families_on_maltsev_algebra(z2):

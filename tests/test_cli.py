@@ -81,6 +81,15 @@ def test_check_idl_file(capsys, tmp_path):
     assert code == 0 and "holds" in out
 
 
+def test_param_with_idl_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "ident.idl"
+    path.write_text("cong a b; a & b <= alt(a, b, k)\n")
+    code, out, err = run(capsys, "check", "z2", "--idl", str(path),
+                         "--param", "m=9")
+    assert (code, out) == (2, "")
+    assert "--param applies to catalog identities only" in err
+
+
 def test_verify_z2_text(capsys):
     code, out, _ = run(capsys, "verify", "z2")
     assert code == 0

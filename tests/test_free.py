@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -160,9 +161,10 @@ def _build_outputs(f):
             f._w_op.tobytes(), f._w_args.tobytes())
 
 
+# packed rows are word-major, one column per candidate row
 @pytest.mark.parametrize("fake", [
-    lambda rows, weights: np.zeros(rows.shape[0], dtype=np.uint64),
-    lambda rows, weights: rows[:, -1] & np.uint64(3),
+    lambda rows, weights: np.zeros(rows.shape[1], dtype=np.uint64),
+    lambda rows, weights: rows[-1] & np.uint64(3),
 ], ids=["all-equal", "two-low-bits"])
 def test_colliding_fingerprints_build_identically(fake, monkeypatch, chain3,
                                                   pixley3):
@@ -182,8 +184,62 @@ def test_colliding_one_word_fingerprints_build_identically(monkeypatch,
     # low bits that the chunk sort gives up
     want = _build_outputs(build_free(semilattice2, 6))
     monkeypatch.setattr(free, "_fingerprint",
-                        lambda rows, weights: rows[:, 0].byteswap())
+                        lambda rows, weights: rows[0].byteswap())
     assert _build_outputs(build_free(semilattice2, 6)) == want
+
+
+def _digest(outcome):
+    h = hashlib.sha256()
+    for part in outcome:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+# digests of _build_outputs, and refusals as (message, elements_reached),
+# recorded with the row-major closure store that the word-major one replaced
+_GOLDEN = [
+    ("chain3", 3, {},
+     "3bf5c70bfbc6700d04b9b48aee5a7387b40006fc2e7036261c2867f331c8533f"),
+    ("chain3", 4, {},
+     "1faa3a68551744185b7df3cfe19a32b169fae4c65467d00fdce5e7341ad54e43"),
+    ("pixley3", 2, {},
+     "3489f7917a47947ef75932e20169b0e83456ab15f761bba71ee5834873a7b98f"),
+    ("pixley3", 3, {},
+     "118888244c3f6a8c257510a141555f7a71b6c63d00ca56068e97411e861ed91f"),
+    ("rand3", 4, {},
+     "e3b62631d7f69500284563caef309424d4347db1917cb152934f133948c03b00"),
+    ("rand3", 4, {"cap_entries": 8100},
+     ("free algebra exceeds 8100 vector entries "
+      "(101 elements of 81 coordinates)", 101)),
+    ("rand3", 4, {"work_budget": 100000},
+     ("free algebra work budget exceeded (next closure level needs 308880 "
+      "more units of 100000)", 94)),
+    # one-word rows
+    ("lattice2", 6, {},
+     ("free algebra exceeds 10000000 vector entries "
+      "(156251 elements of 64 coordinates)", 156251)),
+]
+
+
+def _golden_algebra(corpus, name):
+    if name == "rand3":
+        # one non-symmetric binary operation; g = 4 gives 81 coordinates,
+        # two words per plane
+        return random_algebra(random.Random(0), size=3, max_arity=2)
+    return corpus[name]
+
+
+@pytest.mark.parametrize("name, g, caps, want", _GOLDEN,
+                         ids=[f"{n}-g{g}-{'-'.join(c) or 'full'}"
+                              for n, g, c, _ in _GOLDEN])
+def test_builds_match_recorded_digests(corpus, name, g, caps, want):
+    a = _golden_algebra(corpus, name)
+    if isinstance(want, tuple):
+        with pytest.raises(CapExceeded) as info:
+            build_free(a, g, **caps)
+        assert (str(info.value), info.value.elements_reached) == want
+    else:
+        assert _digest(_build_outputs(build_free(a, g, **caps))) == want
 
 
 def _unary_shift(size: int) -> FiniteAlgebra:
@@ -239,8 +295,8 @@ def _set_closure(a: FiniteAlgebra, g: int):
 
 
 @st.composite
-def _small_algebras(draw):
-    size = draw(st.sampled_from([2, 3]))
+def _small_algebras(draw, sizes=(2, 3)):
+    size = draw(st.sampled_from(sizes))
     arities = draw(st.lists(st.integers(0, 3 if size == 2 else 2),
                             min_size=1, max_size=2))
     ops = tuple((f"f{i}", ar) for i, ar in enumerate(arities))
@@ -253,6 +309,17 @@ def _small_algebras(draw):
 @settings(max_examples=40, deadline=None)
 @given(a=_small_algebras(), g=st.integers(1, 3))
 def test_build_matches_set_closure(a, g):
+    _assert_matches_set_closure(a, g)
+
+
+# 3 ** 4 = 81 coordinates: two words per plane
+@settings(max_examples=30, deadline=None)
+@given(a=_small_algebras(sizes=(3,)))
+def test_wide_build_matches_set_closure(a):
+    _assert_matches_set_closure(a, 4)
+
+
+def _assert_matches_set_closure(a, g):
     want = _set_closure(a, g)
     cap = _CLOSURE_LIMIT * a.size ** g
     if want is None:
@@ -307,10 +374,33 @@ def test_corpus_builds_do_not_depend_on_chunk_size(monkeypatch, corpus):
 @settings(max_examples=25, deadline=None)
 @given(a=_small_algebras(), g=st.integers(1, 3))
 def test_random_builds_do_not_depend_on_chunk_size(a, g):
+    _assert_chunking_free(a, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_small_algebras(sizes=(3,)))
+def test_wide_random_builds_do_not_depend_on_chunk_size(a):
+    _assert_chunking_free(a, 4)
+
+
+def _assert_chunking_free(a, g):
     cases = [(a, g, {"cap_entries": 12 * a.size ** g})]
     with pytest.MonkeyPatch.context() as mp:
         per = _outcomes_per_chunking(mp, cases)
     assert per[1] == per[0] and per[2] == per[0]
+
+
+@pytest.mark.parametrize("sizes, offsets", [
+    ([7], [3]), ([3, 5], [0, 2]), ([2, 3, 4], [1, 0, 5])])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 6, 7, 100])
+def test_block_chunks_enumerate_the_block_in_order(sizes, offsets, chunk):
+    chunks = list(free._block_chunks(sizes, offsets, chunk))
+    # a one-word exact key packs the chunk position in the bits beside the
+    # row, which holds only while no chunk exceeds ``chunk`` rows
+    assert all(1 <= len(c[0]) <= chunk for c in chunks)
+    got = list(zip(*(np.concatenate(col) for col in zip(*chunks))))
+    assert got == list(itertools.product(
+        *(range(off, off + s) for s, off in zip(sizes, offsets))))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +427,7 @@ def _table_cases():
                                     % size)
 
 
-@pytest.mark.parametrize("c", [1, 100])
+@pytest.mark.parametrize("c", [1, 100, 200])
 def test_compiled_ops_match_table_lookup(c):
     rng = np.random.default_rng(c)
     m = 50
@@ -351,7 +441,11 @@ def test_compiled_ops_match_table_lookup(c):
         program = free._compile_op(table, size, arity, n_planes)
         got = free._run_op(builder, program, arg_rows)
         want = _lookup_rows(table, size, vals)
+        # word-major: one column per row, one row per (plane, word)
+        assert got.shape == (n_planes * words, m)
         # packed from c coordinates, so the padded tail bits are zero
         assert np.array_equal(
             got, free._pack_planes(want, n_planes, words)), (size, arity,
                                                             table)
+        assert np.array_equal(
+            free._unpack_planes(got, n_planes, words, c), want)
