@@ -46,8 +46,12 @@ class TermChain:
     """A scheme-tagged term sequence; endpoint projections are enforced."""
 
     scheme: str
-    param: int  # k for Day, n otherwise
     terms: tuple
+
+    @property
+    def param(self) -> int:
+        """k for Day (k + 1 terms), n otherwise (n + 2 terms)."""
+        return len(self.terms) - (1 if self.scheme == DAY else 2)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -57,19 +61,16 @@ class TermChain:
             bad = [v for v in term_vars(t) if v >= nvars]
             if bad:
                 raise ChainError(f"variable x{bad[0]} out of range in chain")
+        # k >= 1 for Day, n >= 0 otherwise
+        if len(self.terms) < 2:
+            raise ChainError(f"{self.scheme} chain needs at least 2 terms")
         if self.scheme == DAY:
-            if self.param < 1 or len(self.terms) != self.param + 1:
-                raise ChainError("Day chain needs k >= 1 and k+1 terms")
             if self.terms[0] != Var(0) or self.terms[-1] != Var(3):
                 raise ChainError("Day chain endpoints must be x and w")
-        else:
-            if self.param < 0 or len(self.terms) != self.param + 2:
-                raise ChainError(
-                    f"{self.scheme} chain needs n >= 0 and n+2 terms")
-            if self.terms[-1] != Var(2):
-                raise ChainError(f"{self.scheme} chain must end with z")
-            if self.scheme in (JONSSON, ALVIN) and self.terms[0] != Var(0):
-                raise ChainError(f"{self.scheme} chain must start with x")
+        elif self.terms[-1] != Var(2):
+            raise ChainError(f"{self.scheme} chain must end with z")
+        elif self.scheme in (JONSSON, ALVIN) and self.terms[0] != Var(0):
+            raise ChainError(f"{self.scheme} chain must start with x")
 
     def describe(self) -> list[str]:
         return [term_str(t) for t in self.terms]
@@ -167,14 +168,13 @@ def extend_chain(chain: TermChain) -> TermChain:
     The new linking equation relates two copies of the same projection, so
     validity is preserved for every scheme.
     """
-    return TermChain(chain.scheme, chain.param + 1,
-                     chain.terms + (chain.terms[-1],))
+    return TermChain(chain.scheme, chain.terms + (chain.terms[-1],))
 
 
 def as_defective(chain: TermChain) -> TermChain:
     if chain.scheme != GUMM:
         raise ChainError("only Gumm chains can be weakened to defective")
-    return TermChain(DEFECTIVE_GUMM, chain.param, chain.terms)
+    return TermChain(DEFECTIVE_GUMM, chain.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,7 @@ def _path_chain(scheme, walk, f):
     if walk.reached:
         terms = [f.term_of(e) for e in _backtrack(walk, f.generators[end])]
         terms[0], terms[-1] = Var(0), Var(end)
-    # a Day chain has k + 1 terms, a Jonsson or ALVIN chain n + 2
-    return TermChain(scheme, len(terms) - (1 if scheme == DAY else 2),
-                     tuple(terms))
+    return TermChain(scheme, tuple(terms))
 
 
 def _search(a, scheme, ident, limit, ctx, caps, chain_of):
@@ -296,7 +294,7 @@ def search_gumm(a: FiniteAlgebra, n_max: int = 64,
         w = int(np.nonzero((pg == pg[x]) & (pb == pb[path[0]]))[0][0])
         terms = [f.term_of(w)] + [f.term_of(e) for e in path]
         terms[-1] = Var(z)  # the path ends at the target
-        return TermChain(GUMM, walk.reached, tuple(terms))
+        return TermChain(GUMM, tuple(terms))
     return _search(a, GUMM, get_entry("TSCHANTZ").identity(), n_max, ctx,
                    (cap_entries, work_budget), chain_of)
 

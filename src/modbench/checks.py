@@ -645,16 +645,34 @@ def walk_scan(ctx: PWContext, ident: Identity,
 
 
 @dataclass(frozen=True)
+class Bound:
+    """What is known of one spectrum cell: its value lies in [lo, hi], with
+    ``hi`` None when no upper bound is known, and ``lo == hi`` decides it.
+    ``reason`` is the refusal of a cap that left the cell open."""
+
+    lo: int
+    hi: int | None = None
+    reason: str | None = None
+
+    def __post_init__(self):
+        if self.lo < 0 or (self.hi is not None and self.hi < self.lo):
+            raise AssertionError(f"not a bound: [{self.lo}, {self.hi}]")
+
+    @property
+    def value(self) -> int | None:
+        """The decided value, else None."""
+        return self.lo if self.lo == self.hi else None
+
+
+@dataclass(frozen=True)
 class SpectrumResult:
-    family: str
-    params: tuple            # ((name, value), ...) without the scan param
-    value: int | None        # minimal scan value, or None when it exceeds cap
+    bound: Bound
     level: str               # variety | algebra
     evidence: dict | None = None
 
     @property
-    def exceeded(self) -> bool:
-        return self.value is None
+    def value(self) -> int | None:
+        return self.bound.value
 
 
 def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
@@ -666,7 +684,10 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     families take one ``check_concrete`` pass at ``cap``, which finds the
     least value per environment; variety-level families take one
     ``walk_scan``, whose first layer holding the target is the value, and
-    monotonicity is asserted one layer further.
+    monotonicity is asserted one layer further.  A scan that misses up to
+    ``cap`` gives the bound [cap + 1, None]; a scan that a free-algebra cap
+    or the concrete guard refuses gives [0, None], with the refusal as its
+    reason.
     """
     if cap < 0:
         raise CheckError(f"scan cap must be nonnegative: {cap}")
@@ -677,21 +698,25 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     ident = entry.identity(**params)
     level = level_of(ident)
     evidence = {"checked_up_to": cap}
-    if level == ALGEBRA:
-        res = check_concrete(a, ident, k=cap)
-        k = res.least_k
-        if res.counterexample:
-            evidence["counterexample"] = {
-                name: rel.to_bitstrings()
-                for name, rel in res.counterexample.items()}
-    else:
-        walk, f, _ = walk_scan(context_for(a, ctx), ident, cap)
-        k = walk.reached
-        if k is not None and k < cap:
-            # the target is the last generator
-            if not walk.run(k + 1)[f.generators[f.g - 1]]:
-                raise AssertionError(
-                    f"{family}: right-hand side not monotone at "
-                    f"{k} -> {k + 1}")
-    return SpectrumResult(family, tuple(params.items()), k, level,
-                          evidence if k is None else None)
+    try:
+        if level == ALGEBRA:
+            res = check_concrete(a, ident, k=cap)
+            k = res.least_k
+            if res.counterexample:
+                evidence["counterexample"] = {
+                    name: rel.to_bitstrings()
+                    for name, rel in res.counterexample.items()}
+        else:
+            walk, f, _ = walk_scan(context_for(a, ctx), ident, cap)
+            k = walk.reached
+            if k is not None and k < cap:
+                # the target is the last generator
+                if not walk.run(k + 1)[f.generators[f.g - 1]]:
+                    raise AssertionError(
+                        f"{family}: right-hand side not monotone at "
+                        f"{k} -> {k + 1}")
+    except (CapExceeded, GuardExceeded) as exc:
+        return SpectrumResult(Bound(0, reason=str(exc)), level)
+    if k is None:
+        return SpectrumResult(Bound(cap + 1), level, evidence)
+    return SpectrumResult(Bound(k, k), level)

@@ -190,6 +190,9 @@ def cmd_spectrum(args) -> int:
     ctx = PWContext(a, **_caps_kwargs(args))
     if entry.params:
         primary = entry.params[0][0]
+        if primary in params:
+            raise ValueError(f"{args.family} scans {primary} over "
+                             f"--m-from/--m-to, not --param")
         m_lo = args.m_from if args.m_from is not None else entry.params[0][1]
         m_hi = args.m_to if args.m_to is not None else m_lo
         if m_hi < m_lo:
@@ -202,18 +205,14 @@ def cmd_spectrum(args) -> int:
         primary, ms = None, [None]
 
     def run(m):
-        p = dict(params)
-        if primary is not None:
-            p[primary] = m
+        p = {**params, primary: m} if primary else params
+        res = spectrum(a, args.family, cap=args.cap, params=p, ctx=ctx)
         row = {"family": args.family, "param": primary, "m": m,
-               "level": entry.level}
-        try:
-            res = spectrum(a, args.family, cap=args.cap, params=p, ctx=ctx)
-        except (CapExceeded, GuardExceeded) as exc:
+               "level": entry.level, "value": res.value}
+        if res.bound.reason is not None:
             # one m over the caps leaves the others decided
-            return {**row, "value": None, "exceeded": None,
-                    "unchecked": str(exc)}
-        return {**row, "value": res.value, "exceeded": res.exceeded,
+            return {**row, "exceeded": None, "unchecked": res.bound.reason}
+        return {**row, "exceeded": res.value is None,
                 **({"evidence": res.evidence} if res.evidence else {})}
 
     rows = [run(m) for m in ms]

@@ -15,7 +15,7 @@ from .bounds import IDENTITY, SPECTRUM, TERMS, BoundError, bound
 from .catalog import get_entry
 from .chains import (as_defective, extend_chain, search_day, search_gumm,
                      search_jonsson, verify_chain)
-from .checks import PWContext, context_for, pw_check, spectrum
+from .checks import Bound, PWContext, context_for, pw_check, spectrum
 from .free import CapExceeded
 from .witness import jonsson_to_day, pad_to_even
 
@@ -23,51 +23,42 @@ PASS = "pass"
 FAIL = "fail"
 UNCHECKED = "unchecked"
 
-UNCHECKED_VALUE = "unchecked"
-EXCEEDS_CAP = "exceeds cap"
-
 DAY_MS = range(3, 8)
 DSTAR_LS = range(1, 4)
 
 
-def _measure_spectrum(ctx, a, family, params, cap):
-    try:
-        res = spectrum(a, family, cap=cap, params=params, ctx=ctx)
-    except CapExceeded:
-        return UNCHECKED_VALUE
-    return res.value if res.value is not None else EXCEEDS_CAP
+def _status(measured: Bound, claimed: int) -> str:
+    """pass when hi <= claimed, fail when lo > claimed, else unchecked."""
+    if measured.hi is not None and measured.hi <= claimed:
+        return PASS
+    return FAIL if measured.lo > claimed else UNCHECKED
 
 
-def _status(measured, claimed, scan_cap):
-    if measured == UNCHECKED_VALUE:
-        return UNCHECKED
-    if measured == EXCEEDS_CAP:
-        return FAIL if claimed <= scan_cap else UNCHECKED
-    return PASS if measured <= claimed else FAIL
+def _shown(measured: Bound):
+    """A cell as the report prints it: the decided value, "exceeds cap" for
+    a scan that missed up to its cap (a lower bound alone), or "unchecked"."""
+    if measured.value is not None:
+        return measured.value
+    return "exceeds cap" if measured.lo else UNCHECKED
 
 
 def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
                        ctx: PWContext | None = None) -> dict:
     """Per-algebra report dictionary; see the module docstring."""
     ctx = context_for(a, ctx)
-    report = {"algebra": a.name, "size": a.size}
+    report = {"algebra": a.name, "size": a.size, "modular": None,
+              "dayK": None, "gummN": None, "spectra": [], "bounds": [],
+              "crosschecks": [], "ok": True}
 
     try:
         day = search_day(a, k_max=scan_cap, ctx=ctx)
     except CapExceeded as exc:
-        report.update({"modular": None, "dayK": None, "gummN": None,
-                       "note": f"free algebra caps: {exc}", "spectra": [],
-                       "bounds": [], "crosschecks": [], "ok": True})
-        return report
+        return {**report, "note": f"free algebra caps: {exc}"}
     if not day.found:
-        report.update({
-            "modular": False if day.proven_absent else None,
-            "dayK": None, "gummN": None,
-            "note": ("not congruence modular (no Day chain exists)"
-                     if day.proven_absent else
-                     f"no Day chain within scan limit {scan_cap}"),
-            "spectra": [], "bounds": [], "crosschecks": [], "ok": True})
-        return report
+        return {**report, "modular": False if day.proven_absent else None,
+                "note": ("not congruence modular (no Day chain exists)"
+                         if day.proven_absent else
+                         f"no Day chain within scan limit {scan_cap}")}
 
     gumm = search_gumm(a, n_max=scan_cap, ctx=ctx)
     jonsson = search_jonsson(a, n_max=scan_cap, ctx=ctx)
@@ -81,46 +72,39 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
             raise AssertionError("Day chain extension failed verification")
 
     report.update({"modular": True, "dayK": day_k, "gummN": gumm_n,
-                   "jonssonN": jonsson.value if jonsson.found else None,
+                   "jonssonN": jonsson.value,
                    "dayTerms": day_k + 1, "gummTerms": gumm_n + 2})
 
-    spectra = {}
-    for m in DAY_MS:
-        spectra[("DAY", m)] = _measure_spectrum(ctx, a, "DAY", {"m": m},
-                                                scan_cap)
-        spectra[("DAY_REV", m)] = _measure_spectrum(ctx, a, "DAY_REV",
-                                                    {"m": m}, scan_cap)
-    for l in DSTAR_LS:
-        spectra[("DSTAR", l)] = _measure_spectrum(ctx, a, "DSTAR", {"l": l},
-                                                  scan_cap)
-    spectra[("TSCHANTZ", 2)] = _measure_spectrum(ctx, a, "TSCHANTZ",
-                                                 {"m": 2}, scan_cap)
+    # in this order: PWContext skips a build once a smaller one failed
+    cells = [(fam, "m", m) for m in DAY_MS for fam in ("DAY", "DAY_REV")]
+    cells += [("DSTAR", "l", l) for l in DSTAR_LS] + [("TSCHANTZ", "m", 2)]
+    spectra = {(fam, m): spectrum(a, fam, cap=scan_cap, params={p: m},
+                                  ctx=ctx).bound for fam, p, m in cells}
     report["spectra"] = [
-        {"family": fam, "m": m, "value": val, "level": "variety"}
-        for (fam, m), val in sorted(spectra.items())]
+        {"family": fam, "m": m, "value": _shown(b), "level": "variety"}
+        for (fam, m), b in sorted(spectra.items())]
 
     # -- bounds ------------------------------------------------------------
     r = two_r // 2
     n = gumm_n
     rows = []
 
-    def add(name, status=None, **params):
+    def add_row(name, params, family, m, claimed, measured: Bound):
+        rows.append({"name": name, "params": params, "family": family,
+                     "m": m, "claimed": claimed, "measured": _shown(measured),
+                     "status": _status(measured, claimed)})
+
+    def add(name, **params):
         try:
             b = bound(name, **params)
         except BoundError:
             return
         if b.kind == SPECTRUM:
-            measured = spectra.get((b.family, b.lhs), UNCHECKED_VALUE)
-            rows.append({"name": name, "params": dict(b.params),
-                         "family": b.family, "m": b.lhs, "claimed": b.rhs,
-                         "measured": measured,
-                         "status": _status(measured, b.rhs, scan_cap)})
+            add_row(name, dict(b.params), b.family, b.lhs, b.rhs,
+                    spectra.get((b.family, b.lhs), Bound(0)))
         elif b.kind == TERMS:
-            measured = n + 2
-            rows.append({"name": name, "params": dict(b.params),
-                         "family": "gumm terms", "m": None,
-                         "claimed": b.rhs, "measured": measured,
-                         "status": PASS if measured <= b.rhs else FAIL})
+            add_row(name, dict(b.params), "gumm terms", None, b.rhs,
+                    Bound(n + 2, n + 2))
         elif b.kind == IDENTITY:
             ident_name, ident_params = b.identity
             entry = get_entry(ident_name)
@@ -129,7 +113,7 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
                 measured = "holds" if holds else "refuted"
                 status = PASS if holds else FAIL
             except CapExceeded:
-                measured, status = UNCHECKED_VALUE, UNCHECKED
+                measured, status = UNCHECKED, UNCHECKED
             rows.append({"name": name, "params": dict(b.params),
                          "family": ident_name, "m": b.lhs, "claimed": "holds",
                          "measured": measured, "status": status})
@@ -167,15 +151,9 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
 
     if jonsson.found:
         padded = pad_to_even(a, jonsson.chain)
-        day_from_jonsson = jonsson_to_day(a, padded)
-        measured = spectra.get(("DAY", 3), UNCHECKED_VALUE)
-        claimed = 2 * padded.param
-        rows.append({"name": "DM",
-                     "params": {"n": padded.param,
-                                "transformed_day_k": day_from_jonsson.param},
-                     "family": "DAY", "m": 3, "claimed": claimed,
-                     "measured": measured,
-                     "status": _status(measured, claimed, scan_cap)})
+        add_row("DM", {"n": padded.param,
+                       "transformed_day_k": jonsson_to_day(a, padded).param},
+                "DAY", 3, 2 * padded.param, spectra["DAY", 3])
 
     rows.sort(key=lambda row: (row["name"], sorted(row["params"].items())))
     report["bounds"] = rows
@@ -187,31 +165,30 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
         checks.append({"name": name, "status": PASS if ok else FAIL,
                        "detail": detail})
 
-    day_vals = {m: spectra[("DAY", m)] for m in DAY_MS}
-    rev_vals = {m: spectra[("DAY_REV", m)] for m in DAY_MS}
-    both = {m: (day_vals[m], rev_vals[m]) for m in day_vals
-            if isinstance(day_vals[m], int) and isinstance(rev_vals[m], int)}
-    check("day_rev_gap",
-          all(abs(d - dr) <= 1 for d, dr in both.values()),
-          {m: v for m, v in both.items()})
+    value = {cell: b.value for cell, b in spectra.items()}
+    days = {m: value["DAY", m] for m in DAY_MS
+            if value["DAY", m] is not None}
+    both = {m: (d, value["DAY_REV", m]) for m, d in days.items()
+            if value["DAY_REV", m] is not None}
+    check("day_rev_gap", all(abs(d - dr) <= 1 for d, dr in both.values()),
+          both)
     check("day_rev_even_roundup_coincide",
           all(d + (d % 2) == dr + (dr % 2)
               for m, (d, dr) in both.items() if m % 2 == 1),
           {m: v for m, v in both.items() if m % 2 == 1})
-    ints = {m: v for m, v in day_vals.items() if isinstance(v, int)}
-    ms = sorted(ints)
+    ms = sorted(days)
     check("day_nondecreasing",
-          all(ints[ms[i]] <= ints[ms[i + 1]] for i in range(len(ms) - 1)),
-          ints)
+          all(days[ms[i]] <= days[ms[i + 1]] for i in range(len(ms) - 1)),
+          days)
     check("day_step_at_most_one_for_odd_m",
-          all(ints[m + 1] <= ints[m] + 1 for m in ms
-              if m % 2 == 1 and m + 1 in ints), ints)
-    if isinstance(spectra[("DSTAR", 1)], int) and isinstance(
-            day_vals[3], int):
-        check("dstar1_equals_day3", spectra[("DSTAR", 1)] == day_vals[3],
-              {"dstar1": spectra[("DSTAR", 1)], "day3": day_vals[3]})
-    check("tschantz2_equals_gumm_n", spectra[("TSCHANTZ", 2)] == gumm_n,
-          {"tschantz2": spectra[("TSCHANTZ", 2)], "gummN": gumm_n})
+          all(days[m + 1] <= days[m] + 1 for m in ms
+              if m % 2 == 1 and m + 1 in days), days)
+    if value["DSTAR", 1] is not None and 3 in days:
+        check("dstar1_equals_day3", value["DSTAR", 1] == days[3],
+              {"dstar1": value["DSTAR", 1], "day3": days[3]})
+    tschantz2 = _shown(spectra["TSCHANTZ", 2])
+    check("tschantz2_equals_gumm_n", tschantz2 == gumm_n,
+          {"tschantz2": tschantz2, "gummN": gumm_n})
     check("day_k_le_2n_plus_2", day_k <= 2 * gumm_n + 2,
           {"dayK": day_k, "gummN": gumm_n})
     if day_k >= 2:

@@ -247,7 +247,7 @@ def jonsson_to_day(a: FiniteAlgebra, chain: TermChain) -> TermChain:
         terms.append(subst_vars(js[j_index], pattern))
     terms.append(subst_vars(js[n], yzw))
     terms.append(Var(3))
-    out = TermChain(DAY, 2 * n, tuple(terms))
+    out = TermChain(DAY, tuple(terms))
     verdict = verify_chain(a, out)
     if not verdict.valid:
         raise ChainError(

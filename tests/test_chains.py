@@ -17,12 +17,12 @@ MAJ = App("join", (App("join", (
 
 
 def test_verify_day_z2(z2):
-    chain = TermChain(DAY, 2, (Var(0), PLUS3, Var(3)))
+    chain = TermChain(DAY, (Var(0), PLUS3, Var(3)))
     assert verify_chain(z2, chain).valid
 
 
 def test_verify_day_violation(z2):
-    chain = TermChain(DAY, 2, (Var(0), Var(0), Var(3)))
+    chain = TermChain(DAY, (Var(0), Var(0), Var(3)))
     verdict = verify_chain(z2, chain)
     assert not verdict.valid
     labels = [v.equation for v in verdict.violations]
@@ -32,32 +32,32 @@ def test_verify_day_violation(z2):
 
 
 def test_verify_gumm_z2(z2):
-    chain = TermChain(GUMM, 0, (MALTSEV, Var(2)))
+    chain = TermChain(GUMM, (MALTSEV, Var(2)))
     assert verify_chain(z2, chain).valid
 
 
 def test_verify_jonsson_majority(lattice2):
-    chain = TermChain(JONSSON, 1, (Var(0), MAJ, Var(2)))
+    chain = TermChain(JONSSON, (Var(0), MAJ, Var(2)))
     assert verify_chain(lattice2, chain).valid
 
 
 def test_verify_alvin_pixley(pixley3):
-    chain = TermChain(ALVIN, 1, (Var(0), App("t", (Var(0), Var(1), Var(2))),
-                                 Var(2)))
+    chain = TermChain(ALVIN, (Var(0), App("t", (Var(0), Var(1), Var(2))),
+                              Var(2)))
     assert verify_chain(pixley3, chain).valid
 
 
 def test_structural_constraints():
     with pytest.raises(ChainError):
-        TermChain(DAY, 2, (Var(1), PLUS3, Var(3)))   # must start with x
+        TermChain(DAY, (Var(1), PLUS3, Var(3)))      # must start with x
     with pytest.raises(ChainError):
-        TermChain(DAY, 2, (Var(0), PLUS3, Var(2)))   # must end with w
+        TermChain(DAY, (Var(0), PLUS3, Var(2)))      # must end with w
     with pytest.raises(ChainError):
-        TermChain(DAY, 0, (Var(0),))
+        TermChain(DAY, (Var(0),))
     with pytest.raises(ChainError):
-        TermChain(GUMM, 1, (MALTSEV, Var(2)))        # wrong length
+        TermChain(GUMM, (Var(2),))                   # n = -1: too short
     with pytest.raises(ChainError):
-        TermChain(GUMM, 0, (App("f", (Var(3),)), Var(2)))  # var out of range
+        TermChain(GUMM, (App("f", (Var(3),)), Var(2)))  # var out of range
 
 
 def test_search_day_values(corpus, pw_context):
@@ -130,12 +130,12 @@ def test_chains_from_searches_verify(corpus, pw_context):
 
 
 def test_extend_chain(z2, lattice2):
-    day = TermChain(DAY, 2, (Var(0), PLUS3, Var(3)))
+    day = TermChain(DAY, (Var(0), PLUS3, Var(3)))
     ext = extend_chain(day)
     assert ext.param == 3 and verify_chain(z2, ext).valid
-    gumm = TermChain(GUMM, 0, (MALTSEV, Var(2)))
+    gumm = TermChain(GUMM, (MALTSEV, Var(2)))
     assert verify_chain(z2, extend_chain(gumm)).valid
-    jon = TermChain(JONSSON, 1, (Var(0), MAJ, Var(2)))
+    jon = TermChain(JONSSON, (Var(0), MAJ, Var(2)))
     assert verify_chain(lattice2, extend_chain(jon)).valid
 
 

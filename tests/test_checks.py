@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from modbench import checks
 from modbench.algebras import FiniteAlgebra, Signature
 from modbench.catalog import ALGEBRA, CATALOG, VARIETY, get_entry
-from modbench.checks import (CheckError, PWConfig, PWContext,
+from modbench.checks import (Bound, CheckError, PWConfig, PWContext,
                              PWGrammarError, check_concrete,
                              enumerate_relations, eval_expr, pw_analyze,
                              pw_check, spectrum, walk_scan)
@@ -147,7 +147,29 @@ def test_spectrum_values(z2, lattice2, pw_context):
 def test_spectrum_exceeds_cap(semilattice2, pw_context):
     res = spectrum(semilattice2, "DAY", cap=6, params={"m": 3},
                    ctx=pw_context(semilattice2))
-    assert res.value is None and res.exceeded
+    assert (res.bound, res.evidence) == (Bound(7), {"checked_up_to": 6})
+    assert res.value is None
+
+
+def test_refused_cells_are_open_bounds(lattice2, chain3):
+    # a cap refusal leaves the cell [0, None] with the refusal as its reason
+    ctx = PWContext(lattice2, cap_entries=10000)
+    res = spectrum(lattice2, "DAY", params={"m": 4}, ctx=ctx)
+    assert (res.bound, res.evidence) == (Bound(0, None, (
+        "free algebra exceeds 10000 vector entries (313 elements of 32 "
+        "coordinates)")), None)
+    res = spectrum(chain3, "AGI")
+    assert (res.bound, res.evidence) == (Bound(0, None, (
+        "39062500 variable assignments exceed the cap 2000000")), None)
+    assert res.value is None
+
+
+def test_bound_rejects_what_is_not_an_interval():
+    for lo, hi in ((-1, None), (-1, 2), (3, 2), (1, 0)):
+        with pytest.raises(AssertionError, match="not a bound"):
+            Bound(lo, hi)
+    assert (Bound(2, 2).value, Bound(2, 3).value, Bound(0).value) == \
+        (2, None, None)
 
 
 def test_context_must_be_for_the_same_algebra(z2, lattice2, pw_context):
@@ -433,12 +455,12 @@ def _oracle_check(a, ident, k):
 
 
 def _oracle_spectrum(a, ident, cap):
-    """(value, exceeded, evidence) by the linear scan k = 0..cap."""
+    """(bound, evidence) by the linear scan k = 0..cap."""
     for k in range(cap + 1):
         if _oracle_check(a, ident, k)[0]:
-            return k, False, None
+            return Bound(k, k), None
     _, env, _ = _oracle_check(a, ident, cap)
-    return None, True, {"checked_up_to": cap, "counterexample": {
+    return Bound(cap + 1), {"checked_up_to": cap, "counterexample": {
         name: rel.to_bitstrings() for name, rel in env.items()}}
 
 
@@ -446,14 +468,14 @@ def _assert_matches_oracle(a, family, cap):
     ident = get_entry(family).identity()
     res = spectrum(a, family, cap=cap)
     want = _oracle_spectrum(a, ident, cap)
-    assert (res.value, res.exceeded, res.evidence) == want, (a.name, family)
+    assert (res.bound, res.evidence) == want, (a.name, family)
     for k in sorted({0, 1, cap}):
         got = check_concrete(a, ident, k=k)
         holds, env, checked = _oracle_check(a, ident, k)
         assert (got.holds, got.counterexample, got.envs_checked) == \
             (holds, env, checked), (a.name, family, k)
         if holds:
-            assert got.least_k == _oracle_spectrum(a, ident, k)[0]
+            assert got.least_k == _oracle_spectrum(a, ident, k)[0].value
         else:
             assert got.least_k is None
 
@@ -702,11 +724,11 @@ def test_verdicts_do_not_depend_on_generator_numbering(corpus, pw_context):
 
 
 def _pw_scan(ctx, ident, cap):
-    """(value, exceeded, evidence) by one pw_check at each k = 0..cap."""
+    """(bound, evidence) by one pw_check at each k = 0..cap."""
     for k in range(cap + 1):
         if pw_check(ctx, ident, k=k):
-            return k, False, None
-    return None, True, {"checked_up_to": cap}
+            return Bound(k, k), None
+    return Bound(cap + 1), {"checked_up_to": cap}
 
 
 # larger parameters where the free algebra stays small
@@ -731,7 +753,7 @@ def test_variety_spectrum_matches_pw_scan(corpus, pw_context, name):
             ident = get_entry(family).identity(**params)
             for cap in (0, 1, 2, 6):
                 res = spectrum(a, family, cap=cap, params=params, ctx=ctx)
-                assert (res.value, res.exceeded, res.evidence) == \
+                assert (res.bound, res.evidence) == \
                     _pw_scan(ctx, ident, cap), (name, family, params, cap)
 
 
@@ -741,7 +763,7 @@ def test_spectrum_stops_at_a_fixed_point(semilattice2, lattice2, pw_context):
     ident = get_entry("DAY").identity()
     ctx = pw_context(semilattice2)
     res = spectrum(semilattice2, "DAY", ctx=ctx)
-    assert (res.value, res.exceeded, res.evidence) == _pw_scan(ctx, ident, 64)
+    assert (res.bound, res.evidence) == _pw_scan(ctx, ident, 64)
     walk, _, _ = walk_scan(ctx, ident, 64)
     assert walk.stalled and walk.reached is None and len(walk.layers) < 64
     # a cap below the value: not stalled, stopped at the cap

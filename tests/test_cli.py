@@ -167,6 +167,19 @@ def test_spectrum_range_flags_are_usage_errors(capsys):
         assert (code, out) == (2, "") and "no parameter" in err
 
 
+def test_param_naming_the_scanned_parameter_is_a_usage_error(capsys):
+    for family, param in (("DAY", "m=5"), ("TOLC", "h=2")):
+        code, out, err = run(capsys, "spectrum", "z2", "--family", family,
+                             "--param", param)
+        assert (code, out) == (2, ""), family
+        assert "--m-from/--m-to, not --param" in err
+    # a parameter the scan leaves fixed is still set by --param
+    code, out, _ = run(capsys, "spectrum", "z2", "--family", "TOLC",
+                       "--param", "m=2", "--json")
+    (row,) = json.loads(out)["results"]
+    assert (code, row["m"], row["value"]) == (0, 1, 1)
+
+
 def test_negative_caps_are_usage_errors(capsys):
     for flag in ("--cap-entries", "--work-budget"):
         for argv in (("free", "z2", "-g", "2"),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modbench.checks import CheckError, PWContext
+from modbench.checks import Bound, CheckError, PWContext
 from modbench.report import consistency_report
 
 
@@ -54,14 +54,38 @@ def test_report_crosschecks_present(z2, pw_context):
     assert all(c["status"] == "pass" for c in rep["crosschecks"])
 
 
+def _string_status(measured, claimed, scan_cap):
+    """The verdict on a measured value the report gave before cells were
+    bounds: the int, "unchecked" or "exceeds cap"."""
+    if measured == "unchecked":
+        return "unchecked"
+    if measured == "exceeds cap":
+        return "fail" if claimed <= scan_cap else "unchecked"
+    return "pass" if measured <= claimed else "fail"
+
+
 def test_status_logic():
     from modbench.report import _status
-    assert _status(3, 4, 64) == "pass"
-    assert _status(5, 4, 64) == "fail"
-    assert _status("unchecked", 4, 64) == "unchecked"
-    # a scan that exceeded the cap refutes any claim within the cap
-    assert _status("exceeds cap", 4, 64) == "fail"
-    assert _status("exceeds cap", 100, 64) == "unchecked"
+    for claimed in range(7):
+        for lo in range(6):
+            for hi in [*range(lo, 7), None]:
+                if hi is None:
+                    # [lo, None] is a scan that missed up to lo - 1
+                    measured, cap = (("exceeds cap", lo - 1) if lo else
+                                     ("unchecked", 64))
+                    want = _string_status(measured, claimed, cap)
+                else:
+                    # a verdict shared by every value in [lo, hi]
+                    verdicts = {_string_status(v, claimed, 64)
+                                for v in range(lo, hi + 1)}
+                    want = (verdicts.pop() if len(verdicts) == 1
+                            else "unchecked")
+                assert _status(Bound(lo, hi), claimed) == want, (lo, hi)
+        # a scan that exceeded the cap refutes any claim within the cap
+        for cap in range(2, 6):
+            assert _status(Bound(cap + 1), claimed) == \
+                _string_status("exceeds cap", claimed, cap)
+        assert _status(Bound(0, None, "refused"), claimed) == "unchecked"
 
 
 def test_report_refuses_a_context_for_another_algebra(z2, lattice2):

@@ -41,7 +41,7 @@ def test_day_witness_precondition(z2):
 
 
 def test_day_witness_rejects_invalid_chain(z2):
-    bad = TermChain(DAY, 2, (Var(0), Var(0), Var(3)))
+    bad = TermChain(DAY, (Var(0), Var(0), Var(3)))
     full = BinRel.full(2)
     with pytest.raises(WitnessError):
         day_witness_chain(z2, bad, 0, 0, 0, 1, full, full, full)
@@ -134,7 +134,7 @@ def test_jonsson_to_day_sizes(lattice2):
 
 
 def test_jonsson_to_day_degenerate_projections(one):
-    jon = TermChain(JONSSON, 2, (Var(0), Var(2), Var(2), Var(2)))
+    jon = TermChain(JONSSON, (Var(0), Var(2), Var(2), Var(2)))
     assert verify_chain(one, jon).valid
     day = jonsson_to_day(one, jon)
     assert verify_chain(one, day).valid
@@ -148,7 +148,7 @@ def test_jonsson_to_day_rejects_odd(lattice2):
 
 def test_jonsson_to_day_rejects_unverified(z2, lattice2):
     # a majority chain padded the wrong way fails re-verification
-    bad = TermChain(JONSSON, 2, (Var(0), MAJ, MAJ, Var(2)))
+    bad = TermChain(JONSSON, (Var(0), MAJ, MAJ, Var(2)))
     with pytest.raises(ChainError):
         jonsson_to_day(lattice2, bad)
 
