@@ -12,13 +12,23 @@ decision diagram per output plane), which keeps the pair loop off the
 table-lookup path.
 
 Candidates are made and deduplicated in chunks of at most about 512 KB of
-packed rows, so a chunk's temporaries stay in cache; a chunk holds whole
-runs of the last argument position, or one piece of a run too long for a
-chunk.  Deduplication works on one 64-bit key per candidate row: the packed
-row itself when it is one uint64 word with room left for a chunk position,
-a fingerprint otherwise.  Each chunk of candidates is sorted once by key,
-and only its distinct keys are probed in the sorted key index of the known
-elements, which new elements are merged into.  Fingerprint matches are
+packed rows, so a chunk's temporaries stay in cache.  No chunk gathers its
+arguments candidate by candidate: the program runs on a broadcast of
+argument blocks.  Without symmetry, a chunk holds whole runs of the last
+argument position, or one piece of a run too long for a chunk; the outer
+positions are gathered once per run and the last is a slice of the element
+rows.  A symmetric binary table takes the unordered pairs (x, y <= x) in
+whole rows x: the chunk's x against every y up to its last x, two slices,
+and one take cuts out the lower triangle.  A new element's witness
+arguments are recovered from its position in the chunk.
+
+Deduplication works on one 64-bit key per candidate row: the packed row
+itself when it is one uint64 word with room left for a chunk position, a
+fingerprint otherwise.  Each chunk of candidates is sorted once by key, and
+only its distinct keys are probed in the key index of the known elements.
+The index has two sorted levels: new keys go into a small side index, which
+is merged into the main one once it passes a fixed share of its size, so no
+chunk copies the whole index.  Fingerprint matches of wider rows are
 confirmed on the rows, and a chunk with a collision is deduplicated by
 exact row comparison, so element identity is exact.
 
@@ -31,6 +41,7 @@ that does not fit, ``cap_entries // coordinates + 1``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +54,10 @@ DEFAULT_CAP_ENTRIES = 10_000_000
 DEFAULT_WORK_BUDGET = 8_000_000_000
 # candidate rows per chunk: (rows x packed width) uint64 arrays of 512 KB
 _CHUNK_WORDS = 1 << 16
+# the side index of new keys is merged into the main one once it passes this
+# share of the main one's size, so merges copy O(n) keys in all and each
+# chunk inserts into a small array
+_SIDE_SHARE = 1 / 8
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -284,8 +299,11 @@ class FreeAlgebra:
             # a generator's vector is its digit column of the assignments
             mask &= (self.vecs[self.generators[i]]
                      == self.vecs[self.generators[j]])
-        sub = self.vecs[:, mask]
-        _, labels = np.unique(sub, axis=0, return_inverse=True)
+        # one void scalar per masked row: byte order is np.unique's axis=0
+        # order on uint8 rows, without its per-field sort
+        sub = np.ascontiguousarray(self.vecs[:, mask])
+        rows = sub.view(np.dtype((np.void, sub.shape[1]))).ravel()
+        _, labels = np.unique(rows, return_inverse=True)
         return labels.astype(np.int64)
 
 
@@ -297,10 +315,14 @@ class _Builder:
     """Word-major packed element rows (one column per element) and a sorted
     index of one 64-bit key per row.
 
-    When a row is one word whose used bits leave room for a chunk position
-    beside them, the word is the key and key equality is row equality.
-    Otherwise the key is a fingerprint, and every match is confirmed on the
-    rows themselves, so element identity is exact either way.
+    A one-word row is its own key when its used bits leave room for a chunk
+    position beside them, and an invertible fingerprint of the word
+    otherwise, so key equality is row equality.  A wider row's key is a
+    fingerprint, and every match is confirmed on the rows themselves, so
+    element identity is exact either way.
+
+    New keys go into a small sorted side index, which lookups probe beside
+    the main one, merged into it past ``_SIDE_SHARE`` of its size.
     """
 
     def __init__(self, n_planes: int, words: int, cap_entries: int, c: int,
@@ -326,8 +348,8 @@ class _Builder:
         tail = c % 64
         self.tail_mask = np.uint64((1 << tail) - 1) if tail else None
         self.n = 0
-        self._keys_sorted = np.empty(0, dtype=np.uint64)
-        self._key_perm = np.empty(0, dtype=np.int64)  # element per sorted key
+        # each index is (sorted keys, element per sorted key)
+        self._main = self._side = _EMPTY_INDEX
         self.max_arity = max(max_arity, 1)
         self.w_op: list[np.ndarray] = []
         self.w_args: list[np.ndarray] = []
@@ -351,10 +373,10 @@ class _Builder:
             self.rows = grown
         self.rows[:, self.n:self.n + k] = rows
         order = np.argsort(keys, kind="stable")
-        new_keys = keys[order]
-        at = np.searchsorted(self._keys_sorted, new_keys, side="right")
-        self._keys_sorted = np.insert(self._keys_sorted, at, new_keys)
-        self._key_perm = np.insert(self._key_perm, at, self.n + order)
+        self._side = _merged(self._side, (keys[order], self.n + order))
+        if self._side[0].size > _SIDE_SHARE * self._main[0].size:
+            self._main = _merged(self._main, self._side)
+            self._side = _EMPTY_INDEX
         self.n += k
         self.w_op.append(np.full(k, op, dtype=np.int64))
         padded = np.zeros((k, self.max_arity), dtype=np.int64)
@@ -371,8 +393,8 @@ class _Builder:
         One sort of (key, position) words groups the rows and puts each
         group's first position first; the groups' keys are then probed in
         the index.  Fingerprints give up their low bits to the position, so
-        each group is checked to hold one row and each probe hit to be that
-        row; a failed check sends the chunk to the exact path.
+        each group is checked to hold one row, and each probe hit of a wider
+        row to be that row; a failed check sends the chunk to the exact path.
         """
         m = rows.shape[1]
         b = max(1, (m - 1).bit_length())
@@ -385,28 +407,25 @@ class _Builder:
         packed |= np.arange(m, dtype=np.uint64)
         packed.sort()
         groups = packed >> b
-        starts = np.flatnonzero(np.concatenate(
-            ([True], groups[1:] != groups[:-1])))
+        opens = groups[1:] != groups[:-1]
+        starts = np.flatnonzero(np.concatenate(([True], opens)))
         first = (packed[starts] & low).astype(np.int64)
         # distinct high bits, so the groups' full keys are sorted too
-        group_keys = keys[first]
-        at = np.searchsorted(self._keys_sorted, group_keys)
-        top = self._keys_sorted.size - 1
-        hit = self._keys_sorted[np.minimum(at, top)] == group_keys
-        if not self.exact:
-            if self.width == 1:
-                # a one-word fingerprint is a bijection on rows, so each
-                # group holds one row iff it holds one distinct key
-                full = np.sort(keys)
-                pure = np.count_nonzero(full[1:] != full[:-1]) < starts.size
-            else:
-                rep = np.empty(m, dtype=np.int64)
-                rep[(packed & low).astype(np.int64)] = np.repeat(
-                    first, np.diff(starts, append=m))
-                pure = np.array_equal(rows, np.take(rows, rep, axis=1))
-            if not (pure and np.array_equal(
-                    np.take(rows, first[hit], axis=1),
-                    np.take(self.rows, self._key_perm[at[hit]], axis=1))):
+        hit, elem = self._lookup(keys[first])
+        if self.width == 1 and not self.exact:
+            # a one-word fingerprint is a bijection on rows, so a probe hit
+            # is the row itself, and each group holds one row iff its full
+            # keys change only where a group opens
+            run = keys[(packed & low).astype(np.int64)]
+            if not np.array_equal(run[1:] != run[:-1], opens):
+                return self._new_rows_exact(rows, keys)
+        elif not self.exact:
+            rep = np.empty(m, dtype=np.int64)
+            rep[(packed & low).astype(np.int64)] = np.repeat(
+                first, np.diff(starts, append=m))
+            if not (np.array_equal(rows, np.take(rows, rep, axis=1))
+                    and np.array_equal(np.take(rows, first[hit], axis=1),
+                                       np.take(self.rows, elem[hit], axis=1))):
                 return self._new_rows_exact(rows, keys)
         return np.sort(first[~hit])
 
@@ -417,6 +436,19 @@ class _Builder:
         _, first = np.unique(rows[:, miss], axis=1, return_index=True)
         return miss[np.sort(first)]
 
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per key: whether either index holds it, and then an element with
+        that key, from the main index where both do."""
+        hit = np.zeros(keys.size, dtype=bool)
+        elem = np.empty(keys.size, dtype=np.int64)
+        for index, perm in (self._side, self._main):
+            if index.size:
+                at = np.searchsorted(index, keys)
+                found = index[np.minimum(at, index.size - 1)] == keys
+                elem[found] = perm[at[found]]
+                hit |= found
+        return hit, elem
+
     def known_mask(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Exactly which candidate rows equal an already-known element.
 
@@ -424,25 +456,36 @@ class _Builder:
         themselves, so fingerprint collisions cannot drop or duplicate
         elements.
         """
-        index = self._keys_sorted
-        k = index.size
         known = np.zeros(rows.shape[1], dtype=bool)
-        pos = np.searchsorted(index, keys)
-        cand = np.nonzero((pos < k) & (index[np.minimum(pos, k - 1)]
-                                       == keys))[0]
-        while cand.size:
-            p = pos[cand]
-            match = (rows[:, cand]
-                     == self.rows[:, self._key_perm[p]]).all(axis=0)
-            known[cand[match]] = True
-            # unresolved candidates may match a later element with equal key
-            cand = cand[~match]
-            if cand.size:
+        for index, perm in (self._side, self._main):
+            k = index.size
+            if not k:
+                continue
+            pos = np.searchsorted(index, keys)
+            cand = np.flatnonzero((index[np.minimum(pos, k - 1)] == keys)
+                                  & ~known)
+            while cand.size:
+                match = (rows[:, cand]
+                         == self.rows[:, perm[pos[cand]]]).all(axis=0)
+                known[cand[match]] = True
+                # unresolved candidates may match a later element with an
+                # equal key
+                cand = cand[~match]
                 pos[cand] += 1
                 p = pos[cand]
-                still = (p < k) & (index[np.minimum(p, k - 1)] == keys[cand])
-                cand = cand[still]
+                cand = cand[(p < k) & (index[np.minimum(p, k - 1)]
+                                       == keys[cand])]
         return known
+
+
+_EMPTY_INDEX = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+
+
+def _merged(index, new):
+    """Sorted (keys, elements) of ``index`` with the sorted ``new`` merged in
+    after equal keys."""
+    at = np.searchsorted(index[0], new[0], side="right")
+    return np.insert(index[0], at, new[0]), np.insert(index[1], at, new[1])
 
 
 def _compile_op(table: np.ndarray, size: int, arity: int,
@@ -557,17 +600,18 @@ def _compile_op(table: np.ndarray, size: int, arity: int,
 
 def _run_op(builder: _Builder, program, arg_rows: list[np.ndarray]
             ) -> np.ndarray:
-    """Result rows of one compiled operation on gathered argument rows.
+    """Result rows of one compiled operation on argument rows that broadcast
+    together, one candidate per broadcast position in C order.
 
-    Every register is one plane of one argument or step: a contiguous
-    (words, m) block of the word-major rows.
+    Every register is one plane of one argument or step: a (words, ...)
+    block of the word-major rows.
     """
     steps, fills, n_slots = program
     n_planes, w = builder.n_planes, builder.words
-    m = arg_rows[0].shape[1]
+    shape = np.broadcast_shapes(*(rows.shape[1:] for rows in arg_rows))
     regs = [rows[b * w:(b + 1) * w] for rows in arg_rows
             for b in range(n_planes)]
-    bufs = np.empty((n_slots, w, m), dtype=np.uint64)
+    bufs = np.empty((n_slots, w) + shape, dtype=np.uint64)
     for f, a, b, slot in steps:
         regs.append(f(regs[a], out=bufs[slot]) if b is None
                     else f(regs[a], regs[b], out=bufs[slot]))
@@ -578,39 +622,70 @@ def _run_op(builder: _Builder, program, arg_rows: list[np.ndarray]
             bufs[b] = regs[root]
     if builder.tail_mask is not None:
         bufs[:n_planes, w - 1] &= builder.tail_mask
-    return bufs[:n_planes].reshape(n_planes * w, m)
+    return bufs[:n_planes].reshape(n_planes * w, -1)
 
 
-def _block_chunks(sizes, offsets, chunk):
+def _block_args(builder: _Builder, sizes, offsets):
     """Mixed-radix enumeration of a block, last position varying fastest:
     position p runs over ``sizes[p]`` elements from ``offsets[p]``.
 
     A run is the candidates that share every position but the last.  Each
     chunk is whole runs, or one of the equal pieces of a run longer than
-    ``chunk``.  The outer positions are split once per run and repeated
-    along it; the last position's indices are the same range in every run,
-    tiled once per piece.
+    ``builder.chunk``, yielded as ``(arg_rows, pick, args_of)``: the outer
+    positions' rows gathered once per run as (width, runs, 1) blocks and the
+    last position's slice (width, 1, piece) of the rows, which broadcast to
+    the chunk in order (``pick`` None), and a map from candidate positions
+    to their argument elements.
     """
     *outer, last = sizes
     runs = math.prod(outer)
-    per = max(1, chunk // last)
-    pieces = -(-last // chunk)
-    bounds = [(last * i // pieces, last * (i + 1) // pieces)
-              for i in range(pieces)]
-    tails = [np.tile(np.arange(lo + offsets[-1], hi + offsets[-1],
-                               dtype=np.int64), min(per, runs))
-             for lo, hi in bounds]
+    per = max(1, builder.chunk // last)
+    pieces = -(-last // builder.chunk)
     for r0 in range(0, runs, per):
-        r1 = min(r0 + per, runs)
-        flat = np.arange(r0, r1, dtype=np.int64)
+        flat = np.arange(r0, min(r0 + per, runs), dtype=np.int64)
         heads = []
         for s, off in zip(reversed(outer), reversed(offsets[:-1])):
-            heads.append(flat % s + off)
-            flat //= s
+            flat, digit = np.divmod(flat, s)
+            heads.append(digit + off)
         heads.reverse()
-        for (lo, hi), tail in zip(bounds, tails):
-            m = (r1 - r0) * (hi - lo)
-            yield [np.repeat(h, hi - lo) for h in heads] + [tail[:m]]
+        rows = builder.rows
+        head_rows = [np.take(rows, h, axis=1)[:, :, None] for h in heads]
+        for i in range(pieces):
+            lo = offsets[-1] + last * i // pieces
+            hi = offsets[-1] + last * (i + 1) // pieces
+
+            def args_of(pos, heads=heads, lo=lo, width=hi - lo):
+                run, at = np.divmod(pos, width)
+                return np.stack([h[run] for h in heads] + [at + lo], axis=1)
+
+            yield head_rows + [rows[:, None, lo:hi]], None, args_of
+
+
+def _pair_args(builder: _Builder, old: int, total: int):
+    """Unordered pairs (x, y), y <= x, x running over the frontier
+    ``[old, total)``, as chunks like :func:`_block_args` yields.
+
+    A chunk is the whole rows of consecutive x that fit in ``builder.chunk``
+    pairs, or one x alone: the rectangle (x in the chunk) x (y up to its last
+    x) broadcast from two slices of the rows, and ``pick`` the positions of
+    its lower triangle y <= x in it.
+    """
+    # pairs through each x of the frontier
+    ends = np.cumsum(np.arange(old + 1, total + 1, dtype=np.int64))
+    x0, done = old, 0
+    while x0 < total:
+        fit = int(np.searchsorted(ends, done + builder.chunk, side="right"))
+        x1 = max(x0 + 1, old + fit)
+        done = int(ends[x1 - 1 - old])
+        pick = np.flatnonzero(np.arange(x1) <= np.arange(x0, x1)[:, None])
+
+        def args_of(pos, pick=pick, x0=x0, width=x1):
+            x, y = np.divmod(pick[pos], width)
+            return np.stack([x + x0, y], axis=1)
+
+        rows = builder.rows
+        yield [rows[:, x0:x1, None], rows[:, None, :x1]], pick, args_of
+        x0 = x1
 
 
 def build_free(a: FiniteAlgebra, g: int,
@@ -699,62 +774,32 @@ def build_free(a: FiniteAlgebra, g: int,
         for name, ar, _ in ops:
             if ar == 0:
                 continue
-            blocks = []
             if symmetric[name]:
-                blocks.append("sym")
+                chunks = _pair_args(builder, old, level_total)
             else:
-                for p in range(ar):
-                    sizes = ([old] * p + [level_total - old]
-                             + [level_total] * (ar - 1 - p))
-                    offsets = [0] * p + [old] + [0] * (ar - 1 - p)
-                    if all(s > 0 for s in sizes):
-                        blocks.append((sizes, offsets))
-            for block in blocks:
-                if block == "sym":
-                    xs_all = np.arange(old, level_total, dtype=np.int64)
-                    gen = _sym_pair_chunks(xs_all, builder.chunk)
-                else:
-                    gen = _block_chunks(*block, builder.chunk)
-                for arg_idx in gen:
-                    # np.take gathers columns much faster than fancy
-                    # indexing does
-                    arg_rows = [np.take(builder.rows, ix, axis=1)
-                                for ix in arg_idx]
-                    res = _run_op(builder, programs[name], arg_rows)
-                    keys = builder.keys(res)
-                    pos = builder.new_rows(res, keys)
-                    if pos.size:
-                        builder.append(
-                            res[:, pos], keys[pos], op_index[name],
-                            np.stack([ix[pos] for ix in arg_idx], axis=1))
+                # block p: position p on the frontier, the positions before
+                # it on older elements; empty for p > 0 on the first level
+                new, total = level_total - old, level_total
+                chunks = itertools.chain.from_iterable(
+                    _block_args(builder,
+                                [old] * p + [new] + [total] * (ar - 1 - p),
+                                [0] * p + [old] + [0] * (ar - 1 - p))
+                    for p in range(ar if old else 1))
+            for arg_rows, pick, args_of in chunks:
+                res = _run_op(builder, programs[name], arg_rows)
+                if pick is not None:
+                    res = np.take(res, pick, axis=1)
+                keys = builder.keys(res)
+                pos = builder.new_rows(res, keys)
+                if pos.size:
+                    builder.append(res[:, pos], keys[pos], op_index[name],
+                                   args_of(pos))
 
     vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, words, c)
     return FreeAlgebra(a, g, vecs, tuple(generators),
                        np.concatenate(builder.w_op),
                        np.concatenate(builder.w_args),
                        [name for name, _, _ in ops])
-
-
-def _sym_pair_chunks(xs_all: np.ndarray, chunk: int):
-    """Unordered pairs (x, y), y <= x, x running over the frontier."""
-    counts_all = xs_all + 1
-    start = 0
-    while start < xs_all.size:
-        end = start
-        total = 0
-        while end < xs_all.size and total + counts_all[end] <= chunk:
-            total += int(counts_all[end])
-            end += 1
-        if end == start:
-            end = start + 1
-            total = int(counts_all[start])
-        xs = xs_all[start:end]
-        counts = xs + 1
-        ia = np.repeat(xs, counts)
-        offs = np.cumsum(counts) - counts
-        jy = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offs, counts)
-        yield [ia, jy]
-        start = end
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,10 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
 
     if jonsson.found:
         padded = pad_to_even(a, jonsson.chain)
-        add_row("DM", {"n": padded.param,
+        dm = bound("DM", n=padded.param)
+        add_row("DM", {**dict(dm.params),
                        "transformed_day_k": jonsson_to_day(a, padded).param},
-                "DAY", 3, 2 * padded.param, spectra["DAY", 3])
+                dm.family, dm.lhs, dm.rhs, spectra[dm.family, dm.lhs])
 
     rows.sort(key=lambda row: (row["name"], sorted(row["params"].items())))
     report["bounds"] = rows

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -138,6 +140,29 @@ def test_gen_pair_congruence_rejects_out_of_range_generators(z2):
             f.gen_pair_congruence([pair])
 
 
+def _row_unique_labels(f, pairs):
+    """gen_pair_congruence's labels by np.unique over rows (axis=0)."""
+    mask = np.ones(f.tuple_count, dtype=bool)
+    for i, j in pairs:
+        mask &= f.vecs[f.generators[i]] == f.vecs[f.generators[j]]
+    _, labels = np.unique(f.vecs[:, mask], axis=0, return_inverse=True)
+    return labels.ravel()
+
+
+def test_gen_pair_congruence_labels_match_row_unique(corpus):
+    pair_sets = ([], [(0, 1)], [(1, 0)], [(0, 2)], [(0, 1), (1, 2)],
+                 [(0, 2), (1, 2)], [(0, 1), (0, 2), (1, 2)])
+    for a in corpus.values():
+        for g in (3, 4):
+            try:
+                f = build_free(a, g, cap_entries=20_000)
+            except CapExceeded:
+                continue
+            for pairs in pair_sets:
+                assert np.array_equal(f.gen_pair_congruence(pairs),
+                                      _row_unique_labels(f, pairs))
+
+
 def test_gen_pair_congruence_quotient_size(chain3):
     f = build_free(chain3, 4)
     labels = f.gen_pair_congruence([(0, 1)])
@@ -196,7 +221,9 @@ def _digest(outcome):
 
 
 # digests of _build_outputs, and refusals as (message, elements_reached),
-# recorded with the row-major closure store that the word-major one replaced
+# recorded with the row-major closure store that the word-major one replaced;
+# the one-word F(lattice2, 5) and F(semilattice2, 6) were recorded with the
+# closure that gathered per-candidate argument index arrays
 _GOLDEN = [
     ("chain3", 3, {},
      "3bf5c70bfbc6700d04b9b48aee5a7387b40006fc2e7036261c2867f331c8533f"),
@@ -214,7 +241,11 @@ _GOLDEN = [
     ("rand3", 4, {"work_budget": 100000},
      ("free algebra work budget exceeded (next closure level needs 308880 "
       "more units of 100000)", 94)),
-    # one-word rows
+    # one-word rows: exact keys, then one-word fingerprints
+    ("lattice2", 5, {},
+     "c8b03a1337b588b1d80c2db7cca90f680091ecd5519b12470befc7a431953bcb"),
+    ("semilattice2", 6, {},
+     "05947d979b49eec7051223c8f4b8dcd7ca4adf65b9603ee0cae00f831bf70eb0"),
     ("lattice2", 6, {},
      ("free algebra exceeds 10000000 vector entries "
       "(156251 elements of 64 coordinates)", 156251)),
@@ -390,17 +421,79 @@ def _assert_chunking_free(a, g):
     assert per[1] == per[0] and per[2] == per[0]
 
 
+def _indexed(n, chunk):
+    """A stand-in builder whose one-word rows hold their own element index,
+    so the argument rows a chunk broadcasts read back as element indices."""
+    return types.SimpleNamespace(rows=np.arange(n, dtype=np.uint64)[None, :],
+                                 chunk=chunk)
+
+
+def _chunk_tuples(arg_rows, pick, args_of):
+    """The argument tuples of one chunk, in candidate order, checked against
+    the witnesses ``args_of`` recovers from the positions."""
+    shape = np.broadcast_shapes(*(rows.shape[1:] for rows in arg_rows))
+    cols = [np.broadcast_to(rows[0], shape).ravel() for rows in arg_rows]
+    if pick is not None:
+        cols = [col[pick] for col in cols]
+    got = list(zip(*(col.tolist() for col in cols)))
+    assert args_of(np.arange(len(got))).tolist() == [list(t) for t in got]
+    return got
+
+
 @pytest.mark.parametrize("sizes, offsets", [
     ([7], [3]), ([3, 5], [0, 2]), ([2, 3, 4], [1, 0, 5])])
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 6, 7, 100])
 def test_block_chunks_enumerate_the_block_in_order(sizes, offsets, chunk):
-    chunks = list(free._block_chunks(sizes, offsets, chunk))
+    n = max(s + off for s, off in zip(sizes, offsets))
+    chunks = [_chunk_tuples(*c)
+              for c in free._block_args(_indexed(n, chunk), sizes, offsets)]
     # a one-word exact key packs the chunk position in the bits beside the
     # row, which holds only while no chunk exceeds ``chunk`` rows
-    assert all(1 <= len(c[0]) <= chunk for c in chunks)
-    got = list(zip(*(np.concatenate(col) for col in zip(*chunks))))
-    assert got == list(itertools.product(
+    assert all(1 <= len(c) <= chunk for c in chunks)
+    assert sum(chunks, []) == list(itertools.product(
         *(range(off, off + s) for s, off in zip(sizes, offsets))))
+
+
+@pytest.mark.parametrize("old, total", [(0, 1), (0, 6), (3, 9), (10, 12)])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 100])
+def test_pair_chunks_enumerate_the_triangle_in_order(old, total, chunk):
+    chunks = [_chunk_tuples(*c)
+              for c in free._pair_args(_indexed(total, chunk), old, total)]
+    # more than ``chunk`` pairs only in a chunk of one x, whose x + 1 pairs
+    # still fit the exact key's position bits
+    assert all(1 <= len(c) <= chunk or len({x for x, _ in c}) == 1
+               for c in chunks)
+    assert sum(chunks, []) == [(x, y) for x in range(old, total)
+                               for y in range(x + 1)]
+
+
+# the side index merged after every chunk, never, and as built
+_SIDE_SHARES = [0, math.inf, free._SIDE_SHARE]
+
+
+def _assert_side_share_free(cases):
+    per = []
+    with pytest.MonkeyPatch.context() as mp:
+        for share in _SIDE_SHARES:
+            mp.setattr(free, "_SIDE_SHARE", share)
+            per.append([_outcome(a, g, **caps) for a, g, caps in cases])
+    assert per[1] == per[0] and per[2] == per[0]
+    return per[0]
+
+
+def test_corpus_builds_do_not_depend_on_side_index_merges(corpus):
+    cases = [(a, g, {"cap_entries": cap, "work_budget": 10 ** 7})
+             for a in corpus.values() for g in (1, 2, 3, 4)
+             for cap in (200, 2_000, 20_000)]
+    refused = [o for o in _assert_side_share_free(cases)
+               if o[0] == "refused"]
+    assert 0 < len(refused) < len(cases)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_small_algebras(sizes=(3,)))
+def test_wide_random_builds_do_not_depend_on_side_index_merges(a):
+    _assert_side_share_free([(a, 4, {"cap_entries": 12 * 3 ** 4})])
 
 
 # ---------------------------------------------------------------------------
