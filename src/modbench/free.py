@@ -3,16 +3,19 @@
 ``F_V(g)`` for ``V`` the variety generated by a finite algebra ``A`` is
 realized as the subalgebra of ``A^(A^g)`` generated by the g projection
 vectors.  The breadth-first closure stores element vectors bit-plane packed
-and word-major: one contiguous uint64 vector per (plane, word) across all
+and word-major: one contiguous vector per (plane, word) across all
 elements, so gathering arguments, every step of an operation program and
 the fingerprint fold each run over contiguous memory however wide a row
-is.  Each operation table is compiled once per build into a straight-line
-program of bitwise steps over the argument planes (a reduced Shannon
-decision diagram per output plane), which keeps the pair loop off the
-table-lookup path.
+is.  A plane of c <= 64 coordinates is one word of the smallest unsigned
+dtype that holds c bits (uint8, uint16, uint32 or uint64); wider planes are
+several uint64 words.  Each operation table is compiled once per build
+into a straight-line program of bitwise steps over the argument planes (a
+reduced Shannon decision diagram per output plane), which keeps the pair
+loop off the table-lookup path.
 
-Candidates are made and deduplicated in chunks of at most about 512 KB of
-packed rows, so a chunk's temporaries stay in cache.  No chunk gathers its
+Candidates are made and deduplicated in chunks of about ``2**16 // width``
+rows, width being the count of uint64 words a row would take, so a chunk's
+temporaries stay in cache.  No chunk gathers its
 arguments candidate by candidate: the program runs on a broadcast of
 argument blocks.  Without symmetry, a chunk holds whole runs of the last
 argument position, or one piece of a run too long for a chunk; the outer
@@ -22,8 +25,10 @@ whole rows x: the chunk's x against every y up to its last x, two slices,
 and one take cuts out the lower triangle.  A new element's witness
 arguments are recovered from its position in the chunk.
 
-Deduplication works on one 64-bit key per candidate row: the packed row
-itself when it is one uint64 word with room left for a chunk position, a
+A row that is one uint8 or uint16 word indexes a dense table of the known
+elements (2**8 or 2**16 entries), so a chunk's new rows are its table
+misses, deduplicated among themselves.  Any other row has one 64-bit key:
+the row itself when it is one word with room left for a chunk position, a
 fingerprint otherwise.  Each chunk of candidates is sorted once by key, and
 only its distinct keys are probed in the key index of the known elements.
 The index has two sorted levels: new keys go into a small side index, which
@@ -52,13 +57,14 @@ from .algebras import AlgebraError, FiniteAlgebra
 DEFAULT_CAP_ENTRIES = 10_000_000
 # work units: operation applications x value-combination count x packed width
 DEFAULT_WORK_BUDGET = 8_000_000_000
-# candidate rows per chunk: (rows x packed width) uint64 arrays of 512 KB
+# candidate rows per chunk, times the uint64 words of a row: 512 KB of uint64
+# rows, and a half to an eighth of that for rows of one narrower word (chunks
+# of 512 KB of uint8 rows were no faster on small algebras' builds)
 _CHUNK_WORDS = 1 << 16
 # the side index of new keys is merged into the main one once it passes this
 # share of the main one's size, so merges copy O(n) keys in all and each
 # chunk inserts into a small array
 _SIDE_SHARE = 1 / 8
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class CapExceeded(RuntimeError):
@@ -199,27 +205,35 @@ def _check_vector_size(a: FiniteAlgebra) -> None:
 # ---------------------------------------------------------------------------
 # Plane packing helpers
 #
-# Packed rows are word-major: an (n_planes * words, N) uint64 array whose
-# row ``b * words + j`` holds word j of bit plane b of all N elements.
+# Packed rows are word-major: an (n_planes * words, N) array whose row
+# ``b * words + j`` holds word j of bit plane b of all N elements.
 
 
-def _pack_planes(vals: np.ndarray, n_planes: int, words: int) -> np.ndarray:
+def _row_layout(c: int) -> tuple[np.dtype, int]:
+    """(word dtype, words) of a plane of c coordinates: one word of the
+    smallest unsigned dtype that holds c bits, or several uint64 words."""
+    dtype = np.min_scalar_type((1 << min(c, 64)) - 1)
+    return dtype, -(-c // (8 * dtype.itemsize))
+
+
+def _pack_planes(vals: np.ndarray, n_planes: int) -> np.ndarray:
     """uint8 values (N, C) -> word-major planes (n_planes * words, N)."""
     n, c = vals.shape
-    out = np.empty((n_planes * words, n), dtype=np.uint64)
-    pad = words * 64 - c
+    dtype, words = _row_layout(c)
+    out = np.empty((n_planes * words, n), dtype=dtype)
+    pad = words * 8 * dtype.itemsize - c
     for b in range(n_planes):
         plane = (vals >> b) & 1
         if pad:
             plane = np.pad(plane, ((0, 0), (0, pad)))
         packed = np.packbits(plane, axis=1, bitorder="little")
-        out[b * words:(b + 1) * words] = packed.view(np.uint64).T
+        out[b * words:(b + 1) * words] = packed.view(dtype).T
     return out
 
 
-def _unpack_planes(rows: np.ndarray, n_planes: int, words: int,
-                   c: int) -> np.ndarray:
+def _unpack_planes(rows: np.ndarray, n_planes: int, c: int) -> np.ndarray:
     n = rows.shape[1]
+    words = rows.shape[0] // n_planes
     out = np.zeros((n, c), dtype=np.uint8)
     for b in range(n_planes):
         block = np.ascontiguousarray(rows[b * words:(b + 1) * words].T)
@@ -237,7 +251,10 @@ def _fingerprint(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     differ in the high bits of several words; the xorshift between multiplies
     breaks that linearity.  Rows differing in one word never collide.
     """
-    h = rows[0] * weights[0]
+    # narrower rows widen into the uint64 accumulator, never by promotion
+    # against a uint64 scalar, whose result type numpy < 2 took from its value
+    h = rows[0].astype(np.uint64)
+    h *= weights[0]
     for j in range(1, rows.shape[0]):
         h ^= h >> 29
         h += rows[j]
@@ -312,26 +329,32 @@ class FreeAlgebra:
 
 
 class _Builder:
-    """Word-major packed element rows (one column per element) and a sorted
-    index of one 64-bit key per row.
+    """Word-major packed element rows (one column per element) and an index
+    of one key per row.
 
-    A one-word row is its own key when its used bits leave room for a chunk
-    position beside them, and an invertible fingerprint of the word
-    otherwise, so key equality is row equality.  A wider row's key is a
-    fingerprint, and every match is confirmed on the rows themselves, so
-    element identity is exact either way.
+    A row of one uint8 or uint16 word is its own key, and the index is a
+    dense table of which rows are elements.  Any other row has a 64-bit key
+    in a sorted index: a one-word row is its own key when its used bits
+    leave room for a chunk position beside them, and an invertible
+    fingerprint of the word otherwise, so key equality is row equality.  A
+    wider row's key is a fingerprint, and every match is confirmed on the
+    rows themselves, so element identity is exact either way.
 
     New keys go into a small sorted side index, which lookups probe beside
     the main one, merged into it past ``_SIDE_SHARE`` of its size.
+
+    ``width`` counts a row in uint64 words whatever its dtype, so chunk
+    sizes and work units are those of uint64 rows.
     """
 
-    def __init__(self, n_planes: int, words: int, cap_entries: int, c: int,
+    def __init__(self, n_planes: int, c: int, cap_entries: int,
                  max_arity: int):
         self.n_planes = n_planes
-        self.words = words
         self.cap_entries = cap_entries
         self.c = c
-        self.width = n_planes * words
+        dtype, self.words = _row_layout(c)
+        bits = 8 * dtype.itemsize
+        self.width = n_planes * self.words
         self.chunk = max(1, _CHUNK_WORDS // self.width)
         # new_rows packs a position of max(1, (m - 1).bit_length()) bits
         # beside the row.  m is at most the chunk, or x + 1 <= 2 ** c for a
@@ -339,14 +362,17 @@ class _Builder:
         # 32 when this holds, and then either position fits
         self.exact = (self.width == 1
                       and c + max(1, (self.chunk - 1).bit_length()) <= 64)
-        self.rows = np.empty((self.width, 256), dtype=np.uint64)
+        # whether each possible row is an element; None for the sorted index
+        self._dense = (np.zeros(1 << bits, dtype=bool)
+                       if self.width == 1 and bits <= 16 else None)
+        self.rows = np.empty((self.width, 256), dtype=dtype)
         rng = np.random.default_rng(0x5EED_0F0D)
         self.weights = (rng.integers(1, 2 ** 63, size=self.width,
                                      dtype=np.uint64) * 2 + 1)
         # padded tail bits of each plane's last word must stay zero after
         # every op; None when the planes have no padding
-        tail = c % 64
-        self.tail_mask = np.uint64((1 << tail) - 1) if tail else None
+        tail = c % bits
+        self.tail_mask = dtype.type((1 << tail) - 1) if tail else None
         self.n = 0
         # each index is (sorted keys, element per sorted key)
         self._main = self._side = _EMPTY_INDEX
@@ -354,8 +380,7 @@ class _Builder:
         self.w_op: list[np.ndarray] = []
         self.w_args: list[np.ndarray] = []
 
-    def append(self, rows: np.ndarray, keys: np.ndarray, op: int,
-               args: np.ndarray):
+    def append(self, rows: np.ndarray, op: int, args: np.ndarray):
         """Add distinct new rows with their witness: ``op`` applied to the
         element indices in each row of ``args`` (-1 and the variable index
         for a generator)."""
@@ -368,42 +393,52 @@ class _Builder:
         if self.n + k > self.rows.shape[1]:
             grown = np.empty((self.width,
                               max(self.n + k, 2 * self.rows.shape[1])),
-                             dtype=np.uint64)
+                             dtype=self.rows.dtype)
             grown[:, :self.n] = self.rows[:, :self.n]
             self.rows = grown
         self.rows[:, self.n:self.n + k] = rows
-        order = np.argsort(keys, kind="stable")
-        self._side = _merged(self._side, (keys[order], self.n + order))
-        if self._side[0].size > _SIDE_SHARE * self._main[0].size:
-            self._main = _merged(self._main, self._side)
-            self._side = _EMPTY_INDEX
+        if self._dense is not None:
+            self._dense[rows[0]] = True
+        else:
+            keys = (rows[0].astype(np.uint64) if self.exact
+                    else _fingerprint(rows, self.weights))
+            order = np.argsort(keys, kind="stable")
+            self._side = _merged(self._side, (keys[order], self.n + order))
+            if self._side[0].size > _SIDE_SHARE * self._main[0].size:
+                self._main = _merged(self._main, self._side)
+                self._side = _EMPTY_INDEX
         self.n += k
         self.w_op.append(np.full(k, op, dtype=np.int64))
         padded = np.zeros((k, self.max_arity), dtype=np.int64)
         padded[:, :args.shape[1]] = args
         self.w_args.append(padded)
 
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        return rows[0] if self.exact else _fingerprint(rows, self.weights)
-
-    def new_rows(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def new_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ascending positions of the first occurrence of each row that is
         not a known element.
 
-        One sort of (key, position) words groups the rows and puts each
-        group's first position first; the groups' keys are then probed in
-        the index.  Fingerprints give up their low bits to the position, so
-        each group is checked to hold one row, and each probe hit of a wider
-        row to be that row; a failed check sends the chunk to the exact path.
+        With the dense table, the rows it misses are deduplicated among
+        themselves.  Otherwise one sort of (key, position) words groups the
+        rows and puts each group's first position first; the groups' keys
+        are then probed in the index.  Fingerprints give up their low bits
+        to the position, so each group is checked to hold one row, and each
+        probe hit of a wider row to be that row; a failed check sends the
+        chunk to the exact path.
         """
+        if self._dense is not None:
+            miss = np.flatnonzero(~np.take(self._dense, rows[0]))
+            _, first = np.unique(rows[0, miss], return_index=True)
+            return miss[np.sort(first)]
         m = rows.shape[1]
         b = max(1, (m - 1).bit_length())
         low = np.uint64((1 << b) - 1)
         if self.exact:
-            packed = keys << b
+            # the row is its key, widened to uint64 in the packed words
+            packed = rows[0].astype(np.uint64)
         else:
+            keys = _fingerprint(rows, self.weights)
             packed = keys >> b
-            packed <<= b
+        packed <<= b
         packed |= np.arange(m, dtype=np.uint64)
         packed.sort()
         groups = packed >> b
@@ -411,7 +446,8 @@ class _Builder:
         starts = np.flatnonzero(np.concatenate(([True], opens)))
         first = (packed[starts] & low).astype(np.int64)
         # distinct high bits, so the groups' full keys are sorted too
-        hit, elem = self._lookup(keys[first])
+        hit, elem = self._lookup(groups[starts] if self.exact
+                                 else keys[first])
         if self.width == 1 and not self.exact:
             # a one-word fingerprint is a bijection on rows, so a probe hit
             # is the row itself, and each group holds one row iff its full
@@ -611,13 +647,13 @@ def _run_op(builder: _Builder, program, arg_rows: list[np.ndarray]
     shape = np.broadcast_shapes(*(rows.shape[1:] for rows in arg_rows))
     regs = [rows[b * w:(b + 1) * w] for rows in arg_rows
             for b in range(n_planes)]
-    bufs = np.empty((n_slots, w) + shape, dtype=np.uint64)
+    bufs = np.empty((n_slots, w) + shape, dtype=builder.rows.dtype)
     for f, a, b, slot in steps:
         regs.append(f(regs[a], out=bufs[slot]) if b is None
                     else f(regs[a], regs[b], out=bufs[slot]))
     for b, root in fills:
         if isinstance(root, bool):
-            bufs[b] = _ALL_ONES if root else 0
+            bufs[b] = np.iinfo(bufs.dtype).max if root else 0
         else:
             bufs[b] = regs[root]
     if builder.tail_mask is not None:
@@ -713,9 +749,8 @@ def build_free(a: FiniteAlgebra, g: int,
         digits[:, i] = (idx // size ** (g - 1 - i)) % size
 
     n_planes = max(1, (size - 1).bit_length())
-    words = (c + 63) // 64
     max_arity = max((ar for _, ar in a.signature.ops), default=1)
-    builder = _Builder(n_planes, words, cap_entries, c, max_arity)
+    builder = _Builder(n_planes, c, cap_entries, max_arity)
 
     ops = [(name, ar, a.tables[name]) for name, ar in a.signature.ops]
     op_index = {name: i for i, (name, _, _) in enumerate(ops)}
@@ -731,23 +766,23 @@ def build_free(a: FiniteAlgebra, g: int,
     generators = []
     for i in range(g):
         vec = digits[:, i].reshape(1, -1)
-        rows = _pack_planes(vec, n_planes, words)
+        rows = _pack_planes(vec, n_planes)
         hit = [e for e in range(builder.n)
                if np.array_equal(builder.rows[:, e], rows[:, 0])]
         if hit:
             generators.append(hit[0])
         else:
-            builder.append(rows, builder.keys(rows), -1, np.array([[i]]))
+            builder.append(rows, -1, np.array([[i]]))
             generators.append(builder.n - 1)
     for name, ar, tab in ops:
         if ar != 0:
             continue
         vec = np.full((1, c), int(tab[0]), dtype=np.uint8)
-        rows = _pack_planes(vec, n_planes, words)
+        rows = _pack_planes(vec, n_planes)
         if not any(np.array_equal(builder.rows[:, e], rows[:, 0])
                    for e in range(builder.n)):
-            builder.append(rows, builder.keys(rows),
-                           op_index[name], np.empty((1, 0), dtype=np.int64))
+            builder.append(rows, op_index[name],
+                           np.empty((1, 0), dtype=np.int64))
 
     units_used = 0
     op_cost = {name: (size ** ar) * builder.width for name, ar, _ in ops}
@@ -789,13 +824,11 @@ def build_free(a: FiniteAlgebra, g: int,
                 res = _run_op(builder, programs[name], arg_rows)
                 if pick is not None:
                     res = np.take(res, pick, axis=1)
-                keys = builder.keys(res)
-                pos = builder.new_rows(res, keys)
+                pos = builder.new_rows(res)
                 if pos.size:
-                    builder.append(res[:, pos], keys[pos], op_index[name],
-                                   args_of(pos))
+                    builder.append(res[:, pos], op_index[name], args_of(pos))
 
-    vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, words, c)
+    vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, c)
     return FreeAlgebra(a, g, vecs, tuple(generators),
                        np.concatenate(builder.w_op),
                        np.concatenate(builder.w_args),

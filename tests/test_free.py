@@ -189,7 +189,7 @@ def _build_outputs(f):
 # packed rows are word-major, one column per candidate row
 @pytest.mark.parametrize("fake", [
     lambda rows, weights: np.zeros(rows.shape[1], dtype=np.uint64),
-    lambda rows, weights: rows[-1] & np.uint64(3),
+    lambda rows, weights: (rows[-1] & 3).astype(np.uint64),
 ], ids=["all-equal", "two-low-bits"])
 def test_colliding_fingerprints_build_identically(fake, monkeypatch, chain3,
                                                   pixley3):
@@ -223,7 +223,9 @@ def _digest(outcome):
 # digests of _build_outputs, and refusals as (message, elements_reached),
 # recorded with the row-major closure store that the word-major one replaced;
 # the one-word F(lattice2, 5) and F(semilattice2, 6) were recorded with the
-# closure that gathered per-candidate argument index arrays
+# closure that gathered per-candidate argument index arrays, and the cases
+# after F(lattice2, 6) with the closure that stored every row in uint64
+# words and kept every key in the sorted index
 _GOLDEN = [
     ("chain3", 3, {},
      "3bf5c70bfbc6700d04b9b48aee5a7387b40006fc2e7036261c2867f331c8533f"),
@@ -249,6 +251,24 @@ _GOLDEN = [
     ("lattice2", 6, {},
      ("free algebra exceeds 10000000 vector entries "
       "(156251 elements of 64 coordinates)", 156251)),
+    # one narrow word per plane: uint8 and uint16 rows in the dense table,
+    # then masked two-plane uint16 and uint32 rows in the sorted index
+    ("rand2-1", 3, {},
+     "41b062e5fafac871b578864546831b30265c57ef4753258400fb901df14bc27b"),
+    ("lattice2", 4, {},
+     "4efbe73c8464860f518f407c388a3933610cdaadf489be9db55f6f1dd51d8a1f"),
+    ("rand2-72", 4, {},
+     "bf9d836652e407589d837b796a4ceb10b8ad7179c7ddcf5ef5ca4901e5027119"),
+    ("rand2-72", 4, {"cap_entries": 4800},
+     ("free algebra exceeds 4800 vector entries "
+      "(301 elements of 16 coordinates)", 301)),
+    ("rand2-72", 4, {"work_budget": 10 ** 8},
+     ("free algebra work budget exceeded (next closure level needs "
+      "279411832 more units of 100000000)", 327)),
+    ("rand3-16", 2, {},
+     "cd7d4b3915cc406a11ecb5816c921ea6b3835dde2abd26c64854a276f9980d8b"),
+    ("rand3", 3, {},
+     "a554ed2330ae39f128904f30c39cd7e516efcfd4e092b3fca5fee0db70d5486c"),
 ]
 
 
@@ -257,6 +277,12 @@ def _golden_algebra(corpus, name):
         # one non-symmetric binary operation; g = 4 gives 81 coordinates,
         # two words per plane
         return random_algebra(random.Random(0), size=3, max_arity=2)
+    if name.startswith("rand"):
+        # rand<size>-<seed>: rand2-1 and rand2-72 have one ternary
+        # operation, rand3-16 one binary operation
+        size, seed = name[len("rand"):].split("-")
+        return random_algebra(random.Random(int(seed)), size=int(size),
+                              max_arity=3)
     return corpus[name]
 
 
@@ -348,6 +374,13 @@ def test_build_matches_set_closure(a, g):
 @given(a=_small_algebras(sizes=(3,)))
 def test_wide_build_matches_set_closure(a):
     _assert_matches_set_closure(a, 4)
+
+
+# one uint8 word per row (g = 2, 3): the dense element table
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(sizes=(2,)), g=st.integers(2, 3))
+def test_dense_build_matches_set_closure(a, g):
+    _assert_matches_set_closure(a, g)
 
 
 def _assert_matches_set_closure(a, g):
@@ -497,6 +530,64 @@ def test_wide_random_builds_do_not_depend_on_side_index_merges(a):
 
 
 # ---------------------------------------------------------------------------
+# Row dtypes: the narrowest word that holds a plane, and uint64 keys
+
+
+def _uint64_layout(c):
+    return np.dtype(np.uint64), -(-c // 64)
+
+
+def test_narrow_rows_build_as_uint64_rows(monkeypatch, corpus):
+    # rows of uint64 words keep every key in the sorted index, so this also
+    # checks the dense table against it
+    cases = [(corpus[name], g, {}) for name, g in (
+        ("z2", 3), ("lattice2", 3), ("lattice2", 4), ("semilattice2", 4),
+        ("lattice2", 5), ("pixley3", 2), ("chain3", 2), ("chain3", 3))]
+    cases += [(_golden_algebra(corpus, name), g, caps)
+              for name, g, caps, _ in _GOLDEN
+              if name.startswith("rand2") or name == "rand3-16"]
+    want = [_outcome(a, g, **caps) for a, g, caps in cases]
+    monkeypatch.setattr(free, "_row_layout", _uint64_layout)
+    assert [_outcome(a, g, **caps) for a, g, caps in cases] == want
+
+
+@pytest.mark.parametrize("c, dtype, words", [
+    (1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1),
+    (16, np.uint16, 1), (27, np.uint32, 1), (32, np.uint32, 1),
+    (64, np.uint64, 1), (81, np.uint64, 2)])
+def test_pack_planes_round_trip(c, dtype, words):
+    assert free._row_layout(c) == (np.dtype(dtype), words)
+    rng = np.random.default_rng(c)
+    for n_planes in (1, 2, 3):
+        vals = rng.integers(0, 1 << n_planes, (40, c)).astype(np.uint8)
+        rows = free._pack_planes(vals, n_planes)
+        assert rows.dtype == dtype and rows.shape == (n_planes * words, 40)
+        assert np.array_equal(free._unpack_planes(rows, n_planes, c), vals)
+    # the padded tail bits of the last word are zero
+    top = free._pack_planes(np.ones((1, c), dtype=np.uint8), 1)[-1]
+    assert top >> (c - 64 * (words - 1) - 1) == 1
+    # one uint8 or uint16 word per row is looked up in the dense table
+    builder = free._Builder(1, c, 10 ** 9, 1)
+    assert (builder._dense is not None) == (c <= 16)
+
+
+@pytest.mark.parametrize("size, g", [(3, 2), (4, 2), (3, 3)])
+def test_two_plane_narrow_rows_get_uint64_keys(size, g):
+    c = size ** g
+    weights = free._Builder(2, c, 10 ** 9, 1).weights
+    rng = np.random.default_rng(c)
+    rows = free._pack_planes(
+        rng.integers(0, size, (500, c)).astype(np.uint8), 2)
+    assert rows.dtype in (np.uint16, np.uint32)
+    keys = free._fingerprint(rows, weights)
+    assert keys.dtype == np.uint64
+    # the key of a narrow row is the key of the same row in uint64 words
+    assert np.array_equal(
+        keys, free._fingerprint(rows.astype(np.uint64), weights))
+    assert keys.max() > np.iinfo(rows.dtype).max
+
+
+# ---------------------------------------------------------------------------
 # Compiled operations against direct table lookup
 
 
@@ -520,25 +611,25 @@ def _table_cases():
                                     % size)
 
 
-@pytest.mark.parametrize("c", [1, 100, 200])
+# narrow words, masked (1, 9, 27) and full (8, 64), and uint64 words
+@pytest.mark.parametrize("c", [1, 8, 9, 27, 64, 100, 200])
 def test_compiled_ops_match_table_lookup(c):
     rng = np.random.default_rng(c)
     m = 50
+    dtype, words = free._row_layout(c)
     for size, arity, table in _table_cases():
         n_planes = max(1, (size - 1).bit_length())
-        words = (c + 63) // 64
-        builder = free._Builder(n_planes, words, 10 ** 9, c, arity)
+        builder = free._Builder(n_planes, c, 10 ** 9, arity)
         vals = [rng.integers(0, size, (m, c)).astype(np.uint8)
                 for _ in range(arity)]
-        arg_rows = [free._pack_planes(v, n_planes, words) for v in vals]
+        arg_rows = [free._pack_planes(v, n_planes) for v in vals]
         program = free._compile_op(table, size, arity, n_planes)
         got = free._run_op(builder, program, arg_rows)
         want = _lookup_rows(table, size, vals)
         # word-major: one column per row, one row per (plane, word)
-        assert got.shape == (n_planes * words, m)
+        assert got.dtype == dtype and got.shape == (n_planes * words, m)
         # packed from c coordinates, so the padded tail bits are zero
+        # after NOT steps and constant fills too
         assert np.array_equal(
-            got, free._pack_planes(want, n_planes, words)), (size, arity,
-                                                            table)
-        assert np.array_equal(
-            free._unpack_planes(got, n_planes, words, c), want)
+            got, free._pack_planes(want, n_planes)), (size, arity, table)
+        assert np.array_equal(free._unpack_planes(got, n_planes, c), want)
