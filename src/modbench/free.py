@@ -33,9 +33,12 @@ fingerprint otherwise.  Each chunk of candidates is sorted once by key, and
 only its distinct keys are probed in the key index of the known elements.
 The index has two sorted levels: new keys go into a small side index, which
 is merged into the main one once it passes a fixed share of its size, so no
-chunk copies the whole index.  Fingerprint matches of wider rows are
-confirmed on the rows, and a chunk with a collision is deduplicated by
-exact row comparison, so element identity is exact.
+chunk copies the whole index.  Fingerprint matches are confirmed on the
+rows, and a chunk with a collision is deduplicated on its rows' bytes
+instead (``np.isin`` against the known rows, each row one ``np.void``
+scalar), so element identity is exact.  The seeds take the same path: the
+projections are appended as one block, and each constant only when it is
+new.
 
 Elements appear in the order of first occurrence in the global candidate
 sequence, so neither they nor their witnesses depend on the chunk size, and
@@ -262,6 +265,14 @@ def _fingerprint(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return h
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """One ``np.void`` scalar per row of a 2-d array, holding the row's
+    bytes: equal exactly when the rows are, and ordered by their bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))
+                     ).ravel()
+
+
 # ---------------------------------------------------------------------------
 # The free algebra
 
@@ -269,16 +280,15 @@ def _fingerprint(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class FreeAlgebra:
     """Built by :func:`build_free`; immutable afterwards."""
 
-    def __init__(self, base, g, vecs, generators, w_op, w_args, op_names):
+    def __init__(self, base, g, vecs, generators, w_op, w_args):
         self.base = base
         self.g = g
         self.tuple_count = base.size ** g
         self.vecs = vecs                     # (N, size**g) uint8
         self.vecs.setflags(write=False)
         self.generators = generators         # element index per generator
-        self._w_op = w_op                    # op index per element, -1 = Var
+        self._w_op = w_op                    # signature index, -1 = Var
         self._w_args = w_args                # argument element indices
-        self._op_names = op_names
         self._terms: dict[int, Term] = {}
 
     @property
@@ -295,8 +305,7 @@ class FreeAlgebra:
         if op < 0:
             t: Term = Var(int(self._w_args[e][0]))
         else:
-            name = self._op_names[op]
-            arity = self.base.signature.arity(name)
+            name, arity = self.base.signature.ops[op]
             t = App(name, tuple(self.term_of(int(x))
                                 for x in self._w_args[e][:arity]))
         self._terms[e] = t
@@ -316,11 +325,10 @@ class FreeAlgebra:
             # a generator's vector is its digit column of the assignments
             mask &= (self.vecs[self.generators[i]]
                      == self.vecs[self.generators[j]])
-        # one void scalar per masked row: byte order is np.unique's axis=0
-        # order on uint8 rows, without its per-field sort
-        sub = np.ascontiguousarray(self.vecs[:, mask])
-        rows = sub.view(np.dtype((np.void, sub.shape[1]))).ravel()
-        _, labels = np.unique(rows, return_inverse=True)
+        # byte order is np.unique's axis=0 order on uint8 rows, without its
+        # per-field sort
+        _, labels = np.unique(_row_bytes(self.vecs[:, mask]),
+                              return_inverse=True)
         return labels.astype(np.int64)
 
 
@@ -338,7 +346,8 @@ class _Builder:
     leave room for a chunk position beside them, and an invertible
     fingerprint of the word otherwise, so key equality is row equality.  A
     wider row's key is a fingerprint, and every match is confirmed on the
-    rows themselves, so element identity is exact either way.
+    rows themselves.  A chunk whose keys collide is deduplicated on its
+    rows' bytes instead, so element identity is exact either way.
 
     New keys go into a small sorted side index, which lookups probe beside
     the main one, merged into it past ``_SIDE_SHARE`` of its size.
@@ -423,7 +432,7 @@ class _Builder:
         are then probed in the index.  Fingerprints give up their low bits
         to the position, so each group is checked to hold one row, and each
         probe hit of a wider row to be that row; a failed check sends the
-        chunk to the exact path.
+        chunk to :meth:`_new_rows_exact`.
         """
         if self._dense is not None:
             miss = np.flatnonzero(~np.take(self._dense, rows[0]))
@@ -454,7 +463,7 @@ class _Builder:
             # keys change only where a group opens
             run = keys[(packed & low).astype(np.int64)]
             if not np.array_equal(run[1:] != run[:-1], opens):
-                return self._new_rows_exact(rows, keys)
+                return self._new_rows_exact(rows)
         elif not self.exact:
             rep = np.empty(m, dtype=np.int64)
             rep[(packed & low).astype(np.int64)] = np.repeat(
@@ -462,14 +471,16 @@ class _Builder:
             if not (np.array_equal(rows, np.take(rows, rep, axis=1))
                     and np.array_equal(np.take(rows, first[hit], axis=1),
                                        np.take(self.rows, elem[hit], axis=1))):
-                return self._new_rows_exact(rows, keys)
+                return self._new_rows_exact(rows)
         return np.sort(first[~hit])
 
-    def _new_rows_exact(self, rows: np.ndarray,
-                        keys: np.ndarray) -> np.ndarray:
-        """:meth:`new_rows` by row comparison, for chunks with collisions."""
-        miss = np.flatnonzero(~self.known_mask(rows, keys))
-        _, first = np.unique(rows[:, miss], axis=1, return_index=True)
+    def _new_rows_exact(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`new_rows` by comparing row bytes, for chunks whose keys
+        collide."""
+        cand = _row_bytes(rows.T)
+        miss = np.flatnonzero(~np.isin(cand,
+                                       _row_bytes(self.rows[:, :self.n].T)))
+        _, first = np.unique(cand[miss], return_index=True)
         return miss[np.sort(first)]
 
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,34 +495,6 @@ class _Builder:
                 elem[found] = perm[at[found]]
                 hit |= found
         return hit, elem
-
-    def known_mask(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Exactly which candidate rows equal an already-known element.
-
-        Keys narrow the comparison; equality is decided on the rows
-        themselves, so fingerprint collisions cannot drop or duplicate
-        elements.
-        """
-        known = np.zeros(rows.shape[1], dtype=bool)
-        for index, perm in (self._side, self._main):
-            k = index.size
-            if not k:
-                continue
-            pos = np.searchsorted(index, keys)
-            cand = np.flatnonzero((index[np.minimum(pos, k - 1)] == keys)
-                                  & ~known)
-            while cand.size:
-                match = (rows[:, cand]
-                         == self.rows[:, perm[pos[cand]]]).all(axis=0)
-                known[cand[match]] = True
-                # unresolved candidates may match a later element with an
-                # equal key
-                cand = cand[~match]
-                pos[cand] += 1
-                p = pos[cand]
-                cand = cand[(p < k) & (index[np.minimum(p, k - 1)]
-                                       == keys[cand])]
-        return known
 
 
 _EMPTY_INDEX = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
@@ -737,79 +720,67 @@ def build_free(a: FiniteAlgebra, g: int,
         raise AlgebraError("generator count must be positive")
     _check_vector_size(a)
     size = a.size
-    c = size ** g
-    if c * g > cap_entries:
+    # size ** g > cap_entries once g passes the cap's bit length, so a huge g
+    # is refused without building its power
+    if (size > 1 and g > cap_entries.bit_length()
+            or size ** g * g > cap_entries):
+        # str() takes ints of at most 4300 digits by default
+        coords = (size ** g if g * math.log10(size) < 4300
+                  else f"{size}**{g}")
         raise CapExceeded(
-            f"tuple space alone ({g} generators of {c} coordinates) "
+            f"tuple space alone ({g} generators of {coords} coordinates) "
             f"exceeds cap {cap_entries}", 0)
-
-    idx = np.arange(c, dtype=np.int64)
-    digits = np.empty((c, g), dtype=np.uint8)
-    for i in range(g):
-        digits[:, i] = (idx // size ** (g - 1 - i)) % size
+    c = size ** g
 
     n_planes = max(1, (size - 1).bit_length())
     max_arity = max((ar for _, ar in a.signature.ops), default=1)
     builder = _Builder(n_planes, c, cap_entries, max_arity)
 
-    ops = [(name, ar, a.tables[name]) for name, ar in a.signature.ops]
-    op_index = {name: i for i, (name, _, _) in enumerate(ops)}
-    programs = {name: _compile_op(tab, size, ar, n_planes)
-                for name, ar, tab in ops if ar}
-    symmetric = {}
-    for name, ar, tab in ops:
-        symmetric[name] = (ar == 2 and
-                           np.array_equal(tab.reshape(size, size),
-                                          tab.reshape(size, size).T))
-
-    # seed: projections, then constants
-    generators = []
-    for i in range(g):
-        vec = digits[:, i].reshape(1, -1)
-        rows = _pack_planes(vec, n_planes)
-        hit = [e for e in range(builder.n)
-               if np.array_equal(builder.rows[:, e], rows[:, 0])]
-        if hit:
-            generators.append(hit[0])
+    # seeds: the projections, distinct unless |A| = 1, when every generator
+    # is element 0, then each constant that is not an element yet
+    n_proj = g if size > 1 else 1
+    idx = np.arange(c, dtype=np.int64)
+    proj = np.stack([(idx // size ** (g - 1 - i)) % size
+                     for i in range(n_proj)]).astype(np.uint8)
+    builder.append(_pack_planes(proj, n_planes), -1,
+                   np.arange(n_proj)[:, None])
+    generators = tuple(range(g)) if size > 1 else (0,) * g
+    # (signature index, arity, program, symmetric) per non-constant operation
+    ops = []
+    for i, (name, ar) in enumerate(a.signature.ops):
+        tab = a.tables[name]
+        if ar == 0:
+            rows = _pack_planes(
+                np.full((1, c), int(tab[0]), dtype=np.uint8), n_planes)
+            if builder.new_rows(rows).size:
+                builder.append(rows, i, np.empty((1, 0), dtype=np.int64))
         else:
-            builder.append(rows, -1, np.array([[i]]))
-            generators.append(builder.n - 1)
-    for name, ar, tab in ops:
-        if ar != 0:
-            continue
-        vec = np.full((1, c), int(tab[0]), dtype=np.uint8)
-        rows = _pack_planes(vec, n_planes)
-        if not any(np.array_equal(builder.rows[:, e], rows[:, 0])
-                   for e in range(builder.n)):
-            builder.append(rows, op_index[name],
-                           np.empty((1, 0), dtype=np.int64))
+            ops.append((i, ar, _compile_op(tab, size, ar, n_planes),
+                        ar == 2 and np.array_equal(
+                            tab.reshape(size, size),
+                            tab.reshape(size, size).T)))
 
     units_used = 0
-    op_cost = {name: (size ** ar) * builder.width for name, ar, _ in ops}
     frontier_start = 0
     while frontier_start < builder.n:
         old = frontier_start
         level_total = builder.n
         frontier_start = builder.n
         projected = 0
-        for name, ar, _ in ops:
-            if ar == 0:
-                continue
-            if symmetric[name]:
+        for _, ar, _, symmetric in ops:
+            if symmetric:
                 apps = (level_total * (level_total + 1) - old * (old + 1)) // 2
             else:
                 apps = level_total ** ar - old ** ar
-            projected += apps * op_cost[name]
+            projected += apps * size ** ar * builder.width
         if units_used + projected > work_budget:
             raise CapExceeded(
                 f"free algebra work budget exceeded (next closure level "
                 f"needs {projected} more units of {work_budget})", builder.n)
         # the level's chunks below add up to exactly ``projected``
         units_used += projected
-        for name, ar, _ in ops:
-            if ar == 0:
-                continue
-            if symmetric[name]:
+        for op, ar, program, symmetric in ops:
+            if symmetric:
                 chunks = _pair_args(builder, old, level_total)
             else:
                 # block p: position p on the frontier, the positions before
@@ -821,18 +792,16 @@ def build_free(a: FiniteAlgebra, g: int,
                                 [0] * p + [old] + [0] * (ar - 1 - p))
                     for p in range(ar if old else 1))
             for arg_rows, pick, args_of in chunks:
-                res = _run_op(builder, programs[name], arg_rows)
+                res = _run_op(builder, program, arg_rows)
                 if pick is not None:
                     res = np.take(res, pick, axis=1)
                 pos = builder.new_rows(res)
                 if pos.size:
-                    builder.append(res[:, pos], op_index[name], args_of(pos))
+                    builder.append(res[:, pos], op, args_of(pos))
 
     vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, c)
-    return FreeAlgebra(a, g, vecs, tuple(generators),
-                       np.concatenate(builder.w_op),
-                       np.concatenate(builder.w_args),
-                       [name for name, _, _ in ops])
+    return FreeAlgebra(a, g, vecs, generators, np.concatenate(builder.w_op),
+                       np.concatenate(builder.w_args))
 
 
 # ---------------------------------------------------------------------------

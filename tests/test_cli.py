@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -299,3 +300,26 @@ def test_free_witnesses_text(capsys):
     assert out.splitlines() == [
         "F(lattice2, 2): 4 elements over 4 assignments",
         "  0: x0", "  1: x1", "  2: (meet x1 x0)", "  3: (join x1 x0)"]
+
+
+def test_huge_tuple_spaces_are_refused_without_their_power(capsys,
+                                                           tmp_path):
+    # 2 ** 20001 has more digits than str() converts by default, and
+    # 3 ** 10 ** 7 takes seconds to compute
+    path = tmp_path / "chain.idl"
+    path.write_text("cong a b; " + " o ".join(["a", "b"] * 10_000)
+                    + " <= a o b\n")
+    for argv, coords in ((("free", "z2", "-g", "20000"), "2**20000"),
+                         (("free", "pixley3", "-g", "10000000"),
+                          "3**10000000"),
+                         (("check", "z2", "--idl", str(path)), "2**20001")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (3, ""), argv
+        assert f" generators of {coords} coordinates) exceeds cap " in err
+    # a count that str() converts is printed as before
+    code, _, err = run(capsys, "free", "z2", "-g", "30")
+    assert code == 3
+    assert err == ("cap exceeded: tuple space alone (30 generators of "
+                   "1073741824 coordinates) exceeds cap 10000000\n")

@@ -194,12 +194,15 @@ def _build_outputs(f):
 def test_colliding_fingerprints_build_identically(fake, monkeypatch, chain3,
                                                   pixley3):
     # packed rows wider than one word are keyed by fingerprint; forced
-    # collisions must send chunks down the exact path, not drop elements
+    # collisions must send chunks down the exact path, not drop elements,
+    # with equal keys in either index level
     cases = [(chain3, 3), (chain3, 4), (pixley3, 2)]
     expected = [_build_outputs(build_free(a, g)) for a, g in cases]
     monkeypatch.setattr(free, "_fingerprint", fake)
-    for (a, g), want in zip(cases, expected):
-        assert _build_outputs(build_free(a, g)) == want
+    for share in _SIDE_SHARES:
+        monkeypatch.setattr(free, "_SIDE_SHARE", share)
+        for (a, g), want in zip(cases, expected):
+            assert _build_outputs(build_free(a, g)) == want, share
 
 
 def test_colliding_one_word_fingerprints_build_identically(monkeypatch,
@@ -210,7 +213,47 @@ def test_colliding_one_word_fingerprints_build_identically(monkeypatch,
     want = _build_outputs(build_free(semilattice2, 6))
     monkeypatch.setattr(free, "_fingerprint",
                         lambda rows, weights: rows[0].byteswap())
-    assert _build_outputs(build_free(semilattice2, 6)) == want
+    for share in _SIDE_SHARES:
+        monkeypatch.setattr(free, "_SIDE_SHARE", share)
+        assert _build_outputs(build_free(semilattice2, 6)) == want, share
+
+
+@st.composite
+def _exact_chunks(draw):
+    """(dtype, known rows, chunk rows) as tuples of one to three words, with
+    zero and all-ones bytes in every position, and repeats within the chunk
+    and of known rows."""
+    dtype = draw(st.sampled_from((np.uint8, np.uint16, np.uint32, np.uint64)))
+    top = int(np.iinfo(dtype).max)
+    word = st.sampled_from(sorted({0, 1, 1 << 7, top >> 1, top}))
+    row = st.tuples(*[word] * draw(st.integers(1, 3)))
+    known = draw(st.lists(row, max_size=6, unique=True))
+    chunk = draw(st.lists(st.sampled_from(known) | row if known else row,
+                          min_size=1, max_size=30))
+    return dtype, known, chunk
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_exact_chunks())
+def test_exact_new_rows_match_a_set_oracle(case):
+    dtype, known, chunk = case
+    seen, want = set(known), []
+    for pos, row in enumerate(chunk):
+        if row not in seen:
+            seen.add(row)
+            want.append(pos)
+    words = len(chunk[0])
+    # a stand-in builder: word-major element rows, with spare columns past
+    # its n elements that must not count as known
+    stored = np.full((words, len(known) + 3), np.iinfo(dtype).max,
+                     dtype=dtype)
+    if known:
+        stored[:, :len(known)] = np.array(known, dtype=dtype).T
+    builder = types.SimpleNamespace(rows=stored, n=len(known))
+    # word-major candidates: a transposed view, not C-contiguous
+    rows = np.array(chunk, dtype=dtype).T
+    got = free._Builder._new_rows_exact(builder, rows)
+    assert got.tolist() == want
 
 
 def _digest(outcome):
@@ -225,7 +268,8 @@ def _digest(outcome):
 # the one-word F(lattice2, 5) and F(semilattice2, 6) were recorded with the
 # closure that gathered per-candidate argument index arrays, and the cases
 # after F(lattice2, 6) with the closure that stored every row in uint64
-# words and kept every key in the sorted index
+# words and kept every key in the sorted index, and the constants' cases with
+# the closure that seeded by scanning the known elements
 _GOLDEN = [
     ("chain3", 3, {},
      "3bf5c70bfbc6700d04b9b48aee5a7387b40006fc2e7036261c2867f331c8533f"),
@@ -269,10 +313,30 @@ _GOLDEN = [
      "cd7d4b3915cc406a11ecb5816c921ea6b3835dde2abd26c64854a276f9980d8b"),
     ("rand3", 3, {},
      "a554ed2330ae39f128904f30c39cd7e516efcfd4e092b3fca5fee0db70d5486c"),
+    # constants: one generator element for all three; a constant equal to
+    # an earlier one; two distinct constants
+    ("one", 3, {},
+     "1ea37c0c30e3c5cd349478d2acce4576434d5d54a36deceaf51bbd283e80ab5b"),
+    ("consts2", 3, {},
+     "3f408968983338a384697ceafdabf9a0b986cbad807bffc6d2c33b6f3d6d1ed7"),
+    ("consts3", 2, {},
+     "5cd8673212e70a28fe88cece9f3eb1fab26d006ee47feb2286f6caae59e95c23"),
 ]
 
 
 def _golden_algebra(corpus, name):
+    if name == "consts2":
+        # implication between two equal constants
+        return FiniteAlgebra("consts2", 2,
+                             Signature((("c", 0), ("imp", 2), ("d", 0))),
+                             {"c": [1], "imp": [1, 1, 0, 1], "d": [1]})
+    if name == "consts3":
+        # x - y + z mod 3 between the constants 0 and 2
+        return FiniteAlgebra(
+            "consts3", 3, Signature((("a", 0), ("p", 3), ("b", 0))),
+            {"a": [0], "b": [2],
+             "p": [(x - y + z) % 3
+                   for x, y, z in itertools.product(range(3), repeat=3)]})
     if name == "rand3":
         # one non-symmetric binary operation; g = 4 gives 81 coordinates,
         # two words per plane
