@@ -14,10 +14,12 @@ admissible relations; D, P are tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .bounds import bound
 from .dsl import (AltE, Contains, ConvE, GenE, Identity, K, PowE, VarE,
-                  alternation, children, compose, meet, pow_expr, rebuild)
+                  alternation, children, compose, meet, pow_expr, rebuild,
+                  substitute_k)
 from .relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
 
 A, B, G = VarE("a"), VarE("b"), VarE("g")
@@ -260,38 +262,32 @@ def _agi(m):
                     side_conditions=(Contains(compose(R, S), compose(*ts)),))
 
 
+def _instance(name, ident, count=K):
+    """``ident`` renamed to ``name``, with ``count`` for its symbolic k."""
+    return replace(ident, name=name, rhs=substitute_k(ident.rhs, count))
+
+
 def _bbb(n):
     _require(n >= 1, "BBB needs n >= 1")
-    lhs = meet(A, compose(B, G, B, G, B))
-    rhs = compose(AltE(meet(A, B), meet(A, G), 4 * n - 1),
-                  meet(A, compose(G, B)),
-                  AltE(meet(A, G), meet(A, B), 2 * n))
-    return Identity("BBB", _cong("a", "b", "g"), lhs, rhs)
+    return _instance("BBB", _ttriple(5, 4 * n - 1, 2 * n))
 
 
 def _q2_base(r):
     _require(r >= 1, "Q2_BASE needs r >= 1")
-    lhs = meet(A, alternation(B, G, 2 * r + 1))
-    rhs = compose(meet(A, compose(G, B)), AltE(meet(A, G), meet(A, B), K))
-    return Identity("Q2_BASE", _cong("a", "b", "g"), lhs, rhs)
+    return _instance("Q2_BASE", _tschantz(2 * r + 1))
 
 
 def _q2_a(r, s, n):
     _require(r >= 1 and s >= 1 and n >= 0, "Q2_A needs r, s >= 1, n >= 0")
-    lhs = meet(A, alternation(B, G, 4 * r + 1))
-    rhs = compose(meet(A, compose(G, B)),
-                  AltE(meet(A, G), meet(A, B), s + 4 * r * n))
-    return Identity("Q2_A", _cong("a", "b", "g"), lhs, rhs)
+    return _instance("Q2_A", _tschantz(4 * r + 1), s + 4 * r * n)
 
 
 def _q2_b(r, s, n, q):
     _require(r >= 1 and s >= 1 and n >= 0 and q >= 1,
              "Q2_B needs r, s, q >= 1 and n >= 0")
-    lhs = meet(A, alternation(B, G, 2 ** q * r + 1))
-    rhs = compose(meet(A, compose(G, B)),
-                  AltE(meet(A, G), meet(A, B),
-                       s + (2 ** (q + 1) - 4) * r * n))
-    return Identity("Q2_B", _cong("a", "b", "g"), lhs, rhs)
+    # AGTCOR2's right-hand length counts the head factor a & (g o b) too
+    b = bound("AGTCOR2", r=r, s=s, n=n, q=q)
+    return _instance("Q2_B", _tschantz(b.lhs), b.rhs - 1)
 
 
 def _agt_4hb(h, n):
@@ -323,10 +319,7 @@ def _agt_4h(h, n):
 
 def _qdist(q, n):
     _require(q >= 1 and n >= 0, "QDIST needs q >= 1, n >= 0")
-    lhs = meet(A, alternation(B, G, 2 ** q + 1))
-    rhs = compose(meet(A, compose(G, B)),
-                  AltE(meet(A, G), meet(A, B), (2 ** (q + 1) - 2) * n))
-    return Identity("QDIST", _cong("a", "b", "g"), lhs, rhs)
+    return _instance("QDIST", _tschantz(2 ** q + 1), (2 ** (q + 1) - 2) * n)
 
 
 def _qdistconv(q, n):
@@ -340,20 +333,15 @@ def _qdistconv(q, n):
 def _qmod2(h, t, n):
     _require(h >= 1 and n >= 0, "QMOD2 needs h >= 1, n >= 0")
     _require(t >= 2 and t % 2 == 0, "QMOD2 needs t even, t >= 2")
-    lhs = meet(A, alternation(B, meet(A, G), 4 * h + 3))
-    rhs = AltE(meet(A, B), meet(A, G), t + (4 * h + 2) * n)
-    return Identity("QMOD2", _cong("a", "b", "g"), lhs, rhs)
+    return _instance("QMOD2", _day(4 * h + 3), t + (4 * h + 2) * n)
 
 
 def _qmod3(h, t, n, p):
     _require(h >= 1 and n >= 0 and p >= 1,
              "QMOD3 needs h, p >= 1 and n >= 0")
     _require(t >= 2 and t % 2 == 0, "QMOD3 needs t even, t >= 2")
-    z = 2 ** p * (h + 1) - 1
-    tp = t + (2 ** (p + 1) - 4) * h * n + (2 ** (p + 1) - 2 * p - 2) * n
-    lhs = meet(A, alternation(B, meet(A, G), z))
-    rhs = AltE(meet(A, B), meet(A, G), tp)
-    return Identity("QMOD3", _cong("a", "b", "g"), lhs, rhs)
+    b = bound("QKMOD2", h=h, t=t, n=n, p=p)
+    return _instance("QMOD3", _day(b.lhs), b.rhs)
 
 
 CATALOG: dict[str, CatalogEntry] = {}

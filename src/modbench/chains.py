@@ -154,11 +154,8 @@ def verify_chain(a: FiniteAlgebra, chain: TermChain) -> ChainVerdict:
         vb = eval_term_vector(a, tb, nvars, dict(enumerate(mb)))
         diff = np.nonzero(va != vb)[0]
         if diff.size:
-            flat = int(diff[0])
-            assignment = []
-            for j in range(nvars):
-                assignment.append((flat // a.size ** (nvars - 1 - j)) % a.size)
-            violations.append(Violation(label, tuple(assignment)))
+            assignment = np.unravel_index(diff[0], (a.size,) * nvars)
+            violations.append(Violation(label, tuple(map(int, assignment))))
     return ChainVerdict(not violations, tuple(violations))
 
 

@@ -244,6 +244,14 @@ def enumerate_relations(a: FiniteAlgebra, kind: str,
     return [found[rows] for rows in sorted(found)]
 
 
+def seeded_family(a: FiniteAlgebra) -> str:
+    """The relations ``enumerate_relations`` gives on a universe past
+    ``ENUM_CAP``, and why they are not all of them."""
+    return (f"admissible and tolerance relations generated from at most 2 "
+            f"seed pairs ({a.name} has {a.size} > {ENUM_CAP} elements, too "
+            f"many to enumerate them all)")
+
+
 @dataclass(frozen=True)
 class ConcreteResult:
     holds: bool
@@ -648,7 +656,8 @@ def walk_scan(ctx: PWContext, ident: Identity,
 class Bound:
     """What is known of one spectrum cell: its value lies in [lo, hi], with
     ``hi`` None when no upper bound is known, and ``lo == hi`` decides it.
-    ``reason`` is the refusal of a cap that left the cell open."""
+    ``reason`` says why the cell is open: the refusal of a cap, or the
+    incomplete relation family a concrete scan ran over."""
 
     lo: int
     hi: int | None = None
@@ -687,7 +696,9 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     monotonicity is asserted one layer further.  A scan that misses up to
     ``cap`` gives the bound [cap + 1, None]; a scan that a free-algebra cap
     or the concrete guard refuses gives [0, None], with the refusal as its
-    reason.
+    reason.  A concrete scan over an incomplete relation family that finds
+    k gives only [k, None], with that family as its reason; one that finds
+    a counterexample at ``cap`` still gives [cap + 1, None].
     """
     if cap < 0:
         raise CheckError(f"scan cap must be nonnegative: {cap}")
@@ -719,4 +730,8 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
         return SpectrumResult(Bound(0, reason=str(exc)), level)
     if k is None:
         return SpectrumResult(Bound(cap + 1), level, evidence)
+    if level == ALGEBRA and not res.complete:
+        return SpectrumResult(Bound(k, reason=f"{entry.scan} >= {k}: {k} is "
+                                    f"least on the {seeded_family(a)}"),
+                              level)
     return SpectrumResult(Bound(k, k), level)

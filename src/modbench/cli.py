@@ -22,7 +22,7 @@ from .bounds import BoundError, bound, bound_names
 from .catalog import VARIETY, CATALOG, CatalogError, get_entry, level_of
 from .chains import search_day, search_gumm, search_jonsson
 from .checks import (CheckError, PWContext, check_concrete, pw_check,
-                     spectrum)
+                     seeded_family, spectrum)
 from .dsl import DslError, identity_str, parse_identity
 from .free import CapExceeded, build_free, term_str
 from .relations import GuardExceeded, all_congruences
@@ -50,13 +50,20 @@ def load_algebra(source: str) -> FiniteAlgebra:
 
 
 def _parse_params(pairs) -> dict:
+    """NAME=VALUE items as a dict; a name given twice is a usage error."""
     out = {}
     for item in pairs or ():
         if "=" not in item:
-            raise argparse.ArgumentTypeError(
-                f"--param expects name=value, got {item!r}")
+            raise ValueError(f"--param expects name=value, got {item!r}")
         key, value = item.split("=", 1)
-        out[key.strip()] = int(value)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"parameter {key!r} is given twice")
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ValueError(f"parameter {key!r} needs an integer, got "
+                             f"{value!r}") from None
     return out
 
 
@@ -168,11 +175,14 @@ def cmd_check(args) -> int:
             out["counterexample"] = {
                 name: rel.to_bitstrings()
                 for name, rel in sorted(res.counterexample.items())}
+    # holding on part of the relations decides nothing
+    partial = out["holds"] and not out.get("complete", True)
     if args.json:
         print(_dump(out))
     else:
         verdict = "holds" if out["holds"] else "refuted"
         scope = ("throughout the generated variety" if mode == "pw"
+                 else f"on the {seeded_family(a)}" if partial
                  else "on this algebra")
         print(f"{ident.name} on {a.name}: {verdict} {scope}")
         print(f"  {out['statement']}" + (f"  [k={args.k}]"
@@ -180,7 +190,9 @@ def cmd_check(args) -> int:
         if not out["holds"] and "counterexample" in out:
             for name, rows in out["counterexample"].items():
                 print(f"  {name}: {' '.join(rows)}")
-    return EXIT_OK if out["holds"] else EXIT_REFUTED
+    if not out["holds"]:
+        return EXIT_REFUTED
+    return EXIT_CAP if partial else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
@@ -237,12 +249,7 @@ PARAM_FLAGS = ("r", "n", "p", "q", "h", "t", "s", "i", "k", "m", "l")
 
 
 def cmd_bounds(args) -> int:
-    params = _parse_params(args.param)
-    for flag in PARAM_FLAGS:
-        value = getattr(args, f"flag_{flag}")
-        if value is not None:
-            params[flag] = value
-    value = bound(args.name, **params)
+    value = bound(args.name, **_parse_params(args.param))
     out = {"name": value.name, "params": dict(value.params),
            "kind": value.kind, "lhs": value.lhs, "rhs": value.rhs,
            "premise": value.premise}
@@ -356,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=bound_names())
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     for flag in PARAM_FLAGS:
-        p.add_argument(f"--{flag}", dest=f"flag_{flag}", type=int,
-                       default=None, help=argparse.SUPPRESS)
+        # --r 2 is --param r=2
+        p.add_argument(f"--{flag}", dest="param", action="append",
+                       type=lambda v, name=flag: f"{name}={v}",
+                       help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bounds)
 

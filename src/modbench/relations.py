@@ -98,16 +98,7 @@ class BinRel:
         return self == self.converse()
 
     def is_transitive(self) -> bool:
-        for i in range(self.n):
-            acc = self.rows[i]
-            row = acc
-            while row:
-                low = row & -row
-                acc |= self.rows[low.bit_length() - 1]
-                row ^= low
-            if acc != self.rows[i]:
-                return False
-        return True
+        return compose(self, self) <= self
 
     def to_bitstrings(self) -> list[str]:
         return [format(r, f"0{self.n}b")[::-1] for r in self.rows]
@@ -186,21 +177,12 @@ def alt(r: BinRel, s: BinRel, m: int) -> BinRel:
 
 
 def transitive_closure(r: BinRel) -> BinRel:
-    rows = list(r.rows)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r.n):
-            acc = rows[i]
-            row = acc
-            while row:
-                low = row & -row
-                acc |= rows[low.bit_length() - 1]
-                row ^= low
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-    return BinRel(r.n, rows)
+    """Square ``r`` until nothing changes; every relation here is
+    reflexive, so r <= r o r."""
+    square = compose(r, r)
+    while square != r:
+        r, square = square, compose(square, square)
+    return r
 
 
 # -- compatibility and generation ------------------------------------------

@@ -36,10 +36,11 @@ def _status(measured: Bound, claimed: int) -> str:
 
 def _shown(measured: Bound):
     """A cell as the report prints it: the decided value, "exceeds cap" for
-    a scan that missed up to its cap (a lower bound alone), or "unchecked"."""
+    a scan that missed up to its cap (a lower bound with no reason), or
+    "unchecked"."""
     if measured.value is not None:
         return measured.value
-    return "exceeds cap" if measured.lo else UNCHECKED
+    return UNCHECKED if measured.reason or not measured.lo else "exceeds cap"
 
 
 def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,

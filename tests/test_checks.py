@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modbench import checks
-from modbench.algebras import FiniteAlgebra, Signature
+from modbench.algebras import FiniteAlgebra, Signature, parse_algebra
 from modbench.catalog import ALGEBRA, CATALOG, VARIETY, get_entry
 from modbench.checks import (Bound, CheckError, PWConfig, PWContext,
                              PWGrammarError, check_concrete,
@@ -21,7 +21,7 @@ from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
-from conftest import free_as_algebra, load_corpus, random_algebra
+from conftest import free_as_algebra, load_corpus, m5_text, random_algebra
 
 
 def test_eval_expr_basics(chain3):
@@ -612,6 +612,18 @@ def test_least_k_is_the_spectrum(z2, chain3):
     # no symbolic count, no scan
     res = check_concrete(z2, parse_identity("adm R; R <= R"))
     assert res.holds and res.least_k is None
+
+
+def test_incomplete_concrete_spectrum_is_a_lower_bound():
+    # m5 is past ENUM_CAP: the least k over the seeded relations bounds the
+    # cell from below only, while a counterexample still refutes k <= cap
+    m5 = parse_algebra(m5_text())
+    assert not check_concrete(m5, get_entry("RMOD").identity(), k=2).complete
+    res = spectrum(m5, "RMOD")
+    assert (res.bound.lo, res.bound.hi, res.value) == (2, None, None)
+    assert res.bound.reason.startswith("k >= 2: 2 is least on the ")
+    assert "at most 2 seed pairs" in res.bound.reason
+    assert spectrum(m5, "RMOD", cap=1).bound == Bound(2)
 
 
 def test_enumerate_relations_seeds_every_size_up_to_cap():

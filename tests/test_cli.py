@@ -6,6 +6,7 @@ import pytest
 from modbench.cli import main
 from modbench.bounds import bound
 from modbench.checks import PWContext, spectrum
+from conftest import m5_text
 
 
 def run(capsys, *argv):
@@ -89,6 +90,54 @@ def test_param_with_idl_is_a_usage_error(capsys, tmp_path):
                          "--param", "m=9")
     assert (code, out) == (2, "")
     assert "--param applies to catalog identities only" in err
+
+
+def test_a_repeated_parameter_is_a_usage_error(capsys):
+    for argv in (("bounds", "--name", "COMB", "--param", "r=1", "--r", "2",
+                  "--n", "1", "--p", "1", "--q", "1"),
+                 ("bounds", "--name", "THM", "--r", "1", "--r", "2",
+                  "--q", "1"),
+                 ("check", "lattice2", "--identity", "DAY", "--param", "m=3",
+                  "--param", "m=4", "--k", "4")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "is given twice" in err
+    # the hidden flags are --param spelled short
+    code, out, _ = run(capsys, "bounds", "--name", "COMB", "--r", "2",
+                       "--param", "n=1", "--p", "1", "--q", "1")
+    assert code == 0 and "claimed bound 4" in out
+    code, _, err = run(capsys, "check", "lattice2", "--identity", "DAY",
+                       "--param", "m", "--k", "4")
+    assert code == 2 and "--param expects name=value" in err
+    code, _, err = run(capsys, "bounds", "--name", "THM", "--r", "abc",
+                       "--q", "1")
+    assert code == 2 and "parameter 'r' needs an integer, got 'abc'" in err
+
+
+def test_an_incomplete_relation_family_decides_nothing(capsys, tmp_path):
+    path = tmp_path / "m5.alg"
+    path.write_text(m5_text())
+    code, out, _ = run(capsys, "spectrum", str(path), "--family", "AGA",
+                       "--json")
+    (row,) = json.loads(out)["results"]
+    assert code == 3 and '"value": null' in out
+    assert row["unchecked"].startswith("n >= 1: 1 is least on the ")
+    code, out, _ = run(capsys, "check", str(path), "--identity", "RMOD",
+                       "--k", "2")
+    assert code == 3
+    assert out.startswith("RMOD on m5: holds on the admissible and "
+                          "tolerance relations generated from at most 2 "
+                          "seed pairs (m5 has 5 > 4 elements")
+    code, out, _ = run(capsys, "check", str(path), "--identity", "RMOD",
+                       "--k", "2", "--json")
+    data = json.loads(out)
+    assert code == 3 and (data["holds"], data["complete"]) == (True, False)
+    assert sorted(data) == ["algebra", "complete", "envsChecked", "holds",
+                            "identity", "k", "level", "mode", "statement"]
+    # a refutation on the seeded relations is still a proof
+    code, out, _ = run(capsys, "check", str(path), "--identity", "RMOD",
+                       "--k", "1")
+    assert code == 1 and "refuted on this algebra" in out
 
 
 def test_verify_z2_text(capsys):

@@ -697,3 +697,10 @@ def test_compiled_ops_match_table_lookup(c):
         assert np.array_equal(
             got, free._pack_planes(want, n_planes)), (size, arity, table)
         assert np.array_equal(free._unpack_planes(got, n_planes, c), want)
+
+
+def test_one_element_algebra_past_64_generators(one):
+    # every generator is the one element; 100 generators are past numpy's
+    # 64-dimension limit, so nothing may index the generators as axes
+    f = build_free(one, 100)
+    assert (f.n_elements, f.tuple_count, f.g) == (1, 1, 100)

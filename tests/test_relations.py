@@ -200,3 +200,29 @@ def test_congruence_props_on_corpus(corpus):
 def test_transitive_closure():
     r = BinRel.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     assert transitive_closure(r).has(0, 3)
+
+
+@st.composite
+def _reflexive_relations(draw):
+    n = draw(st.integers(1, 6))
+    point = st.integers(0, n - 1)
+    return BinRel.from_pairs(n, draw(st.sets(st.tuples(point, point))))
+
+
+def _closure_oracle(r):
+    pairs = set(r.pairs())
+    while True:
+        more = {(x, z) for x, y in pairs for y2, z in pairs if y == y2}
+        if more <= pairs:
+            return pairs
+        pairs |= more
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=_reflexive_relations())
+def test_transitivity_matches_a_set_oracle(r):
+    closed = _closure_oracle(r)
+    assert r.is_transitive() == (closed == set(r.pairs()))
+    closure = transitive_closure(r)
+    assert set(closure.pairs()) == closed
+    assert closure.is_transitive()

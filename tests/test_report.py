@@ -88,6 +88,16 @@ def test_status_logic():
         assert _status(Bound(0, None, "refused"), claimed) == "unchecked"
 
 
+def test_shown_cells():
+    from modbench.report import _shown
+    assert _shown(Bound(3, 3)) == 3
+    assert _shown(Bound(65)) == "exceeds cap"
+    assert _shown(Bound(0)) == "unchecked"
+    assert _shown(Bound(0, None, "refused")) == "unchecked"
+    # a lower bound from an incomplete relation family exceeds no cap
+    assert _shown(Bound(2, None, "seeded relations only")) == "unchecked"
+
+
 def test_report_refuses_a_context_for_another_algebra(z2, lattice2):
     with pytest.raises(CheckError, match="'lattice2', not for 'z2'"):
         consistency_report(z2, ctx=PWContext(lattice2))
