@@ -42,9 +42,15 @@ new.
 
 Elements appear in the order of first occurrence in the global candidate
 sequence, so neither they nor their witnesses depend on the chunk size, and
-neither do refusals: the work budget is checked once per closure level, and
-the entries cap refuses with ``elements_reached`` the first element count
-that does not fit, ``cap_entries // coordinates + 1``.
+neither do refusals.  The work budget is checked once per closure level, at
+its boundary.  The entries cap refuses with ``elements_reached`` the first
+element count that does not fit, ``cap_entries // coordinates + 1``, either
+when an append overflows or already at a level's boundary: a level with
+many more candidates than the cap has room for first samples a small share
+of them, and refuses when the sample alone makes more distinct new rows than
+there is room for.  Each of those rows is an element the level would add,
+so the canonical order would overflow in the same level, with the same
+refusal; when the sample proves nothing, the level runs as before.
 """
 
 from __future__ import annotations
@@ -68,6 +74,13 @@ _CHUNK_WORDS = 1 << 16
 # share of the main one's size, so merges copy O(n) keys in all and each
 # chunk inserts into a small array
 _SIDE_SHARE = 1 / 8
+# a closure level whose candidates are more than 1 / _SAMPLE_SHARE times the
+# elements the entries cap has room for samples this share of them, to prove
+# that it overflows.  The corpus reports' levels and those of term searches
+# on random small algebras measured at most 166 times their room, except
+# F(lattice2, 6)'s refused one, 12,367 times; a sample that proves nothing
+# costs at most this share of its level
+_SAMPLE_SHARE = 1 / 512
 
 
 class CapExceeded(RuntimeError):
@@ -361,6 +374,7 @@ class _Builder:
         self.n_planes = n_planes
         self.cap_entries = cap_entries
         self.c = c
+        self.max_elements = cap_entries // c
         dtype, self.words = _row_layout(c)
         bits = 8 * dtype.itemsize
         self.width = n_planes * self.words
@@ -394,11 +408,8 @@ class _Builder:
         element indices in each row of ``args`` (-1 and the variable index
         for a generator)."""
         k = rows.shape[1]
-        if (self.n + k) * self.c > self.cap_entries:
-            first = self.cap_entries // self.c + 1   # first count over cap
-            raise CapExceeded(
-                f"free algebra exceeds {self.cap_entries} vector entries "
-                f"({first} elements of {self.c} coordinates)", first)
+        if self.n + k > self.max_elements:
+            self.refuse()
         if self.n + k > self.rows.shape[1]:
             grown = np.empty((self.width,
                               max(self.n + k, 2 * self.rows.shape[1])),
@@ -421,6 +432,14 @@ class _Builder:
         padded = np.zeros((k, self.max_arity), dtype=np.int64)
         padded[:, :args.shape[1]] = args
         self.w_args.append(padded)
+
+    def refuse(self):
+        """Raise the entries cap's refusal: ``elements_reached`` is the first
+        element count that does not fit."""
+        first = self.max_elements + 1
+        raise CapExceeded(
+            f"free algebra exceeds {self.cap_entries} vector entries "
+            f"({first} elements of {self.c} coordinates)", first)
 
     def new_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ascending positions of the first occurrence of each row that is
@@ -707,6 +726,56 @@ def _pair_args(builder: _Builder, old: int, total: int):
         x0 = x1
 
 
+def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
+    """Whether a sample of the closure level on the frontier
+    ``[old, builder.n)`` makes more distinct new rows than the entries cap
+    has room for, which proves that the level overflows.
+
+    The sample is at most ``_SAMPLE_SHARE`` of the level's candidates, and
+    is drawn only when that share is more than the room left.  A sampled
+    candidate draws its operation in proportion to ``apps``, the operation's
+    applications in the level, each argument uniformly from the elements,
+    and then one uniformly chosen position from the frontier.  So it is a
+    candidate of the level, or for a symmetric table the mirror of one, and
+    its row, when not an element yet, is one that the level adds.  Rows are
+    counted exactly, on the builder's own key paths: each batch drops its
+    known rows, and a scratch builder collects the new ones.  The sample
+    stops after a batch once its yield so far, projected to the whole
+    sample, cannot pass the room left.  The seed is fixed; the sample
+    decides only whether a refusal comes now or later in the level.
+    """
+    total = builder.n
+    room = builder.max_elements - total
+    budget = math.floor(sum(apps) * _SAMPLE_SHARE)
+    if budget <= room:
+        return False
+    seen = _Builder(builder.n_planes, builder.c, room * builder.c, 1)
+    rng = np.random.default_rng(0)
+    share = np.array(apps, dtype=float) / sum(apps)
+    drawn = 0
+    while drawn < budget:
+        m = min(builder.chunk, budget - drawn)
+        for (_, ar, program, _), k in zip(ops, rng.multinomial(m, share)):
+            if not k:
+                continue
+            args = rng.integers(0, total, size=(ar, k))
+            args[rng.integers(0, ar, size=k), np.arange(k)] = rng.integers(
+                old, total, size=k)
+            res = _run_op(builder, program,
+                          [np.take(builder.rows, x, axis=1) for x in args])
+            res = res[:, builder.new_rows(res)]
+            if not res.shape[1]:
+                continue
+            pos = seen.new_rows(res)
+            if seen.n + pos.size > room:
+                return True
+            seen.append(res[:, pos], -1, np.empty((pos.size, 0), np.int64))
+        drawn += m
+        if seen.n * budget <= room * drawn:
+            return False
+    return False
+
+
 def build_free(a: FiniteAlgebra, g: int,
                cap_entries: int = DEFAULT_CAP_ENTRIES,
                work_budget: int = DEFAULT_WORK_BUDGET) -> FreeAlgebra:
@@ -766,17 +835,18 @@ def build_free(a: FiniteAlgebra, g: int,
         old = frontier_start
         level_total = builder.n
         frontier_start = builder.n
-        projected = 0
-        for _, ar, _, symmetric in ops:
-            if symmetric:
-                apps = (level_total * (level_total + 1) - old * (old + 1)) // 2
-            else:
-                apps = level_total ** ar - old ** ar
-            projected += apps * size ** ar * builder.width
+        # applications per operation in this level
+        apps = [(level_total * (level_total + 1) - old * (old + 1)) // 2
+                if symmetric else level_total ** ar - old ** ar
+                for _, ar, _, symmetric in ops]
+        projected = sum(k * size ** ar * builder.width
+                        for k, (_, ar, _, _) in zip(apps, ops))
         if units_used + projected > work_budget:
             raise CapExceeded(
                 f"free algebra work budget exceeded (next closure level "
                 f"needs {projected} more units of {work_budget})", builder.n)
+        if _sample_overflows(builder, ops, apps, old):
+            builder.refuse()
         # the level's chunks below add up to exactly ``projected``
         units_used += projected
         for op, ar, program, symmetric in ops:

@@ -594,6 +594,92 @@ def test_wide_random_builds_do_not_depend_on_side_index_merges(a):
 
 
 # ---------------------------------------------------------------------------
+# Overflow samples: a level that a sample of its candidates proves to overflow
+# is refused at its boundary exactly as the canonical order refuses it later
+
+# never sampled, as built, and sampled whenever a level could overflow
+_SAMPLE_SHARES = [0, free._SAMPLE_SHARE, 1]
+
+
+def _assert_sample_free(cases, chunk_words=free._CHUNK_WORDS):
+    """Per sample share, each case's outcome, which must not depend on the
+    share, and whether a sample refused it."""
+    real = free._sample_overflows
+    fired = []
+
+    def counted(*args):
+        fired.append(real(*args))
+        return fired[-1]
+
+    per = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_sample_overflows", counted)
+        mp.setattr(free, "_CHUNK_WORDS", chunk_words)
+        for share in _SAMPLE_SHARES:
+            mp.setattr(free, "_SAMPLE_SHARE", share)
+            row = []
+            for a, g, caps in cases:
+                fired.clear()
+                row.append((_outcome(a, g, **caps), any(fired)))
+            per.append(row)
+    outcomes = [[o for o, _ in row] for row in per]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert not any(f for _, f in per[0])
+    return per
+
+
+def test_corpus_refusals_do_not_depend_on_the_sample(corpus):
+    # caps of 10 to 40,000 elements put some level across the cap
+    cases = [(corpus[name], g, {"cap_entries": room * corpus[name].size ** g})
+             for name, g, rooms in (
+                 ("lattice2", 4, (10, 100)), ("semilattice2", 5, (10, 30)),
+                 ("lattice2", 5, (10, 300, 3_000, 6_250)),
+                 ("lattice2", 6, (30, 1_000, 40_000)),
+                 ("chain3", 4, (10, 100)), ("pixley3", 3, (10, 100)),
+                 ("chain3", 5, (100, 3_000, 6_250)))
+             for room in rooms]
+    per = _assert_sample_free(cases)
+    assert 0 < sum(o[0] == "refused" for o, _ in per[0]) < len(cases)
+    # the default share refuses a level of one-word exact rows (32
+    # coordinates), one-word fingerprint rows (64) and multiword rows (243)
+    sampled = {a.size ** g for (a, g, _), (_, f) in zip(cases, per[1]) if f}
+    assert sampled == {32, 64, 243}
+    assert sum(f for _, f in per[2]) > len(cases) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), g=st.integers(3, 6), room=st.integers(1, 60),
+       words=st.sampled_from(_CHUNKINGS))
+def test_random_refusals_do_not_depend_on_the_sample(a, g, room, words):
+    # dense, one-word exact, one-word fingerprint and multiword rows: 8, 16,
+    # 32 and 64 coordinates of 2 elements, 27 to 729 of 3; small chunks
+    # split a sample into many batches
+    _assert_sample_free(
+        [(a, g, {"cap_entries": (g + room) * a.size ** g})], words)
+
+
+def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
+    # in the canonical order the 156,251st element of F(6) comes after
+    # 35.6 M candidate rows; the sample proves the overflow at the boundary
+    # of that level
+    real = free._run_op
+    rows = []
+
+    def counted(*args):
+        res = real(*args)
+        rows.append(res.shape[1])
+        return res
+
+    monkeypatch.setattr(free, "_run_op", counted)
+    with pytest.raises(CapExceeded) as over:
+        build_free(lattice2, 6)
+    assert over.value.elements_reached == 156_251
+    assert str(over.value) == ("free algebra exceeds 10000000 vector entries "
+                               "(156251 elements of 64 coordinates)")
+    assert sum(rows) < 2_000_000
+
+
+# ---------------------------------------------------------------------------
 # Row dtypes: the narrowest word that holds a plane, and uint64 keys
 
 
