@@ -14,15 +14,15 @@ from .chains import (ChainError, ChainVerdict, SearchResult, TermChain,
                      as_defective, extend_chain, search_day, search_gumm,
                      search_jonsson, verify_chain)
 from .checks import (CheckError, ConcreteResult, PWContext, PWGrammarError,
-                     SpectrumResult, check_concrete, enumerate_relations,
-                     eval_expr, pw_check, spectrum)
+                     SpectrumResult, check_concrete, eval_expr, pw_check,
+                     spectrum)
 from .dsl import (DslError, Identity, expr_str, identity_str, parse_identity)
 from .free import (App, CapExceeded, FreeAlgebra, Term, Var, build_free,
                    eval_term, eval_term_vector, parse_term, term_str)
 from .relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                         GuardExceeded, RelationError, all_congruences, alt,
-                        compose, cong_join, converse, generate,
-                        is_compatible, meet, union)
+                        compose, cong_join, converse, enumerate_relations,
+                        generate, is_compatible, meet, union)
 from .report import consistency_report
 from .witness import (WitnessChain, WitnessError, day_witness_chain,
                       find_nte_decomposition, gumm_witness_chain,

@@ -26,7 +26,6 @@ import collections
 from dataclasses import dataclass
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -38,9 +37,9 @@ from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
 from .dsl import meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
-from .relations import (CONGRUENCE, BinRel, GuardExceeded, RelationError,
-                        all_congruences, compose, generate, is_compatible,
-                        meet, union)
+from .relations import (CONGRUENCE, KIND_LEVEL, BinRel, GuardExceeded,
+                        RelationError, compose, enumerate_relations, generate,
+                        is_compatible, meet, union)
 
 
 class CheckError(ValueError):
@@ -207,68 +206,29 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
     return calc.rels[int(_Batch(calc, cols, 1).eval(e)[0])]
 
 
-# Universes up to this size get every relation of each kind enumerated.
-ENUM_CAP = 4
 # The most variable assignments one concrete check enumerates.
 MAX_ENVS = 2_000_000
-
-
-def enumerate_relations(a: FiniteAlgebra, kind: str,
-                        seed_pair_cap: int = 2) -> list[BinRel]:
-    """Deterministic family of relations of one kind on ``a``.
-
-    Complete for universes up to ``ENUM_CAP``; larger universes get the
-    relations generated from all seed sets of at most ``seed_pair_cap``
-    off-diagonal pairs (a sound refutation family, not a complete one).
-    """
-    n = a.size
-    if kind == CONGRUENCE:
-        return all_congruences(a)
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if n <= ENUM_CAP:
-        out = []
-        for mask in range(1 << len(offdiag)):
-            pairs = [offdiag[t] for t in range(len(offdiag))
-                     if (mask >> t) & 1]
-            r = BinRel.from_pairs(n, pairs)
-            if is_compatible(a, r, kind):
-                out.append(r)
-        return out
-    found = {}
-    seeds = itertools.chain.from_iterable(
-        itertools.combinations(offdiag, size)
-        for size in range(seed_pair_cap + 1))
-    for seed in seeds:
-        r = generate(a, list(seed), kind)
-        found.setdefault(r.rows, r)
-    return [found[rows] for rows in sorted(found)]
-
-
-def seeded_family(a: FiniteAlgebra) -> str:
-    """The relations ``enumerate_relations`` gives on a universe past
-    ``ENUM_CAP``, and why they are not all of them."""
-    return (f"admissible and tolerance relations generated from at most 2 "
-            f"seed pairs ({a.name} has {a.size} > {ENUM_CAP} elements, too "
-            f"many to enumerate them all)")
 
 
 @dataclass(frozen=True)
 class ConcreteResult:
     holds: bool
     counterexample: dict | None
-    complete: bool           # was the variable enumeration exhaustive?
     envs_checked: int
     least_k: int | None = None   # least k holding everywhere, when scanned
 
 
 def check_concrete(a: FiniteAlgebra, ident: Identity,
                    k: int | None = None) -> ConcreteResult:
-    """Quantify the declared variables over relations of ``a``.
+    """Quantify the declared variables over all relations of ``a``.
 
-    Each declared kind is enumerated once per call, and variables of one
-    kind share its list.  Environments run in product order over them, in
-    batches of at most ``BATCH``; the first one whose side conditions hold
-    and whose inclusion fails at ``k`` is the counterexample.  When ``k``
+    Each declared kind is enumerated once per call, congruences first, and
+    variables of one kind share its list.  A check of more than
+    ``MAX_ENVS`` environments is refused (``GuardExceeded``) as soon as the
+    relations listed so far prove it.  Environments run in product order
+    over them, in batches of at most ``BATCH``; the first one whose side
+    conditions hold and whose inclusion fails at ``k`` is the
+    counterexample.  When ``k``
     occurs on the right-hand side only, a batch is tested from the largest
     count an earlier batch needed upwards, each step keeping only the
     environments still failing: relations are reflexive and every
@@ -282,15 +242,19 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     lhs_k, rhs_k = has_symbolic(ident.lhs), has_symbolic(ident.rhs)
     _check_k(ident, k, lhs_k or rhs_k)
     kinds = [kind for _, kind in ident.var_kinds]
-    by_kind = {kind: enumerate_relations(a, kind)
-               for kind in dict.fromkeys(kinds)}
+    by_kind, total = {}, 1
+    for kind in sorted(set(kinds), key=KIND_LEVEL.get, reverse=True):
+        # the most relations of this kind that keep the product in the cap
+        count, room = kinds.count(kind), MAX_ENVS // total
+        most = round(room ** (1 / count))
+        if most ** count > room:
+            most -= 1
+        by_kind[kind] = enumerate_relations(a, kind, most + 1)
+        total *= len(by_kind[kind]) ** count
+        if total > MAX_ENVS:
+            raise GuardExceeded(f"at least {total} variable assignments "
+                                f"exceed the cap {MAX_ENVS}")
     spaces = [(name, by_kind[kind]) for name, kind in ident.var_kinds]
-    total = math.prod(len(space) for _, space in spaces)
-    if total > MAX_ENVS:
-        raise GuardExceeded(
-            f"{total} variable assignments exceed the cap {MAX_ENVS}")
-    complete = all(kind == CONGRUENCE or a.size <= ENUM_CAP
-                   for kind in kinds)
     calc = _Calculus(a)
     names = [name for name, _ in spaces]
     ids = [np.array([calc.intern(r) for r in space], dtype=np.int64)
@@ -323,14 +287,13 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
                 env = _digits(ids, start + int(rows[pending[0]]))
                 counterexample = {name: space[i] for (name, space), i
                                   in zip(spaces, env)}
-                return ConcreteResult(False, counterexample, complete,
+                return ConcreteResult(False, counterexample,
                                       checked + int(pending[0]) + 1)
             batch = batch.take(fails)
             m += 1
         least = m
         checked += rows.size
-    return ConcreteResult(True, None, complete, checked,
-                          least if scan else None)
+    return ConcreteResult(True, None, checked, least if scan else None)
 
 
 def _digits(ids: list[np.ndarray], env):
@@ -656,8 +619,7 @@ def walk_scan(ctx: PWContext, ident: Identity,
 class Bound:
     """What is known of one spectrum cell: its value lies in [lo, hi], with
     ``hi`` None when no upper bound is known, and ``lo == hi`` decides it.
-    ``reason`` says why the cell is open: the refusal of a cap, or the
-    incomplete relation family a concrete scan ran over."""
+    ``reason`` says why the cell is open: the refusal of a cap or guard."""
 
     lo: int
     hi: int | None = None
@@ -696,9 +658,7 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     monotonicity is asserted one layer further.  A scan that misses up to
     ``cap`` gives the bound [cap + 1, None]; a scan that a free-algebra cap
     or the concrete guard refuses gives [0, None], with the refusal as its
-    reason.  A concrete scan over an incomplete relation family that finds
-    k gives only [k, None], with that family as its reason; one that finds
-    a counterexample at ``cap`` still gives [cap + 1, None].
+    reason.
     """
     if cap < 0:
         raise CheckError(f"scan cap must be nonnegative: {cap}")
@@ -730,8 +690,4 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
         return SpectrumResult(Bound(0, reason=str(exc)), level)
     if k is None:
         return SpectrumResult(Bound(cap + 1), level, evidence)
-    if level == ALGEBRA and not res.complete:
-        return SpectrumResult(Bound(k, reason=f"{entry.scan} >= {k}: {k} is "
-                                    f"least on the {seeded_family(a)}"),
-                              level)
     return SpectrumResult(Bound(k, k), level)

@@ -453,11 +453,13 @@ class _Builder:
         probe hit of a wider row to be that row; a failed check sends the
         chunk to :meth:`_new_rows_exact`.
         """
+        m = rows.shape[1]
+        if m == 0:
+            return np.empty(0, dtype=np.int64)
         if self._dense is not None:
             miss = np.flatnonzero(~np.take(self._dense, rows[0]))
             _, first = np.unique(rows[0, miss], return_index=True)
             return miss[np.sort(first)]
-        m = rows.shape[1]
         b = max(1, (m - 1).bit_length())
         low = np.uint64((1 << b) - 1)
         if self.exact:

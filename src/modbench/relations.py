@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .algebras import FiniteAlgebra
 
 ADMISSIBLE = "admissible"
@@ -216,75 +218,78 @@ def is_compatible(a: FiniteAlgebra, r: BinRel, kind: str) -> bool:
 
 
 def _congruence_from_pairs(a: FiniteAlgebra, pairs) -> BinRel:
-    # union-find plus unary translations; transitivity makes one-coordinate
-    # steps sufficient
+    # merge classes along the pairs and their images under unary
+    # translations; transitivity makes one-coordinate steps sufficient
     n = a.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = [(x, y) for x, y in pairs]
+    tables = [a.tables[name].reshape((n,) * arity)
+              for name, arity in a.signature.ops]
+    label, queue = list(range(n)), list(pairs)
     while queue:
         x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
+        old, new = label[x], label[y]
+        if old == new:
             continue
-        parent[rx] = ry
-        for opname, arity in a.signature.ops:
-            if arity == 0:
-                continue
-            table = a.tables[opname]
-            for pos in range(arity):
-                for rest in itertools.product(range(n), repeat=arity - 1):
-                    ta = rest[:pos] + (x,) + rest[pos:]
-                    tb = rest[:pos] + (y,) + rest[pos:]
-                    ia = ib = 0
-                    for u, v in zip(ta, tb):
-                        ia = ia * n + u
-                        ib = ib * n + v
-                    fa, fb = int(table[ia]), int(table[ib])
-                    if find(fa) != find(fb):
-                        queue.append((fa, fb))
-    rows = [0] * n
-    roots = [find(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if roots[i] == roots[j]:
-                rows[i] |= 1 << j
-    return BinRel(n, rows, CONGRUENCE)
+        label = [new if c == old else c for c in label]
+        for table in tables:
+            for pos in range(table.ndim):
+                queue += zip(table.take(x, axis=pos).ravel().tolist(),
+                             table.take(y, axis=pos).ravel().tolist())
+    return BinRel(n, [sum(1 << j for j, c in enumerate(label) if c == d)
+                      for d in label], CONGRUENCE)
+
+
+def _closure(a: FiniteAlgebra, bits: int, symmetric: bool) -> int:
+    """The least admissible relation, or tolerance when ``symmetric``, that
+    holds the pairs of ``bits``: pair (i, j) is bit i * |A| + j.
+
+    Each round applies each operation to every tuple of the round's pairs
+    in one index-and-scatter, until a round adds nothing.  A constant gives
+    only a diagonal pair, which every relation here holds.
+    """
+    n = a.size
+    rel = np.eye(n, dtype=bool)
+    rel.flat[[p for p in range(n * n) if bits >> p & 1]] = True
+    ops = [(a.tables[name], arity) for name, arity in a.signature.ops
+           if arity]
+    count = np.count_nonzero(rel)
+    while True:
+        xs, ys = np.nonzero(rel)
+        for table, arity in ops:
+            # blocks of first pairs keep an index array near 2**16 entries
+            step = max(1, (1 << 16) // xs.size ** (arity - 1))
+            for lo in range(0, xs.size, step):
+                ia, ib = xs[lo:lo + step], ys[lo:lo + step]
+                for _ in range(arity - 1):
+                    ia = (ia[:, None] * n + xs).ravel()
+                    ib = (ib[:, None] * n + ys).ravel()
+                rel[table[ia], table[ib]] = True
+        if symmetric:
+            rel |= rel.T
+        grown = np.count_nonzero(rel)
+        if grown == count:
+            return int.from_bytes(
+                np.packbits(rel, bitorder="little").tobytes(), "little")
+        count = grown
 
 
 def generate(a: FiniteAlgebra, pairs, kind: str) -> BinRel:
     """Least relation of the given kind containing the seed pairs.
 
-    Computed as a fixed point of: close under every operation applied
-    coordinatewise, symmetrize (tolerance and up), transitively close
-    (congruence).  Congruences take a faster union-find route.
+    Admissible relations and tolerances are a vectorized least fixed point
+    (``_closure``); congruences merge classes along unary translations.
     """
     if kind not in KIND_LEVEL:
         raise RelationError(f"unknown kind {kind!r}")
     pairs = list(pairs)
+    n, bits = a.size, 0
     for x, y in pairs:
-        if not (0 <= x < a.size and 0 <= y < a.size):
+        if not (0 <= x < n and 0 <= y < n):
             raise RelationError(f"pair ({x}, {y}) out of range")
+        bits |= 1 << (x * n + y)
     if kind == CONGRUENCE:
         return _congruence_from_pairs(a, pairs)
-
-    rel = BinRel.from_pairs(a.size, pairs)
-    while True:
-        rows = list(rel.rows)
-        for x, y in _images(a, list(rel.pairs())):
-            rows[x] |= 1 << y
-        new = BinRel._of(a.size, tuple(rows))
-        if KIND_LEVEL[kind] >= KIND_LEVEL[TOLERANCE]:
-            new = union(new, new.converse())
-        if new == rel:
-            return BinRel(a.size, rel.rows, kind)
-        rel = new
+    bits = _closure(a, bits, kind == TOLERANCE)
+    return BinRel(n, [bits >> (i * n) for i in range(n)], kind)
 
 
 def cong_join(alpha: BinRel, beta: BinRel) -> BinRel:
@@ -325,3 +330,41 @@ def all_congruences(a: FiniteAlgebra, cap: int = 12) -> list[BinRel]:
                     nxt.append(j)
         frontier = nxt
     return sorted(found.values(), key=lambda r: r.rows)
+
+
+def enumerate_relations(a: FiniteAlgebra, kind: str,
+                        limit: int | None = None) -> list[BinRel]:
+    """Every relation of one kind on ``a``, or the first ``limit`` of them.
+
+    Congruences are ``all_congruences``, in its order.  Admissible
+    relations and tolerances are the closed sets of ``generate`` on the
+    off-diagonal pairs, listed by Ganter's NextClosure (Ganter 1984;
+    Ganter--Obiedkov, *Conceptual Exploration*, 2016) in increasing order
+    of their ``_closure`` bits, the order of a filter over all bitmasks.
+    A candidate pair whose own closure adds a more significant pair is
+    skipped without a closure.
+    """
+    if kind == CONGRUENCE:
+        return all_congruences(a)[:limit]
+    if kind not in KIND_LEVEL:
+        raise RelationError(f"unknown kind {kind!r}")
+    n, symmetric = a.size, kind == TOLERANCE
+    offdiag = [1 << (i * n + j) for i in range(n) for j in range(n)
+               if i != j]
+    single = {bit: _closure(a, bit, symmetric) for bit in offdiag}
+    found, cur = [], _closure(a, 0, symmetric)
+    while limit is None or len(found) < limit:
+        found.append(cur)
+        for bit in offdiag:
+            if cur & bit:
+                cur ^= bit
+                continue
+            above = -(bit << 1)
+            if not single[bit] & above & ~cur:
+                nxt = _closure(a, cur | bit, symmetric)
+                if not nxt & above & ~cur:
+                    cur = nxt
+                    break
+        else:
+            break
+    return [BinRel(n, [bits >> (i * n) for i in range(n)]) for bits in found]

@@ -99,7 +99,7 @@ def median3_table():
 
 def m5_text() -> str:
     """``m5.alg``: five elements and one ternary operation returning the
-    middle value of its arguments, one element past ``checks.ENUM_CAP``."""
+    middle value of its arguments."""
     rows = [" ".join(str(sorted((x, y, z))[1]) for z in range(5))
             for x in range(5) for y in range(5)]
     return "\n".join(["algebra m5", "size 5", "op m 3", *rows]) + "\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -77,8 +78,7 @@ def test_eval_expr_rejects_other_universe(chain3):
 
 def test_check_concrete_day_z2(z2):
     day = get_entry("DAY").identity(m=3)
-    res = check_concrete(z2, day, k=2)
-    assert res.holds and res.complete
+    assert check_concrete(z2, day, k=2).holds
 
 
 def test_check_concrete_day_lattice2_holds_on_algebra(lattice2):
@@ -160,7 +160,8 @@ def test_refused_cells_are_open_bounds(lattice2, chain3):
         "coordinates)")), None)
     res = spectrum(chain3, "AGI")
     assert (res.bound, res.evidence) == (Bound(0, None, (
-        "39062500 variable assignments exceed the cap 2000000")), None)
+        "at least 2151296 variable assignments exceed the cap 2000000")),
+        None)
     assert res.value is None
 
 
@@ -582,13 +583,24 @@ def test_chain3_ag_counterexample_in_a_late_batch(chain3):
         "S": ["100", "010", "001"]}
 
 
-def test_concrete_matches_oracle_on_a_seeded_five_element_algebra():
-    # |A| = 5 is past ENUM_CAP, so relations come from seeds of at most two
-    # pairs: 11 of the cycle's 16 admissible relations
+def test_concrete_matches_oracle_on_a_five_element_algebra():
+    # the cycle's admissible relations are the unions of its shifted
+    # diagonals {(x, x + d)}, one for each set of shifts d = 1..4, and its
+    # tolerances those closed under d -> 5 - d
     cycle5 = FiniteAlgebra("cycle5", 5, Signature((("f", 1),)),
                            {"f": [1, 2, 3, 4, 0]})
+    shifts = [s for size in range(5)
+              for s in itertools.combinations(range(1, 5), size)]
+    unions = {s: BinRel.from_pairs(5, [(x, (x + d) % 5) for d in s
+                                       for x in range(5)]) for s in shifts}
+    assert {r.rows for r in enumerate_relations(cycle5, ADMISSIBLE)} == \
+        {r.rows for r in unions.values()}
+    assert {r.rows for r in enumerate_relations(cycle5, TOLERANCE)} == \
+        {r.rows for s, r in unions.items()
+         if all(5 - d in s for d in s)}
     for family in ALGEBRA_FAMILIES:
-        if family in ("AG", "AGI"):       # 16,506 and 181,566 environments
+        # AG has 131,072 environments, and AGI meets the guard
+        if family in ("AG", "AGI"):
             continue
         ident = get_entry(family).identity()
         held = []
@@ -597,7 +609,6 @@ def test_concrete_matches_oracle_on_a_seeded_five_element_algebra():
             holds, env, checked = _oracle_check(cycle5, ident, k)
             assert (got.holds, got.counterexample, got.envs_checked) == \
                 (holds, env, checked), (family, k)
-            assert not got.complete
             held.append(holds)
         want = held.index(True) if held[-1] else None
         assert got.least_k == want, family
@@ -614,29 +625,31 @@ def test_least_k_is_the_spectrum(z2, chain3):
     assert res.holds and res.least_k is None
 
 
-def test_incomplete_concrete_spectrum_is_a_lower_bound():
-    # m5 is past ENUM_CAP: the least k over the seeded relations bounds the
-    # cell from below only, while a counterexample still refutes k <= cap
+def test_five_element_spectra_are_decided():
     m5 = parse_algebra(m5_text())
-    assert not check_concrete(m5, get_entry("RMOD").identity(), k=2).complete
-    res = spectrum(m5, "RMOD")
-    assert (res.bound.lo, res.bound.hi, res.value) == (2, None, None)
-    assert res.bound.reason.startswith("k >= 2: 2 is least on the ")
-    assert "at most 2 seed pairs" in res.bound.reason
+    for family, value in (("RMOD", 2), ("TOLC", 1), ("ED", 3), ("EDDD", 2),
+                          ("NTE", 3)):
+        assert spectrum(m5, family).bound == Bound(value, value), family
+    # a counterexample at the cap refutes every k up to it
     assert spectrum(m5, "RMOD", cap=1).bound == Bound(2)
 
 
-def test_enumerate_relations_seeds_every_size_up_to_cap():
-    # on a constant unary algebra every reflexive relation is admissible,
-    # so seeds of at most s pairs give exactly the relations with at most
-    # s off-diagonal pairs: sum of C(20, i) for i <= s on 5 elements
-    a = FiniteAlgebra("const5", 5, Signature((("f", 1),)),
-                      {"f": [0] * 5})
-    found = [set(r.rows for r in enumerate_relations(a, ADMISSIBLE,
-                                                     seed_pair_cap=cap))
-             for cap in range(4)]
-    assert [len(f) for f in found] == [1, 21, 211, 1351]
-    assert found[0] < found[1] < found[2] < found[3]
+def test_the_guard_stops_the_relation_listing():
+    # m5 has 16 congruences and 1,764 admissible relations, and a constant
+    # unary operation on five elements makes all 2**20 reflexive relations
+    # admissible; each listing stops once the product passes the cap
+    m5 = parse_algebra(m5_text())
+    const5 = FiniteAlgebra("const5", 5, Signature((("f", 1),)),
+                           {"f": [0] * 5})
+    for a, family, reason in (
+            (m5, "AGA", "at least 2005056 variable assignments exceed the "
+                        "cap 2000000"),
+            (const5, "RMOD", "at least 2000024 variable assignments exceed "
+                             "the cap 2000000")):
+        start = time.perf_counter()
+        assert spectrum(a, family).bound == Bound(0, None, reason)
+        assert time.perf_counter() - start < 5, family
+    assert len(enumerate_relations(m5, ADMISSIBLE)) == 1764
 
 
 def test_negative_k_is_rejected(z2, lattice2, pw_context):

@@ -114,30 +114,34 @@ def test_a_repeated_parameter_is_a_usage_error(capsys):
     assert code == 2 and "parameter 'r' needs an integer, got 'abc'" in err
 
 
-def test_an_incomplete_relation_family_decides_nothing(capsys, tmp_path):
+def test_five_element_relation_families_are_complete(capsys, tmp_path):
     path = tmp_path / "m5.alg"
     path.write_text(m5_text())
+    code, out, _ = run(capsys, "spectrum", str(path), "--family", "RMOD",
+                       "--json")
+    (row,) = json.loads(out)["results"]
+    assert code == 0 and (row["value"], row["exceeded"]) == (2, False)
     code, out, _ = run(capsys, "spectrum", str(path), "--family", "AGA",
                        "--json")
     (row,) = json.loads(out)["results"]
     assert code == 3 and '"value": null' in out
-    assert row["unchecked"].startswith("n >= 1: 1 is least on the ")
+    assert row["unchecked"] == ("at least 2005056 variable assignments "
+                                "exceed the cap 2000000")
     code, out, _ = run(capsys, "check", str(path), "--identity", "RMOD",
                        "--k", "2")
-    assert code == 3
-    assert out.startswith("RMOD on m5: holds on the admissible and "
-                          "tolerance relations generated from at most 2 "
-                          "seed pairs (m5 has 5 > 4 elements")
+    assert code == 0 and out.startswith("RMOD on m5: holds on this algebra")
     code, out, _ = run(capsys, "check", str(path), "--identity", "RMOD",
                        "--k", "2", "--json")
     data = json.loads(out)
-    assert code == 3 and (data["holds"], data["complete"]) == (True, False)
+    assert code == 0 and (data["holds"], data["complete"]) == (True, True)
     assert sorted(data) == ["algebra", "complete", "envsChecked", "holds",
                             "identity", "k", "level", "mode", "statement"]
-    # a refutation on the seeded relations is still a proof
     code, out, _ = run(capsys, "check", str(path), "--identity", "RMOD",
                        "--k", "1")
     assert code == 1 and "refuted on this algebra" in out
+    code, _, err = run(capsys, "check", str(path), "--identity", "AGA",
+                       "--k", "1")
+    assert code == 3 and err.startswith("guard exceeded: at least 2005056")
 
 
 def test_verify_z2_text(capsys):

@@ -256,6 +256,24 @@ def test_exact_new_rows_match_a_set_oracle(case):
     assert got.tolist() == want
 
 
+def test_an_empty_chunk_has_no_new_rows():
+    # (planes, coordinates): dense tables of uint8 and uint16 rows, one-word
+    # rows keyed exactly or by fingerprint, and multiword rows; each with no
+    # element and with one
+    paths = []
+    for planes, c in ((1, 8), (1, 16), (1, 32), (1, 64), (2, 81)):
+        builder = free._Builder(planes, c, 10 ** 7, 2)
+        paths.append((builder._dense is not None, builder.exact,
+                      builder.width))
+        for _ in range(2):
+            got = builder.new_rows(builder.rows[:, :0])
+            assert (got.dtype, got.size) == (np.int64, 0), (planes, c)
+            builder.append(np.ones((builder.width, 1), builder.rows.dtype),
+                           -1, np.zeros((1, 1), dtype=np.int64))
+    assert paths == [(True, True, 1), (True, True, 1), (False, True, 1),
+                     (False, False, 1), (False, False, 4)]
+
+
 def _digest(outcome):
     h = hashlib.sha256()
     for part in outcome:

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 GuardExceeded, RelationError,
                                 all_congruences, alt, compose, cong_join,
-                                converse, generate, is_compatible, meet,
-                                transitive_closure, union)
+                                converse, enumerate_relations, generate,
+                                is_compatible, meet, transitive_closure,
+                                union)
+from modbench.algebras import FiniteAlgebra, Signature
 from conftest import random_algebra
 
 
@@ -165,12 +167,39 @@ def all_congruences_by_partitions(a):
 def test_generate_matches_bruteforce_sample(seed):
     rng = random.Random(seed)
     for _ in range(8):
-        a = random_algebra(rng, size=rng.choice([2, 3]), max_arity=2)
+        a = random_algebra(rng, size=rng.choice([2, 3, 4]), max_arity=3)
         pairs = [(rng.randrange(a.size), rng.randrange(a.size))
-                 for _ in range(rng.choice([1, 2]))]
+                 for _ in range(rng.choice([0, 1, 2, 3]))]
         for kind in (ADMISSIBLE, TOLERANCE, CONGRUENCE):
             assert generate(a, pairs, kind) == minimal_containing(
                 a, pairs, kind)
+
+
+@st.composite
+def _small_algebras(draw):
+    size = draw(st.integers(1, 4))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    ops = tuple((f"f{i}", ar) for i, ar in enumerate(arities))
+    tables = {name: draw(st.lists(st.integers(0, size - 1),
+                                  min_size=size ** ar, max_size=size ** ar))
+              for name, ar in ops}
+    return FiniteAlgebra("hyp", size, Signature(ops), tables)
+
+
+def test_enumerate_relations_matches_bruteforce_on_corpus(corpus):
+    for a in corpus.values():
+        for kind in (ADMISSIBLE, TOLERANCE):
+            assert enumerate_relations(a, kind) == enumerate_kind(a, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_small_algebras(), kind=st.sampled_from((ADMISSIBLE, TOLERANCE)))
+def test_enumerate_relations_matches_bruteforce(a, kind):
+    # the same relations in the same (bitmask) order, and a limit keeps a
+    # prefix of them
+    want = enumerate_kind(a, kind)
+    assert enumerate_relations(a, kind) == want
+    assert enumerate_relations(a, kind, 2) == want[:2]
 
 
 def test_all_congruences_matches_partition_filter():

@@ -94,7 +94,7 @@ def test_shown_cells():
     assert _shown(Bound(65)) == "exceeds cap"
     assert _shown(Bound(0)) == "unchecked"
     assert _shown(Bound(0, None, "refused")) == "unchecked"
-    # a lower bound from an incomplete relation family exceeds no cap
+    # a lower bound with a reason exceeds no cap
     assert _shown(Bound(2, None, "seeded relations only")) == "unchecked"
 
 
