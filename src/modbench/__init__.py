@@ -13,8 +13,8 @@ from .catalog import CATALOG, CatalogEntry, CatalogError, get_entry
 from .chains import (ChainError, ChainVerdict, SearchResult, TermChain,
                      as_defective, extend_chain, search_day, search_gumm,
                      search_jonsson, verify_chain)
-from .checks import (CheckError, ConcreteResult, PWContext, PWGrammarError,
-                     SpectrumResult, check_concrete, eval_expr, pw_check,
+from .checks import (Bound, CheckError, ConcreteResult, PWContext,
+                     PWGrammarError, check_concrete, eval_expr, pw_check,
                      spectrum)
 from .dsl import (DslError, Identity, expr_str, identity_str, parse_identity)
 from .free import (App, CapExceeded, FreeAlgebra, Term, Var, build_free,

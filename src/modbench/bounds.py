@@ -25,10 +25,10 @@ LENGTHS = "lengths"
 class BoundValue:
     name: str
     params: tuple           # ((name, value), ...)
-    kind: str
-    family: str | None      # spectrum family the claim targets
-    lhs: int | None         # left length (family parameter)
     rhs: int                # claimed upper bound / claimed length
+    kind: str = SPECTRUM
+    family: str | None = None       # spectrum family the claim targets
+    lhs: int | None = None          # left length (family parameter)
     identity: tuple | None = None   # (catalog name, params) for IDENTITY kind
     premise: str = ""
 
@@ -115,7 +115,7 @@ def _dst(l, r):
 
 def _ltt(k):
     _req(k >= 2, "LTT needs k >= 2")
-    return dict(kind=TERMS, family=None, lhs=None, rhs=k * k - k + 1,
+    return dict(kind=TERMS, rhs=k * k - k + 1,
                 premise="k+1 Day terms bound the Gumm term count")
 
 
@@ -128,7 +128,7 @@ def _bbb(n):
 def _agtcor2(r, s, n, q):
     _req(r >= 1 and s >= 1 and q >= 1 and n >= 0,
          "AGTCOR2 needs r, s, q >= 1 and n >= 0")
-    return dict(kind=IDENTITY, family=None,
+    return dict(kind=IDENTITY,
                 lhs=2 ** q * r + 1, rhs=1 + s + (2 ** (q + 1) - 4) * r * n,
                 identity=("Q2_B", {"r": r, "s": s, "n": n, "q": q}),
                 premise="identity (2) with parameters r, s plus n+2 Gumm "
@@ -144,16 +144,16 @@ def _dm(n):
 def _ed_len(k):
     _req(k >= 1, "ED_LEN needs k >= 1")
     # right side alternates a two-factor block with a single factor
-    return dict(kind=LENGTHS, family=None, lhs=3,
-                rhs=2 * ((k + 1) // 2) + k // 2, premise="Day terms")
+    return dict(kind=LENGTHS, lhs=3, rhs=2 * ((k + 1) // 2) + k // 2,
+                premise="Day terms")
 
 
 def _eddd_len(k):
     _req(k >= 2, "EDDD_LEN needs k >= 2")
     # one factor saved up front, then k-1 alternating (single, double) blocks
     m = k - 1
-    return dict(kind=LENGTHS, family=None, lhs=3,
-                rhs=1 + (m + 1) // 2 + 2 * (m // 2), premise="Day terms")
+    return dict(kind=LENGTHS, lhs=3, rhs=1 + (m + 1) // 2 + 2 * (m // 2),
+                premise="Day terms")
 
 
 _BOUNDS = {
@@ -193,12 +193,5 @@ def bound(name: str, **params) -> BoundValue:
         raise BoundError(f"{name} missing parameters: {', '.join(missing)}")
     if extra:
         raise BoundError(f"{name} got unknown parameters: {', '.join(extra)}")
-    out = fn(**params)
-    return BoundValue(name=name,
-                      params=tuple((p, params[p]) for p in param_names),
-                      kind=out.get("kind", SPECTRUM),
-                      family=out.get("family"),
-                      lhs=out.get("lhs"),
-                      rhs=out["rhs"],
-                      identity=out.get("identity"),
-                      premise=out.get("premise", ""))
+    return BoundValue(name, tuple((p, params[p]) for p in param_names),
+                      **fn(**params))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .bounds import bound
 from .dsl import (AltE, Contains, ConvE, GenE, Identity, K, PowE, VarE,
-                  alternation, children, compose, meet, pow_expr, rebuild,
+                  alternation, children, compose, meet, rebuild,
                   substitute_k)
 from .relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
 
@@ -52,11 +52,8 @@ class CatalogEntry:
     def level(self) -> str:
         return level_of(self.identity())
 
-    def defaults(self) -> dict:
-        return dict(self.params)
-
     def identity(self, **params) -> Identity:
-        merged = self.defaults()
+        merged = dict(self.params)
         for key, value in params.items():
             if key not in merged:
                 raise CatalogError(
@@ -173,7 +170,7 @@ def _tr_rel_rev(m):
 
 def _rmod(m):
     _require(m >= 2, "RMOD needs m >= 2")
-    lhs = meet(A, pow_expr(R, m))
+    lhs = meet(A, PowE(R, m))
     return Identity("RMOD", _cong("a") + _adm("R"), lhs,
                     PowE(meet(A, R), K))
 

@@ -23,8 +23,7 @@ import numpy as np
 from .algebras import FiniteAlgebra
 from .catalog import get_entry
 from .checks import PWContext, context_for, walk_scan
-from .free import (Var, eval_term_vector, term_str, term_vars,
-                   DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
+from .free import Var, eval_term_vector, term_str, term_vars
 # only for bench/tracer.py, which patches these names and needs them here
 from .free import build_free, meet_labels, saturate  # noqa: F401
 
@@ -235,8 +234,8 @@ def _path_chain(scheme, walk, f):
 def _search(a, scheme, ident, limit, ctx, caps, chain_of):
     """Walk ``ident`` as ``walk_scan`` does and verify the chain
     ``chain_of(walk, f, parts)`` extracts from it.  Without a context, a
-    fresh one with ``caps`` is used; a context for another algebra is a
-    ``CheckError``."""
+    fresh one with ``caps`` is used; a context for another algebra, or a
+    context beside a cap, is a ``CheckError``."""
     if limit < 0:
         raise ChainError(f"scan limit must be nonnegative: {limit}")
     ctx = context_for(a, ctx, *caps)
@@ -255,16 +254,17 @@ def _search(a, scheme, ident, limit, ctx, caps, chain_of):
 
 def search_day(a: FiniteAlgebra, k_max: int = 64,
                ctx: PWContext | None = None,
-               cap_entries: int = DEFAULT_CAP_ENTRIES,
-               work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
+               cap_entries: int | None = None,
+               work_budget: int | None = None) -> SearchResult:
     """Minimal k with a valid Day(k) chain, from the four-generator walk.
 
     In F(4) over generators a,b,c,d take alpha = Cg{(a,d),(b,c)},
     beta = Cg{(a,b),(c,d)}, gamma = Cg{(b,c)}; the minimal k is the length
     of the shortest alternating walk a -(alpha&beta)-(alpha&gamma)-...-> d,
     which is DAY(3)'s right-hand side.  ``ctx`` supplies the free algebra
-    and partitions, under its own caps; without one, a fresh context with
-    ``cap_entries`` and ``work_budget`` is used.
+    and partitions, under its own caps, and takes no cap beside it;
+    without one, a fresh context with ``cap_entries`` and ``work_budget``
+    (None for the default) is used.
     """
     return _search(a, DAY, get_entry("DAY").identity(), k_max, ctx,
                    (cap_entries, work_budget),
@@ -273,8 +273,8 @@ def search_day(a: FiniteAlgebra, k_max: int = 64,
 
 def search_gumm(a: FiniteAlgebra, n_max: int = 64,
                 ctx: PWContext | None = None,
-                cap_entries: int = DEFAULT_CAP_ENTRIES,
-                work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
+                cap_entries: int | None = None,
+                work_budget: int | None = None) -> SearchResult:
     """Minimal n with a valid Gumm(n) chain (p, j_1..j_{n+1}).
 
     In F(3) over x,y,z with alpha = Cg(x,z), beta = Cg(x,y),
@@ -298,8 +298,8 @@ def search_gumm(a: FiniteAlgebra, n_max: int = 64,
 
 def search_jonsson(a: FiniteAlgebra, n_max: int = 64, alvin: bool = False,
                    ctx: PWContext | None = None,
-                   cap_entries: int = DEFAULT_CAP_ENTRIES,
-                   work_budget: int = DEFAULT_WORK_BUDGET) -> SearchResult:
+                   cap_entries: int | None = None,
+                   work_budget: int | None = None) -> SearchResult:
     """Minimal n with a Jonsson(n) (or ALVIN) chain j_0..j_{n+1}.
 
     TSCHANTZ(2)'s left-hand side, as in the Gumm search, but the walk

@@ -23,7 +23,7 @@ a composite meets a congruence inside an intersection.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import functools
 import itertools
 
@@ -132,32 +132,21 @@ class _Calculus:
 class _Batch:
     """Environments as columns of interned ids, one per variable.
 
-    ``eval`` gives an expression's id per environment.  A k-free
-    subexpression is evaluated once per batch and kept, and ``take``
-    carries what is kept into a sub-batch.
+    ``eval`` gives an expression's id per environment.  A subexpression
+    met again, in this batch or another, is answered from the calculus's
+    memo.
     """
 
     def __init__(self, calc: _Calculus, cols: dict, n: int):
         self.calc, self.cols, self.n = calc, cols, n
-        self._kept: dict = {}
 
     def take(self, rows: np.ndarray) -> "_Batch":
         """The environments at the positions ``rows``, in that order."""
-        sub = _Batch(self.calc, {v: c[rows] for v, c in self.cols.items()},
-                     len(rows))
-        sub._kept = {e: ids[rows] for e, ids in self._kept.items()}
-        return sub
+        return _Batch(self.calc, {v: c[rows] for v, c in self.cols.items()},
+                      len(rows))
 
     def eval(self, e, count: int | None = None) -> np.ndarray:
         """Ids of ``e`` with ``count`` replacing the symbolic count."""
-        if has_symbolic(e):
-            return self._node(e, count)
-        ids = self._kept.get(e)
-        if ids is None:
-            ids = self._kept[e] = self._node(e, count)
-        return ids
-
-    def _node(self, e, count):
         calc = self.calc
         if isinstance(e, VarE):
             if e.name not in self.cols:
@@ -452,12 +441,19 @@ class PWContext:
 
 
 def context_for(a: FiniteAlgebra, ctx: PWContext | None = None,
-                cap_entries: int = DEFAULT_CAP_ENTRIES,
-                work_budget: int = DEFAULT_WORK_BUDGET) -> PWContext:
+                cap_entries: int | None = None,
+                work_budget: int | None = None) -> PWContext:
     """``ctx`` if it was built for ``a``; without one, a fresh context
-    with the caps.  A context built for another algebra is an error."""
+    with the caps, a cap left None taking its default.  A context built
+    for another algebra, or given beside a cap it would not obey, is an
+    error."""
     if ctx is None:
-        return PWContext(a, cap_entries, work_budget)
+        return PWContext(
+            a, DEFAULT_CAP_ENTRIES if cap_entries is None else cap_entries,
+            DEFAULT_WORK_BUDGET if work_budget is None else work_budget)
+    if cap_entries is not None or work_budget is not None:
+        raise CheckError("caps given beside a context, which keeps the "
+                         "caps it was built with")
     if ctx.algebra != a:
         raise CheckError(f"context built for {ctx.algebra.name!r}, not for "
                          f"{a.name!r}")
@@ -619,11 +615,13 @@ def walk_scan(ctx: PWContext, ident: Identity,
 class Bound:
     """What is known of one spectrum cell: its value lies in [lo, hi], with
     ``hi`` None when no upper bound is known, and ``lo == hi`` decides it.
-    ``reason`` says why the cell is open: the refusal of a cap or guard."""
+    ``reason`` says why the cell is open: the refusal of a cap or guard.
+    ``evidence``, which ``==`` ignores, is what a scan missing its cap saw."""
 
     lo: int
     hi: int | None = None
     reason: str | None = None
+    evidence: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.lo < 0 or (self.hi is not None and self.hi < self.lo):
@@ -635,20 +633,9 @@ class Bound:
         return self.lo if self.lo == self.hi else None
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    bound: Bound
-    level: str               # variety | algebra
-    evidence: dict | None = None
-
-    @property
-    def value(self) -> int | None:
-        return self.bound.value
-
-
 def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
              params: dict | None = None,
-             ctx: PWContext | None = None) -> SpectrumResult:
+             ctx: PWContext | None = None) -> Bound:
     """Least scan value making the family's inclusion hold, up to ``cap``.
 
     The right-hand side only grows with the scan parameter.  Algebra-level
@@ -656,21 +643,19 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
     least value per environment; variety-level families take one
     ``walk_scan``, whose first layer holding the target is the value, and
     monotonicity is asserted one layer further.  A scan that misses up to
-    ``cap`` gives the bound [cap + 1, None]; a scan that a free-algebra cap
-    or the concrete guard refuses gives [0, None], with the refusal as its
-    reason.
+    ``cap`` gives the ``Bound`` [cap + 1, None] and its evidence; a scan
+    that a free-algebra cap or the concrete guard refuses gives [0, None],
+    with the refusal as its reason.
     """
     if cap < 0:
         raise CheckError(f"scan cap must be nonnegative: {cap}")
     entry = get_entry(family)
     if entry.scan is None:
         raise CatalogError(f"{family} has no scan parameter; use check")
-    params = dict(params or {})
-    ident = entry.identity(**params)
-    level = level_of(ident)
+    ident = entry.identity(**(params or {}))
     evidence = {"checked_up_to": cap}
     try:
-        if level == ALGEBRA:
+        if level_of(ident) == ALGEBRA:
             res = check_concrete(a, ident, k=cap)
             k = res.least_k
             if res.counterexample:
@@ -687,7 +672,7 @@ def spectrum(a: FiniteAlgebra, family: str, cap: int = 64,
                         f"{family}: right-hand side not monotone at "
                         f"{k} -> {k + 1}")
     except (CapExceeded, GuardExceeded) as exc:
-        return SpectrumResult(Bound(0, reason=str(exc)), level)
+        return Bound(0, reason=str(exc))
     if k is None:
-        return SpectrumResult(Bound(cap + 1), level, evidence)
-    return SpectrumResult(Bound(k, k), level)
+        return Bound(cap + 1, evidence=evidence)
+    return Bound(k, k)

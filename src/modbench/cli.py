@@ -215,9 +215,9 @@ def cmd_spectrum(args) -> int:
         res = spectrum(a, args.family, cap=args.cap, params=p, ctx=ctx)
         row = {"family": args.family, "param": primary, "m": m,
                "level": entry.level, "value": res.value}
-        if res.bound.reason is not None:
+        if res.reason is not None:
             # one m over the caps leaves the others decided
-            return {**row, "exceeded": None, "unchecked": res.bound.reason}
+            return {**row, "exceeded": None, "unchecked": res.reason}
         return {**row, "exceeded": res.value is None,
                 **({"evidence": res.evidence} if res.evidence else {})}
 

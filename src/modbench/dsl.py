@@ -120,11 +120,6 @@ def meet(*items) -> RelExpr:
     return MeetE(tuple(flat))
 
 
-def pow_expr(item, count) -> RelExpr:
-    _check_count(count)
-    return PowE(item, count)
-
-
 def _check_count(count):
     if count == K:
         return
@@ -323,9 +318,9 @@ def _tokenize(text: str):
             tokens.append(("<=", i))
             i += 2
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append((text[i:j], i))
             i = j
@@ -475,7 +470,6 @@ class _Parser:
         return VarE(tok)
 
 
-def parse_identity(text: str, name: str = "adhoc") -> Identity:
-    """Parse a DSL statement into an Identity (no side conditions)."""
-    ident = _Parser(text).parse_statement()
-    return Identity(name, ident.var_kinds, ident.lhs, ident.rhs)
+def parse_identity(text: str) -> Identity:
+    """Parse a DSL statement into an Identity named ``adhoc``."""
+    return _Parser(text).parse_statement()

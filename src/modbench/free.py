@@ -142,7 +142,8 @@ def parse_term(text: str) -> Term:
             return App(op, tuple(args))
         if tok == ")":
             raise ValueError("unexpected ')'")
-        if not (tok.startswith("x") and tok[1:].isdigit()):
+        if not (tok.startswith("x") and tok[1:].isascii()
+                and tok[1:].isdigit()):
             raise ValueError(f"bad variable token {tok!r}")
         return Var(int(tok[1:]))
 

@@ -303,22 +303,29 @@ def cong_join(alpha: BinRel, beta: BinRel) -> BinRel:
 
 
 def all_congruences(a: FiniteAlgebra, cap: int = 12) -> list[BinRel]:
-    """The full congruence lattice, as join-closure of principal congruences.
+    """The full congruence lattice, in order of rows.
 
     Guarded: raises GuardExceeded for universes larger than ``cap``.
     """
+    return sorted(_congruences(a, cap), key=lambda r: r.rows)
+
+
+def _congruences(a: FiniteAlgebra, cap: int = 12):
+    """The congruences of ``a`` as the join closure of the principal
+    congruences finds them: the identity and the principal ones first.
+    Refused (``GuardExceeded``) past ``cap`` elements."""
     if a.size > cap:
         raise GuardExceeded(
             f"congruence lattice guard: size {a.size} exceeds cap {cap}")
-    found: dict[tuple, BinRel] = {}
     ident = BinRel.identity(a.size)
-    found[ident.rows] = ident
+    found = {ident.rows: ident}
     principal = []
     for x in range(a.size):
         for y in range(x + 1, a.size):
             c = _congruence_from_pairs(a, [(x, y)])
             principal.append(c)
             found[c.rows] = c
+    yield from found.values()
     frontier = list(found.values())
     while frontier:
         nxt = []
@@ -328,24 +335,27 @@ def all_congruences(a: FiniteAlgebra, cap: int = 12) -> list[BinRel]:
                 if j.rows not in found:
                     found[j.rows] = j
                     nxt.append(j)
+                    yield j
         frontier = nxt
-    return sorted(found.values(), key=lambda r: r.rows)
 
 
 def enumerate_relations(a: FiniteAlgebra, kind: str,
                         limit: int | None = None) -> list[BinRel]:
     """Every relation of one kind on ``a``, or the first ``limit`` of them.
 
-    Congruences are ``all_congruences``, in its order.  Admissible
-    relations and tolerances are the closed sets of ``generate`` on the
-    off-diagonal pairs, listed by Ganter's NextClosure (Ganter 1984;
+    Congruences come in ``all_congruences``'s order, under its guard, but
+    the join closure stops once it has found ``limit`` of them: a lattice
+    with more gives ``limit`` congruences, not necessarily its least ones.
+    Admissible relations and tolerances are the closed sets of ``generate``
+    on the off-diagonal pairs, listed by Ganter's NextClosure (Ganter 1984;
     Ganter--Obiedkov, *Conceptual Exploration*, 2016) in increasing order
     of their ``_closure`` bits, the order of a filter over all bitmasks.
     A candidate pair whose own closure adds a more significant pair is
     skipped without a closure.
     """
     if kind == CONGRUENCE:
-        return all_congruences(a)[:limit]
+        return sorted(itertools.islice(_congruences(a), limit),
+                      key=lambda r: r.rows)
     if kind not in KIND_LEVEL:
         raise RelationError(f"unknown kind {kind!r}")
     n, symmetric = a.size, kind == TOLERANCE

@@ -80,7 +80,7 @@ def consistency_report(a: FiniteAlgebra, scan_cap: int = 64,
     cells = [(fam, "m", m) for m in DAY_MS for fam in ("DAY", "DAY_REV")]
     cells += [("DSTAR", "l", l) for l in DSTAR_LS] + [("TSCHANTZ", "m", 2)]
     spectra = {(fam, m): spectrum(a, fam, cap=scan_cap, params={p: m},
-                                  ctx=ctx).bound for fam, p, m in cells}
+                                  ctx=ctx) for fam, p, m in cells}
     report["spectra"] = [
         {"family": fam, "m": m, "value": _shown(b), "level": "variety"}
         for (fam, m), b in sorted(spectra.items())]

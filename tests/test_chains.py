@@ -6,7 +6,7 @@ from modbench.chains import (ALVIN, DAY, GUMM, JONSSON, ChainError,
                              verify_chain)
 from modbench.checks import CheckError, PWContext, pw_check
 from modbench.catalog import get_entry
-from modbench.free import App, Var
+from modbench.free import App, CapExceeded, Var
 
 PLUS3 = App("plus", (Var(1), App("plus", (Var(2), Var(3)))))      # y+z+w
 MALTSEV = App("plus", (Var(0), App("plus", (Var(1), Var(2)))))    # x+y+z
@@ -227,3 +227,17 @@ def test_scan_limit_is_inclusive(lattice2, pw_context):
 def test_context_for_another_algebra_is_refused(z2, lattice2):
     with pytest.raises(CheckError, match="'lattice2', not for 'z2'"):
         search_day(z2, ctx=PWContext(lattice2))
+
+
+def test_caps_beside_a_context_are_refused(lattice2):
+    # a context keeps its own caps, so caps given beside one are an error
+    # rather than silently ignored
+    for search in (search_day, search_gumm, search_jonsson):
+        for caps in ({"cap_entries": 10}, {"work_budget": 10}):
+            with pytest.raises(CheckError, match="beside a context"):
+                search(lattice2, ctx=PWContext(lattice2), **caps)
+    # without a context the cap refuses, and a cap left out takes its
+    # default
+    with pytest.raises(CapExceeded, match="exceeds cap 10"):
+        search_day(lattice2, cap_entries=10)
+    assert search_day(lattice2, work_budget=None).value == 3

@@ -18,7 +18,8 @@ from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, Identity, K,
                           parse_identity, push_converse, substitute_k)
 from modbench.free import CapExceeded
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
-                                RelationError, generate)
+                                GuardExceeded, RelationError,
+                                all_congruences, generate)
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
@@ -147,7 +148,7 @@ def test_spectrum_values(z2, lattice2, pw_context):
 def test_spectrum_exceeds_cap(semilattice2, pw_context):
     res = spectrum(semilattice2, "DAY", cap=6, params={"m": 3},
                    ctx=pw_context(semilattice2))
-    assert (res.bound, res.evidence) == (Bound(7), {"checked_up_to": 6})
+    assert (res, res.evidence) == (Bound(7), {"checked_up_to": 6})
     assert res.value is None
 
 
@@ -155,11 +156,11 @@ def test_refused_cells_are_open_bounds(lattice2, chain3):
     # a cap refusal leaves the cell [0, None] with the refusal as its reason
     ctx = PWContext(lattice2, cap_entries=10000)
     res = spectrum(lattice2, "DAY", params={"m": 4}, ctx=ctx)
-    assert (res.bound, res.evidence) == (Bound(0, None, (
+    assert (res, res.evidence) == (Bound(0, None, (
         "free algebra exceeds 10000 vector entries (313 elements of 32 "
         "coordinates)")), None)
     res = spectrum(chain3, "AGI")
-    assert (res.bound, res.evidence) == (Bound(0, None, (
+    assert (res, res.evidence) == (Bound(0, None, (
         "at least 2151296 variable assignments exceed the cap 2000000")),
         None)
     assert res.value is None
@@ -173,6 +174,14 @@ def test_bound_rejects_what_is_not_an_interval():
         (2, None, None)
 
 
+def test_bound_equality_ignores_evidence():
+    seen = Bound(7, evidence={"checked_up_to": 6})
+    assert seen == Bound(7) and hash(seen) == hash(Bound(7))
+    assert {seen, Bound(7)} == {Bound(7)}
+    assert seen.evidence == {"checked_up_to": 6}
+    assert seen != Bound(7, reason="refused") and seen != Bound(7, 7)
+
+
 def test_context_must_be_for_the_same_algebra(z2, lattice2, pw_context):
     with pytest.raises(CheckError, match="'z2', not for 'lattice2'"):
         spectrum(lattice2, "DAY", ctx=PWContext(z2))
@@ -184,7 +193,6 @@ def test_context_must_be_for_the_same_algebra(z2, lattice2, pw_context):
 
 def test_spectrum_algebra_level(z2, chain3):
     res = spectrum(z2, "RMOD", params={"m": 2})
-    assert res.level == "algebra"
     assert res.value is not None
     # relational Gumm spectrum on an algebra with a Maltsev term
     res = spectrum(z2, "AGA")
@@ -469,7 +477,7 @@ def _assert_matches_oracle(a, family, cap):
     ident = get_entry(family).identity()
     res = spectrum(a, family, cap=cap)
     want = _oracle_spectrum(a, ident, cap)
-    assert (res.bound, res.evidence) == want, (a.name, family)
+    assert (res, res.evidence) == want, (a.name, family)
     for k in sorted({0, 1, cap}):
         got = check_concrete(a, ident, k=k)
         holds, env, checked = _oracle_check(a, ident, k)
@@ -629,9 +637,9 @@ def test_five_element_spectra_are_decided():
     m5 = parse_algebra(m5_text())
     for family, value in (("RMOD", 2), ("TOLC", 1), ("ED", 3), ("EDDD", 2),
                           ("NTE", 3)):
-        assert spectrum(m5, family).bound == Bound(value, value), family
+        assert spectrum(m5, family) == Bound(value, value), family
     # a counterexample at the cap refutes every k up to it
-    assert spectrum(m5, "RMOD", cap=1).bound == Bound(2)
+    assert spectrum(m5, "RMOD", cap=1) == Bound(2)
 
 
 def test_the_guard_stops_the_relation_listing():
@@ -647,9 +655,34 @@ def test_the_guard_stops_the_relation_listing():
             (const5, "RMOD", "at least 2000024 variable assignments exceed "
                              "the cap 2000000")):
         start = time.perf_counter()
-        assert spectrum(a, family).bound == Bound(0, None, reason)
+        assert spectrum(a, family) == Bound(0, None, reason)
         assert time.perf_counter() - start < 5, family
     assert len(enumerate_relations(m5, ADMISSIBLE)) == 1764
+
+
+def test_the_guard_stops_the_congruence_listing():
+    # the unary identity operation on nine elements leaves every one of the
+    # 21,147 equivalence relations a congruence; ED's three congruence
+    # variables are refused once 126 of them are listed
+    s9 = FiniteAlgebra("s9", 9, Signature((("f", 1),)),
+                       {"f": list(range(9))})
+    start = time.perf_counter()
+    assert spectrum(s9, "ED") == Bound(0, None, (
+        "at least 2000376 variable assignments exceed the cap 2000000"))
+    assert time.perf_counter() - start < 5
+    listed = enumerate_relations(s9, CONGRUENCE, 126)
+    assert len(set(listed)) == 126
+    assert listed == sorted(listed, key=lambda r: r.rows)
+    assert all(r.is_symmetric() and r.is_transitive() for r in listed)
+    # a limit the lattice fits in gives the whole sorted lattice
+    m5 = parse_algebra(m5_text())
+    assert enumerate_relations(m5, CONGRUENCE, 16) == all_congruences(m5)
+    assert len(enumerate_relations(m5, CONGRUENCE, 5)) == 5
+    # past twelve elements the lattice guard refuses before any listing
+    s13 = FiniteAlgebra("s13", 13, Signature((("f", 1),)),
+                        {"f": list(range(13))})
+    with pytest.raises(GuardExceeded, match="size 13 exceeds cap 12"):
+        enumerate_relations(s13, CONGRUENCE, 1)
 
 
 def test_negative_k_is_rejected(z2, lattice2, pw_context):
@@ -778,7 +811,7 @@ def test_variety_spectrum_matches_pw_scan(corpus, pw_context, name):
             ident = get_entry(family).identity(**params)
             for cap in (0, 1, 2, 6):
                 res = spectrum(a, family, cap=cap, params=params, ctx=ctx)
-                assert (res.bound, res.evidence) == \
+                assert (res, res.evidence) == \
                     _pw_scan(ctx, ident, cap), (name, family, params, cap)
 
 
@@ -788,7 +821,7 @@ def test_spectrum_stops_at_a_fixed_point(semilattice2, lattice2, pw_context):
     ident = get_entry("DAY").identity()
     ctx = pw_context(semilattice2)
     res = spectrum(semilattice2, "DAY", ctx=ctx)
-    assert (res.bound, res.evidence) == _pw_scan(ctx, ident, 64)
+    assert (res, res.evidence) == _pw_scan(ctx, ident, 64)
     walk, _, _ = walk_scan(ctx, ident, 64)
     assert walk.stalled and walk.reached is None and len(walk.layers) < 64
     # a cap below the value: not stalled, stopped at the cap

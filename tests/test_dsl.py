@@ -48,6 +48,20 @@ def test_parse_errors_carry_position():
         parse_identity("cong a; alt(a, a, -1) <= a")
 
 
+def test_counts_take_ascii_digits_only():
+    # a superscript two and an Arabic-Indic three are digits to Python but
+    # not counts: each is a DslError at its own position
+    for digit in ("\u00b2", "\u0663"):
+        text = f"cong a b; a & b <= pow(a & b, {digit})"
+        with pytest.raises(DslError, match="unexpected character") as exc:
+            parse_identity(text)
+        assert exc.value.pos == text.index(digit)
+    with pytest.raises(DslError) as exc:
+        parse_identity("cong a; a <= pow(a, 3\u0663)")
+    assert exc.value.pos == len("cong a; a <= pow(a, 3")
+    assert parse_identity("cong a; a <= pow(a, 3)").rhs.count == 3
+
+
 def test_meet_flattens_and_dedups():
     a, b = VarE("a"), VarE("b")
     assert meet(a, meet(a, b)) == MeetE((a, b))
@@ -297,7 +311,7 @@ def test_nesting_past_the_limit_is_a_dsl_error():
 _DSL_TOKENS = st.sampled_from(
     ["cong", "tol", "adm", "a", "b", "R", "D", ";", "(", ")", "o", "&",
      "<=", ",", "conv", "alt", "pow", "gen_adm", "gen_tol", "gen_cong", "k",
-     "0", "2", "99999999999999999999"])
+     "0", "2", "99999999999999999999", "\u00b2", "\u0663"])
 
 
 @settings(max_examples=300, deadline=None)

@@ -67,6 +67,13 @@ def test_term_round_trip():
     assert term_str(t) == "(plus x0 (plus x1 x2))"
 
 
+def test_variable_indices_take_ascii_digits_only():
+    assert parse_term("(meet x0 x3)") == App("meet", (Var(0), Var(3)))
+    for bad in ("(meet x0 x\u0663)", "x\u00b2", "x"):
+        with pytest.raises(ValueError, match="bad variable token"):
+            parse_term(bad)
+
+
 def test_subst_vars():
     t = App("f", (Var(0), Var(2)))
     assert subst_vars(t, {0: 0, 2: 3}) == App("f", (Var(0), Var(3)))
