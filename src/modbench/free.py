@@ -51,10 +51,27 @@ of them, and refuses when the sample alone makes more distinct new rows than
 there is room for.  Each of those rows is an element the level would add,
 so the canonical order would overflow in the same level, with the same
 refusal; when the sample proves nothing, the level runs as before.
+
+A big level then counts its new elements N exactly before it runs.
+Permuting the variables acts on F(g) by automorphisms: it permutes the
+coordinates of A^g, operations act coordinate-wise, and the projections go
+to projections.  So the seeds, each level's frontier, the known elements K
+and N are unions of orbits, and N is the orbits of the candidates with one
+argument on an orbit representative of the frontier and the others on K,
+less K.  The adjacent transpositions generate every permutation, so the
+count closes those candidates under them, moving a packed plane's bits
+through one table per byte position.  The level runs in the canonical
+order and stops right after the append that reaches K + N elements; a
+counted level that adds nothing, the last of a build, is not run, and one
+that would pass the cap is refused at its boundary.  A level is counted only
+when the count's cost in rows is at most ``_COUNT_SHARE`` of its
+applications, and its elements, witnesses and refusal are those of the
+level run to its end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,6 +98,12 @@ _SIDE_SHARE = 1 / 8
 # F(lattice2, 6)'s refused one, 12,367 times; a sample that proves nothing
 # costs at most this share of its level
 _SAMPLE_SHARE = 1 / 512
+# a closure level counts its new elements first when the count's rows are at
+# most this share of the level's applications.  F(lattice2, 5) counts its
+# last two big levels at 1 / 4 (0.41-0.45 s) and only the last at 1 / 8
+# (0.56-0.69 s); the worst level measured on random 2- and 3-element
+# algebras spent 23 % of its applications on a count that saved 5 %
+_COUNT_SHARE = 1 / 4
 
 
 class CapExceeded(RuntimeError):
@@ -505,6 +528,27 @@ class _Builder:
         _, first = np.unique(cand[miss], return_index=True)
         return miss[np.sort(first)]
 
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The element index of each row, every row being a known element.
+
+        The dense table holds flags, so its rows are placed in a map of the
+        elements made for the call; any other row is probed in the key
+        index, and a wider row's hit is confirmed on the rows, falling back
+        to their bytes when a fingerprint collides.
+        """
+        if self._dense is not None:
+            where = np.empty(self._dense.size, dtype=np.int64)
+            where[self.rows[0, :self.n]] = np.arange(self.n)
+            return where[rows[0]]
+        _, elem = self._lookup(rows[0].astype(np.uint64) if self.exact
+                               else _fingerprint(rows, self.weights))
+        if self.width > 1 and not np.array_equal(
+                rows, np.take(self.rows, elem, axis=1)):
+            known = _row_bytes(self.rows[:, :self.n].T)
+            order = np.argsort(known)
+            return order[np.searchsorted(known[order], _row_bytes(rows.T))]
+        return elem
+
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per key: whether either index holds it, and then an element with
         that key, from the main index where both do."""
@@ -666,40 +710,49 @@ def _run_op(builder: _Builder, program, arg_rows: list[np.ndarray]
     return bufs[:n_planes].reshape(n_planes * w, -1)
 
 
-def _block_args(builder: _Builder, sizes, offsets):
+def _block_args(builder: _Builder, domains):
     """Mixed-radix enumeration of a block, last position varying fastest:
-    position p runs over ``sizes[p]`` elements from ``offsets[p]``.
+    position p runs over the elements ``domains[p]``, a range or an array
+    of element indices.
 
     A run is the candidates that share every position but the last.  Each
     chunk is whole runs, or one of the equal pieces of a run longer than
     ``builder.chunk``, yielded as ``(arg_rows, pick, args_of)``: the outer
     positions' rows gathered once per run as (width, runs, 1) blocks and the
-    last position's slice (width, 1, piece) of the rows, which broadcast to
-    the chunk in order (``pick`` None), and a map from candidate positions
-    to their argument elements.
+    last position's piece (width, 1, piece) of the rows, a slice of a range,
+    which broadcast to the chunk in order (``pick`` None), and a map from
+    candidate positions to their argument elements.
     """
-    *outer, last = sizes
-    runs = math.prod(outer)
-    per = max(1, builder.chunk // last)
-    pieces = -(-last // builder.chunk)
+    *outer, last = domains
+    runs = math.prod(len(d) for d in outer)
+    per = max(1, builder.chunk // len(last))
+    pieces = -(-len(last) // builder.chunk)
     for r0 in range(0, runs, per):
         flat = np.arange(r0, min(r0 + per, runs), dtype=np.int64)
         heads = []
-        for s, off in zip(reversed(outer), reversed(offsets[:-1])):
-            flat, digit = np.divmod(flat, s)
-            heads.append(digit + off)
+        for d in reversed(outer):
+            flat, digit = np.divmod(flat, len(d))
+            heads.append(_element(d, digit))
         heads.reverse()
         rows = builder.rows
         head_rows = [np.take(rows, h, axis=1)[:, :, None] for h in heads]
         for i in range(pieces):
-            lo = offsets[-1] + last * i // pieces
-            hi = offsets[-1] + last * (i + 1) // pieces
+            piece = last[len(last) * i // pieces:len(last) * (i + 1) // pieces]
+            tail = (rows[:, None, piece.start:piece.stop]
+                    if isinstance(piece, range)
+                    else np.take(rows, piece, axis=1)[:, None])
 
-            def args_of(pos, heads=heads, lo=lo, width=hi - lo):
-                run, at = np.divmod(pos, width)
-                return np.stack([h[run] for h in heads] + [at + lo], axis=1)
+            def args_of(pos, heads=heads, piece=piece):
+                run, at = np.divmod(pos, len(piece))
+                return np.stack([h[run] for h in heads]
+                                + [_element(piece, at)], axis=1)
 
-            yield head_rows + [rows[:, None, lo:hi]], None, args_of
+            yield head_rows + [tail], None, args_of
+
+
+def _element(domain, at: np.ndarray) -> np.ndarray:
+    """The elements at positions ``at`` of a range or an index array."""
+    return at + domain.start if isinstance(domain, range) else domain[at]
 
 
 def _pair_args(builder: _Builder, old: int, total: int):
@@ -766,17 +819,157 @@ def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
                 old, total, size=k)
             res = _run_op(builder, program,
                           [np.take(builder.rows, x, axis=1) for x in args])
-            res = res[:, builder.new_rows(res)]
-            if not res.shape[1]:
-                continue
-            pos = seen.new_rows(res)
-            if seen.n + pos.size > room:
+            if not _collect(seen, res[:, builder.new_rows(res)], room):
                 return True
-            seen.append(res[:, pos], -1, np.empty((pos.size, 0), np.int64))
         drawn += m
         if seen.n * budget <= room * drawn:
             return False
     return False
+
+
+def _collect(seen: _Builder, rows: np.ndarray, room: int) -> bool:
+    """Add the rows that the scratch builder ``seen`` does not hold yet;
+    False, adding none, when they would pass ``room``."""
+    pos = seen.new_rows(rows)
+    if seen.n + pos.size > room:
+        return False
+    if pos.size:
+        seen.append(rows[:, pos], -1, np.empty((pos.size, 0), np.int64))
+    return True
+
+
+def _swap_tables(builder: _Builder, size: int, g: int) -> list:
+    """Per adjacent transposition (i, i + 1) of the variables, a table that
+    permutes a packed plane's coordinates byte by byte: entry ``[k, w, v]``
+    is word w of the plane holding byte k's bits of value v at the
+    coordinates of their assignments with digits i and i + 1 swapped, so a
+    plane's image is the OR of its bytes' entries."""
+    dtype = builder.rows.dtype
+    bits = 8 * dtype.itemsize
+    coord = np.arange(builder.c)
+    value = np.arange(256)
+    tables = []
+    for i in range(g - 1):
+        hi, lo = size ** (g - 1 - i), size ** (g - 2 - i)
+        a, b = coord // hi % size, coord // lo % size
+        dest = coord + (b - a) * hi + (a - b) * lo
+        # row s: the plane with only the bit of input bit s's destination
+        single = np.zeros((builder.words * bits, builder.words), dtype=dtype)
+        single[coord, dest // bits] = np.left_shift(
+            np.ones(builder.c, dtype=dtype), (dest % bits).astype(dtype))
+        table = np.zeros((builder.words * bits // 8, builder.words, 256),
+                         dtype=dtype)
+        for j in range(8):
+            table[:, :, (value >> j) & 1 == 1] |= single[j::8, :, None]
+        tables.append(table)
+    return tables
+
+
+def _permuted(builder: _Builder, table: np.ndarray, rows: np.ndarray
+              ) -> np.ndarray:
+    """Packed rows (columns) with each plane's coordinates permuted by one
+    of :func:`_swap_tables`' tables."""
+    w, per_word = builder.words, rows.itemsize
+    out = np.zeros(rows.shape, dtype=rows.dtype)
+    for b in range(builder.n_planes):
+        # [j, :, i]: byte i of word j of every row, without a copy
+        plane = rows[b * w:(b + 1) * w].view(np.uint8).reshape(
+            w, -1, per_word)
+        for k, entries in enumerate(table):
+            out[b * w:(b + 1) * w] |= np.take(
+                entries, plane[k // per_word, :, k % per_word], axis=1)
+    return out
+
+
+def _orbit_representatives(builder: _Builder, tables, old: int
+                           ) -> np.ndarray:
+    """The first element of each orbit of the frontier ``[old, builder.n)``
+    under the transpositions that ``tables`` apply.
+
+    Each frontier element's images are frontier elements, found in the key
+    index; a label, at first the element itself, takes the least label of
+    its images and then of its label until no label changes, so the labels
+    are the least element of each orbit.
+    """
+    frontier = builder.rows[:, old:builder.n]
+    images = builder.find(np.concatenate(
+        [_permuted(builder, t, frontier) for t in tables], axis=1)) - old
+    images = images.reshape(len(tables), -1)
+    label = np.arange(frontier.shape[1])
+    while True:
+        least = np.minimum(label, label[images].min(axis=0))
+        least = least[least]
+        if np.array_equal(least, label):
+            return old + np.flatnonzero(label == np.arange(label.size))
+        label = least
+
+
+def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
+                 ) -> int | None:
+    """How many elements the closure level on the frontier ``[old,
+    builder.n)`` adds, room + 1 for more than the room left, or None when
+    the count would cost more than ``_COUNT_SHARE`` of the level's
+    applications.  ``swaps()`` returns :func:`_swap_tables`.
+
+    The known elements K, the frontier and the new elements N are unions of
+    orbits of the variable permutations, and N is the orbits of the
+    candidates with one argument on an orbit representative and the others
+    on K, less K: the adjacent transpositions close those into N.  The cost
+    in rows is a chunk's overhead, the frontier's images, at most the
+    room's images and the representatives' candidates, all known before
+    any candidate runs.
+    """
+    total = builder.n
+    room = builder.max_elements - total
+    budget = _COUNT_SHARE * sum(apps)
+    per_rep = sum(total if symmetric else ar * total ** (ar - 1)
+                  for _, ar, _, symmetric in ops)
+    cost = builder.chunk + (g - 1) * (total - old + room)
+    # an orbit holds at most g! elements, and 20! is more than any frontier
+    if (cost + -(-(total - old) // math.factorial(min(g, 20))) * per_rep
+            > budget):
+        return None
+    tables = swaps()
+    reps = _orbit_representatives(builder, tables, old)
+    if cost + reps.size * per_rep > budget:
+        return None
+    seen = _Builder(builder.n_planes, builder.c, room * builder.c, 1)
+    for _, ar, program, symmetric in ops:
+        for p in range(1 if symmetric else ar):
+            for arg_rows, _, _ in _block_args(
+                    builder, [reps] + [range(total)] * (ar - 1)):
+                # the representative is block position 0 and argument p
+                arg_rows.insert(p, arg_rows.pop(0))
+                res = _run_op(builder, program, arg_rows)
+                if not _collect(seen, res[:, builder.new_rows(res)], room):
+                    return room + 1
+    # each round permutes the rows the round before added
+    done = 0
+    while done < seen.n:
+        start, done = done, seen.n
+        for table in tables:
+            if not _collect(seen, _permuted(builder, table,
+                                            seen.rows[:, start:done]), room):
+                return room + 1
+    return seen.n
+
+
+def _level_chunks(builder: _Builder, ops, old: int, total: int):
+    """The chunks of the closure level on the frontier ``[old, total)`` in
+    the canonical order, each as ``(op, program, arg_rows, pick,
+    args_of)``."""
+    for op, ar, program, symmetric in ops:
+        if symmetric:
+            chunks = _pair_args(builder, old, total)
+        else:
+            # block p: position p on the frontier, the positions before it
+            # on older elements; empty for p > 0 on the first level
+            chunks = itertools.chain.from_iterable(
+                _block_args(builder, [range(old)] * p + [range(old, total)]
+                            + [range(total)] * (ar - 1 - p))
+                for p in range(ar if old else 1))
+        for chunk in chunks:
+            yield (op, program, *chunk)
 
 
 def build_free(a: FiniteAlgebra, g: int,
@@ -832,6 +1025,14 @@ def build_free(a: FiniteAlgebra, g: int,
                             tab.reshape(size, size),
                             tab.reshape(size, size).T)))
 
+    # levels are counted while the swap tables, (g - 1) * bytes * 256 * words
+    # words, are those of one-word planes (16 KB a table) or fit in the words
+    # of the rows the entries cap allows; they are made for the first level
+    # that counts
+    countable = g > 1 and (builder.words == 1 or (
+        (g - 1) * builder.words * builder.rows.itemsize * 256 * builder.words
+        <= builder.max_elements * builder.width))
+    swaps = functools.cache(lambda: _swap_tables(builder, size, g))
     units_used = 0
     frontier_start = 0
     while frontier_start < builder.n:
@@ -850,27 +1051,26 @@ def build_free(a: FiniteAlgebra, g: int,
                 f"needs {projected} more units of {work_budget})", builder.n)
         if _sample_overflows(builder, ops, apps, old):
             builder.refuse()
-        # the level's chunks below add up to exactly ``projected``
+        # the level's chunks below add up to at most ``projected``
         units_used += projected
-        for op, ar, program, symmetric in ops:
-            if symmetric:
-                chunks = _pair_args(builder, old, level_total)
-            else:
-                # block p: position p on the frontier, the positions before
-                # it on older elements; empty for p > 0 on the first level
-                new, total = level_total - old, level_total
-                chunks = itertools.chain.from_iterable(
-                    _block_args(builder,
-                                [old] * p + [new] + [total] * (ar - 1 - p),
-                                [0] * p + [old] + [0] * (ar - 1 - p))
-                    for p in range(ar if old else 1))
-            for arg_rows, pick, args_of in chunks:
-                res = _run_op(builder, program, arg_rows)
-                if pick is not None:
-                    res = np.take(res, pick, axis=1)
-                pos = builder.new_rows(res)
-                if pos.size:
-                    builder.append(res[:, pos], op, args_of(pos))
+        # the level stops after the append that reaches its count
+        count = (_level_count(builder, ops, apps, old, g, swaps)
+                 if countable else None)
+        if count == 0:
+            break
+        if count is not None and level_total + count > builder.max_elements:
+            builder.refuse()
+        last = None if count is None else level_total + count
+        for op, program, arg_rows, pick, args_of in _level_chunks(
+                builder, ops, old, level_total):
+            res = _run_op(builder, program, arg_rows)
+            if pick is not None:
+                res = np.take(res, pick, axis=1)
+            pos = builder.new_rows(res)
+            if pos.size:
+                builder.append(res[:, pos], op, args_of(pos))
+                if builder.n == last:
+                    break
 
     vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, c)
     return FreeAlgebra(a, g, vecs, generators, np.concatenate(builder.w_op),

@@ -331,7 +331,9 @@ def _congruences(a: FiniteAlgebra, cap: int = 12):
         nxt = []
         for c in frontier:
             for p in principal:
-                j = cong_join(c, p)
+                # a join of congruences, without cong_join's checks that
+                # its arguments and its result are congruences
+                j = transitive_closure(union(c, p))
                 if j.rows not in found:
                     found[j.rows] = j
                     nxt.append(j)

@@ -567,13 +567,27 @@ def _chunk_tuples(arg_rows, pick, args_of):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 6, 7, 100])
 def test_block_chunks_enumerate_the_block_in_order(sizes, offsets, chunk):
     n = max(s + off for s, off in zip(sizes, offsets))
+    domains = [range(off, off + s) for s, off in zip(sizes, offsets)]
     chunks = [_chunk_tuples(*c)
-              for c in free._block_args(_indexed(n, chunk), sizes, offsets)]
+              for c in free._block_args(_indexed(n, chunk), domains)]
     # a one-word exact key packs the chunk position in the bits beside the
     # row, which holds only while no chunk exceeds ``chunk`` rows
     assert all(1 <= len(c) <= chunk for c in chunks)
+    assert sum(chunks, []) == list(itertools.product(*domains))
+
+
+@pytest.mark.parametrize("domains", [
+    [np.array([4, 0, 2])], [np.array([5, 1]), range(2, 6)],
+    [range(3), np.array([6, 3]), np.array([0, 2, 1])]])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 100])
+def test_block_chunks_take_index_arrays(domains, chunk):
+    # the level count puts its orbit representatives, an index array, on
+    # one position of a block
+    chunks = [_chunk_tuples(*c)
+              for c in free._block_args(_indexed(7, chunk), domains)]
+    assert all(1 <= len(c) <= chunk for c in chunks)
     assert sum(chunks, []) == list(itertools.product(
-        *(range(off, off + s) for s, off in zip(sizes, offsets))))
+        *(d.tolist() if isinstance(d, np.ndarray) else d for d in domains)))
 
 
 @pytest.mark.parametrize("old, total", [(0, 1), (0, 6), (3, 9), (10, 12)])
@@ -702,6 +716,168 @@ def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
     assert str(over.value) == ("free algebra exceeds 10000000 vector entries "
                                "(156251 elements of 64 coordinates)")
     assert sum(rows) < 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# Level counts: a level whose new elements are counted through the generator
+# symmetry stops at its last new element, and builds exactly as the level run
+# to its end
+
+
+def _assert_count_free(cases, chunk_words=free._CHUNK_WORDS):
+    """Build each case with the count declined, as built, and made for
+    every level that allows one; the outcomes must agree.  Returns how many
+    levels were counted as built and when always made."""
+    real = free._level_count
+    made = []
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    per, counted = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_CHUNK_WORDS", chunk_words)
+        mp.setattr(free, "_level_count", lambda *args: None)
+        per.append([_outcome(a, g, **caps) for a, g, caps in cases])
+        mp.setattr(free, "_level_count", recorded)
+        for share in (free._COUNT_SHARE, math.inf):
+            mp.setattr(free, "_COUNT_SHARE", share)
+            made.clear()
+            per.append([_outcome(a, g, **caps) for a, g, caps in cases])
+            counted.append(sum(m is not None for m in made))
+    assert per[1] == per[0] and per[2] == per[0]
+    return counted
+
+
+def test_corpus_builds_do_not_depend_on_the_count(corpus):
+    # caps of 10 elements to the full build: levels refused by the count,
+    # by the sample, mid-level and by the work budget, and complete builds;
+    # dense, one-word exact, one-word fingerprint and multiword rows
+    cases = [(corpus[name], g,
+              {"cap_entries": room * corpus[name].size ** g} if room else {})
+             for name, g, rooms in (
+                 ("one", 4, (None,)), ("z2", 5, (None,)),
+                 ("lattice2", 4, (10, 100, None)),
+                 ("semilattice2", 6, (10, 30, None)),
+                 ("lattice2", 5, (10, 300, 3_000, 4_000, 6_250, None)),
+                 ("chain3", 3, (10, None)), ("chain3", 4, (10, 100, None)),
+                 ("pixley3", 3, (10, 100, None)), ("pixley3", 4, (None,)),
+                 ("chain3", 5, (100, 3_000, 6_250)))
+             for room in rooms]
+    as_built, always = _assert_count_free(cases)
+    assert 0 < as_built < always
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), g=st.integers(2, 6),
+       room=st.one_of(st.integers(1, 60), st.none()),
+       words=st.sampled_from(_CHUNKINGS))
+def test_random_builds_do_not_depend_on_the_count(a, g, room, words):
+    # caps of a few elements in every chunking; a full build, up to a small
+    # work budget, in chunks of the default size
+    if room is None:
+        _assert_count_free([(a, g, {"work_budget": 10 ** 7})])
+    else:
+        _assert_count_free(
+            [(a, g, {"cap_entries": (g + room) * a.size ** g})], words)
+
+
+def test_counted_builds_with_colliding_fingerprints(monkeypatch, chain3,
+                                                    pixley3):
+    # every multiword key collides, so the orbit representatives are found
+    # on the rows' bytes
+    cases = [(chain3, 4), (pixley3, 3)]
+    want = [_build_outputs(build_free(a, g)) for a, g in cases]
+    monkeypatch.setattr(free, "_fingerprint", lambda rows, weights:
+                        np.zeros(rows.shape[1], dtype=np.uint64))
+    monkeypatch.setattr(free, "_COUNT_SHARE", math.inf)
+    assert [_build_outputs(build_free(a, g)) for a, g in cases] == want
+
+
+def _swapped(vecs, size, g, i):
+    """Element vectors with variables i and i + 1 swapped: the value at
+    each assignment is the one at the assignment with those digits
+    swapped."""
+    grid = np.array(list(itertools.product(range(size), repeat=g)))
+    grid[:, [i, i + 1]] = grid[:, [i + 1, i]]
+    return vecs[:, np.ravel_multi_index(grid.T, (size,) * g)]
+
+
+@pytest.mark.parametrize("size, g, n_planes", [
+    (2, 3, 1), (2, 4, 1), (2, 5, 1), (2, 6, 1), (2, 7, 1), (3, 2, 2),
+    (3, 4, 2), (3, 5, 2), (4, 3, 2), (5, 3, 3)])
+def test_swap_tables_permute_packed_coordinates(size, g, n_planes):
+    # uint8, uint16, uint32 and uint64 words, and multiword planes
+    c = size ** g
+    builder = free._Builder(n_planes, c, 10 ** 9, 1)
+    vals = np.random.default_rng(c).integers(
+        0, size, (50, c)).astype(np.uint8)
+    rows = free._pack_planes(vals, n_planes)
+    tables = free._swap_tables(builder, size, g)
+    assert len(tables) == g - 1
+    for i, table in enumerate(tables):
+        got = free._permuted(builder, table, rows)
+        assert np.array_equal(free._unpack_planes(got, n_planes, c),
+                              _swapped(vals, size, g, i))
+
+
+def _levels(f):
+    """Each element's closure level: 0 for a seed, else one more than the
+    highest level among its witness arguments."""
+    level = np.zeros(f.n_elements, dtype=np.int64)
+    for e in range(f.n_elements):
+        arity = (f.base.signature.ops[f._w_op[e]][1] if f._w_op[e] >= 0
+                 else 0)
+        if arity:
+            level[e] = 1 + level[f._w_args[e][:arity]].max()
+    return level
+
+
+def _assert_levels_are_symmetric(f):
+    size, g = f.base.size, f.g
+    level = _levels(f)
+    for i in range(g - 1):
+        swapped = _swapped(f.vecs, size, g, i)
+        for d in range(level.max() + 1):
+            at = level == d
+            assert ({r.tobytes() for r in f.vecs[at]}
+                    == {r.tobytes() for r in swapped[at]}), (i, d)
+
+
+@pytest.mark.parametrize("name, g", [
+    ("one", 3), ("z2", 4), ("lattice2", 4), ("lattice2", 5),
+    ("semilattice2", 5), ("chain3", 3), ("chain3", 4), ("pixley3", 3)])
+def test_corpus_levels_are_invariant_under_swapped_variables(corpus, name, g):
+    _assert_levels_are_symmetric(build_free(corpus[name], g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_small_algebras(), g=st.integers(2, 4))
+def test_random_levels_are_invariant_under_swapped_variables(a, g):
+    try:
+        f = build_free(a, g, cap_entries=500 * a.size ** g)
+    except CapExceeded:
+        return
+    _assert_levels_are_symmetric(f)
+
+
+def test_lattice2_f5_stops_each_level_at_its_last_new_element(monkeypatch,
+                                                              lattice2):
+    # 57.4 M candidate rows run to the end of every level; counted, the last
+    # two big levels stop after their last new element and the last level,
+    # which adds nothing, is skipped
+    real = free._run_op
+    rows = []
+
+    def counted(*args):
+        res = real(*args)
+        rows.append(res.shape[1])
+        return res
+
+    monkeypatch.setattr(free, "_run_op", counted)
+    assert build_free(lattice2, 5).n_elements == 7_579
+    assert sum(rows) < 20_000_000
 
 
 # ---------------------------------------------------------------------------

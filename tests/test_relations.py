@@ -11,6 +11,7 @@ from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 converse, enumerate_relations, generate,
                                 is_compatible, meet, transitive_closure,
                                 union)
+from modbench import relations
 from modbench.algebras import FiniteAlgebra, Signature
 from conftest import random_algebra
 
@@ -239,6 +240,37 @@ def test_all_congruences_matches_partition_filter():
     for _ in range(6):
         a = random_algebra(rng, size=rng.choice([2, 3]), max_arity=2)
         assert set(all_congruences(a)) == all_congruences_by_partitions(a)
+
+
+def _joins_by_cong_join(a):
+    """The congruences in the join closure's order of discovery, every join
+    through the checked ``cong_join``."""
+    n = a.size
+    principal = [generate(a, [(x, y)], CONGRUENCE)
+                 for x in range(n) for y in range(x + 1, n)]
+    found = dict.fromkeys([BinRel.identity(n)] + principal)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for p in principal:
+                j = cong_join(c, p)
+                if j not in found:
+                    found[j] = None
+                    nxt.append(j)
+        frontier = nxt
+    return list(found)
+
+
+def test_congruence_listing_matches_checked_joins(corpus):
+    # the unary identity operation on seven elements: all 877 equivalence
+    # relations are congruences
+    s7 = FiniteAlgebra("s7", 7, Signature((("f", 1),)), {"f": list(range(7))})
+    for a in [*corpus.values(), s7]:
+        want = _joins_by_cong_join(a)
+        assert list(relations._congruences(a)) == want
+        assert all_congruences(a) == sorted(want, key=lambda r: r.rows)
+    assert len(want) == 877
 
 
 def test_absorption_identity_on_corpus(corpus):
