@@ -67,6 +67,16 @@ that would pass the cap is refused at its boundary.  A level is counted only
 when the count's cost in rows is at most ``_COUNT_SHARE`` of its
 applications, and its elements, witnesses and refusal are those of the
 level run to its end.
+
+The count keeps N's rows, so a counted level checks against the known
+elements only the candidates that may be in N.  A counting filter (Fan et
+al., *Summary cache*, 2000) holds, per bucket of a row's key, how many rows
+of N fall in it and are not appended yet.  Every candidate of the level is
+in K or N, so one whose bucket counts none is in K; the others go through
+the key index as before, and the rows an append adds leave their buckets.
+Colliding keys or buckets only let rows of K through, which the index
+drops, so no element, witness or refusal changes.  Rows of the dense table
+are looked up cheaper than they are hashed and take no filter.
 """
 
 from __future__ import annotations
@@ -100,9 +110,12 @@ _SIDE_SHARE = 1 / 8
 _SAMPLE_SHARE = 1 / 512
 # a closure level counts its new elements first when the count's rows are at
 # most this share of the level's applications.  F(lattice2, 5) counts its
-# last two big levels at 1 / 4 (0.41-0.45 s) and only the last at 1 / 8
-# (0.56-0.69 s); the worst level measured on random 2- and 3-element
-# algebras spent 23 % of its applications on a count that saved 5 %
+# last two big levels at 1 / 4 and 1 / 2 (0.23-0.33 s) and only the last at
+# 1 / 8 (0.59-0.67 s); F(chain3, 5) counts the same levels at all three.
+# The term searches on random small algebras count no level at 1 / 4 and
+# eight at 1 / 2, for no measured gain, and the worst level measured on
+# random 2- and 3-element algebras spent 23 % of its applications on a
+# count that saved 5 %
 _COUNT_SHARE = 1 / 4
 
 
@@ -905,11 +918,12 @@ def _orbit_representatives(builder: _Builder, tables, old: int
 
 
 def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
-                 ) -> int | None:
-    """How many elements the closure level on the frontier ``[old,
-    builder.n)`` adds, room + 1 for more than the room left, or None when
-    the count would cost more than ``_COUNT_SHARE`` of the level's
-    applications.  ``swaps()`` returns :func:`_swap_tables`.
+                 ) -> np.ndarray | None:
+    """The rows of the elements that the closure level on the frontier
+    ``[old, builder.n)`` adds, in no particular order, or None when the
+    count would cost more than ``_COUNT_SHARE`` of the level's
+    applications; refuses when they are more than the room left.
+    ``swaps()`` returns :func:`_swap_tables`.
 
     The known elements K, the frontier and the new elements N are unions of
     orbits of the variable permutations, and N is the orbits of the
@@ -942,7 +956,7 @@ def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
                 arg_rows.insert(p, arg_rows.pop(0))
                 res = _run_op(builder, program, arg_rows)
                 if not _collect(seen, res[:, builder.new_rows(res)], room):
-                    return room + 1
+                    builder.refuse()
     # each round permutes the rows the round before added
     done = 0
     while done < seen.n:
@@ -950,8 +964,51 @@ def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
         for table in tables:
             if not _collect(seen, _permuted(builder, table,
                                             seen.rows[:, start:done]), room):
-                return room + 1
-    return seen.n
+                builder.refuse()
+    return seen.rows[:, :seen.n]
+
+
+class _Pending:
+    """A counting filter over the new rows of a counted closure level (Fan
+    et al., *Summary cache*, 2000): one hash of a row's key picks a bucket,
+    which counts the level's new rows in it that are not appended yet.
+
+    Every candidate of a counted level is a known element or one of its new
+    rows, so a candidate whose bucket counts none is known, and only the
+    others go to :meth:`_Builder.new_rows`.  Colliding keys or buckets only
+    let known rows through, which ``new_rows`` drops.
+    """
+
+    def __init__(self, builder: _Builder, rows: np.ndarray):
+        self.builder = builder
+        n = rows.shape[1]
+        # 16 to 32 buckets per new row
+        bits = (16 * n).bit_length()
+        self.shift = np.uint64(64 - bits)
+        self.counts = np.zeros(1 << bits, dtype=np.min_scalar_type(n))
+        np.add.at(self.counts, self._buckets(rows), 1)
+
+    def _buckets(self, rows: np.ndarray) -> np.ndarray:
+        """The bucket of each row: the high bits of its key, which a key
+        that is the row itself gets from a multiplication by an odd
+        constant (Knuth's multiplicative hashing)."""
+        if self.builder.exact:
+            h = rows[0].astype(np.uint64)
+            h *= np.uint64(0x9E3779B97F4A7C15)
+        else:
+            h = _fingerprint(rows, self.builder.weights)
+        h >>= self.shift
+        return h.view(np.int64)
+
+    def new_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`_Builder.new_rows` of the rows, which it is passed only
+        where their bucket counts a pending row; the rows it returns are
+        taken off their buckets, to be appended."""
+        at = self._buckets(rows)
+        maybe = np.flatnonzero(self.counts[at] != 0)
+        pos = maybe[self.builder.new_rows(rows[:, maybe])]
+        np.subtract.at(self.counts, at[pos], 1)
+        return pos
 
 
 def _level_chunks(builder: _Builder, ops, old: int, total: int):
@@ -1053,20 +1110,24 @@ def build_free(a: FiniteAlgebra, g: int,
             builder.refuse()
         # the level's chunks below add up to at most ``projected``
         units_used += projected
-        # the level stops after the append that reaches its count
-        count = (_level_count(builder, ops, apps, old, g, swaps)
-                 if countable else None)
-        if count == 0:
-            break
-        if count is not None and level_total + count > builder.max_elements:
-            builder.refuse()
-        last = None if count is None else level_total + count
+        # the level stops after the append that reaches its count, and
+        # checks only the candidates that may be counted rows against the
+        # known ones, unless the dense table does that cheaper
+        new = (_level_count(builder, ops, apps, old, g, swaps)
+               if countable else None)
+        last = pending = None
+        if new is not None:
+            if not new.shape[1]:
+                break
+            last = level_total + new.shape[1]
+            if builder._dense is None:
+                pending = _Pending(builder, new)
         for op, program, arg_rows, pick, args_of in _level_chunks(
                 builder, ops, old, level_total):
             res = _run_op(builder, program, arg_rows)
             if pick is not None:
                 res = np.take(res, pick, axis=1)
-            pos = builder.new_rows(res)
+            pos = (builder if pending is None else pending).new_rows(res)
             if pos.size:
                 builder.append(res[:, pos], op, args_of(pos))
                 if builder.n == last:

@@ -783,16 +783,29 @@ def test_random_builds_do_not_depend_on_the_count(a, g, room, words):
             [(a, g, {"cap_entries": (g + room) * a.size ** g})], words)
 
 
-def test_counted_builds_with_colliding_fingerprints(monkeypatch, chain3,
-                                                    pixley3):
-    # every multiword key collides, so the orbit representatives are found
-    # on the rows' bytes
-    cases = [(chain3, 4), (pixley3, 3)]
-    want = [_build_outputs(build_free(a, g)) for a, g in cases]
-    monkeypatch.setattr(free, "_fingerprint", lambda rows, weights:
-                        np.zeros(rows.shape[1], dtype=np.uint64))
-    monkeypatch.setattr(free, "_COUNT_SHARE", math.inf)
-    assert [_build_outputs(build_free(a, g)) for a, g in cases] == want
+_COLLIDING_FINGERPRINTS = [
+    (lambda rows, weights: np.zeros(rows.shape[1], dtype=np.uint64),
+     [("chain3", 4), ("pixley3", 3)]),
+    (lambda rows, weights: (rows[-1] & 3).astype(np.uint64),
+     [("chain3", 4), ("pixley3", 3)]),
+    (lambda rows, weights: rows[0].byteswap(), [("semilattice2", 6)]),
+]
+
+
+def test_counted_builds_with_colliding_fingerprints(corpus):
+    # multiword keys all collide, or take four values, so the orbit
+    # representatives are found on the rows' bytes and the counted levels'
+    # filters let known rows through; one-word rows get a byteswap, a
+    # bijection whose high bits, the filter's buckets, are the rows' first
+    # coordinates
+    for fake, cases in _COLLIDING_FINGERPRINTS:
+        cases = [(corpus[name], g, {}) for name, g in cases]
+        want = [_outcome(a, g) for a, g, _ in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(free, "_fingerprint", fake)
+            mp.setattr(free, "_COUNT_SHARE", math.inf)
+            outcomes, made = _assert_filter_free(cases)
+        assert outcomes == want and made
 
 
 def _swapped(vecs, size, g, i):
@@ -878,6 +891,101 @@ def test_lattice2_f5_stops_each_level_at_its_last_new_element(monkeypatch,
     monkeypatch.setattr(free, "_run_op", counted)
     assert build_free(lattice2, 5).n_elements == 7_579
     assert sum(rows) < 20_000_000
+
+
+# ---------------------------------------------------------------------------
+# Counted levels' filters: only the candidates whose bucket counts a pending
+# new row are checked against the known elements, and the build is that of
+# every candidate checked
+
+
+def _every_row(pending, rows):
+    return pending.builder.new_rows(rows)
+
+
+def _one_bucket(pending, rows):
+    return np.zeros(rows.shape[1], dtype=np.int64)
+
+
+def _assert_filter_free(cases, chunk_words=free._CHUNK_WORDS):
+    """Build each case with the counted levels' filters as built, passing
+    every candidate to ``new_rows``, and with every row in one bucket; the
+    outcomes must agree.  Returns the outcomes and the coordinate counts of
+    the rows that filters were made for."""
+    real = free._Pending.__init__
+    made = set()
+
+    def recorded(pending, builder, rows):
+        made.add(builder.c)
+        real(pending, builder, rows)
+
+    per = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_CHUNK_WORDS", chunk_words)
+        mp.setattr(free._Pending, "__init__", recorded)
+        for attr, fake in ((None, None), ("new_rows", _every_row),
+                           ("_buckets", _one_bucket)):
+            with pytest.MonkeyPatch.context() as inner:
+                if attr:
+                    inner.setattr(free._Pending, attr, fake)
+                per.append([_outcome(a, g, **caps) for a, g, caps in cases])
+    assert per[1] == per[0] and per[2] == per[0]
+    return per[0], made
+
+
+def test_corpus_builds_do_not_depend_on_the_filter(monkeypatch, corpus):
+    # caps of 10 elements to the full build, with the levels counted as
+    # built and with every level counted that allows a count: one-word
+    # exact (32 coordinates), one-word fingerprint (64) and multiword rows
+    # (27, 81); dense rows make no filter
+    cases = [(corpus[name], g,
+              {"cap_entries": room * corpus[name].size ** g} if room else {})
+             for name, g, rooms in (
+                 ("z2", 5, (None,)), ("lattice2", 4, (None,)),
+                 ("semilattice2", 6, (10, 30, None)),
+                 ("lattice2", 5, (10, 300, 3_000, 4_000, 6_250, None)),
+                 ("chain3", 4, (10, 100, None)),
+                 ("pixley3", 3, (10, 100, None)),
+                 ("chain3", 5, (100, 3_000, 6_250)))
+             for room in rooms]
+    assert _assert_filter_free(cases)[1] == {32}
+    monkeypatch.setattr(free, "_COUNT_SHARE", math.inf)
+    assert _assert_filter_free(cases)[1] == {27, 32, 64, 81}
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), g=st.integers(3, 6),
+       room=st.one_of(st.integers(1, 60), st.none()),
+       words=st.sampled_from(_CHUNKINGS))
+def test_random_builds_do_not_depend_on_the_filter(a, g, room, words):
+    # every level that allows a count is counted, so most builds past 16
+    # coordinates filter; caps of a few elements in every chunking, where
+    # chunks of one and of 13 words split a level's new rows across many
+    # appends, and a full build, up to a small work budget, in chunks of
+    # the default size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_COUNT_SHARE", math.inf)
+        if room is None:
+            _assert_filter_free([(a, g, {"work_budget": 10 ** 7})])
+        else:
+            _assert_filter_free(
+                [(a, g, {"cap_entries": (g + room) * a.size ** g})], words)
+
+
+def test_lattice2_f5_checks_few_candidates_against_the_known_elements(
+        monkeypatch, lattice2):
+    # without the filter, 15.66 M candidate rows reach new_rows, most of
+    # them in the counted levels; with it, mostly the counts' own 2.28 M
+    real = free._Builder.new_rows
+    rows = []
+
+    def counted(builder, res):
+        rows.append(res.shape[1])
+        return real(builder, res)
+
+    monkeypatch.setattr(free._Builder, "new_rows", counted)
+    assert build_free(lattice2, 5).n_elements == 7_579
+    assert sum(rows) < 4_000_000
 
 
 # ---------------------------------------------------------------------------
