@@ -6,9 +6,10 @@ Two routes:
   algebra (all congruences; enumerated admissible relations and tolerances)
   and evaluates both sides with the bitset calculus, in batches of
   environments held as arrays of interned relation ids.  Each operation
-  runs the scalar calculus once per distinct argument in the call and
-  gathers the results back.  For relation variables this is
-  algebra-level evidence, not a variety-wide verdict.
+  keeps a table of its results by operand, so a batch's results are one
+  gather, and the scalar calculus runs once per argument the table still
+  lacks.  For relation variables this is algebra-level evidence, not a
+  variety-wide verdict.
 
 * ``pw_check`` decides congruence-variable inclusions for the whole
   generated variety: one free generator per node of the left-hand chain
@@ -22,10 +23,11 @@ a composite meets a congruence inside an intersection.
 
 from __future__ import annotations
 
-import collections
+import bisect
 from dataclasses import dataclass, field
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -53,30 +55,92 @@ class PWGrammarError(CheckError):
 # ---------------------------------------------------------------------------
 # Concrete evaluation
 
-# Environments evaluated together.  Past 4,096 the id arrays and the
-# np.unique work arrays raise peak memory (16,384 adds about 3.5 MB)
-# without making a check any faster.
+# Environments evaluated together.  16,384 measured slower than 4,096 on
+# the bench's concrete spectra (wall 0.131-0.139 s against 0.122-0.135 s,
+# 1.2 MB more peak RSS) and no faster on chain7 DAY(5), whose traced peak
+# it raises from 2.3 to 3.8 MB.
 BATCH = 4096
+
+
+class _Table:
+    """The results of one operation met so far, gathered by operand.
+
+    Each operand side numbers the ids it meets, in the order it meets them:
+    ``pos[side]`` maps an id to its position, -1 before then, and
+    ``ids[side]`` maps back.  ``res[i, j]`` is the result for the left
+    operand at position i and the right one at position j, -1 while not
+    computed; both dimensions double as positions are handed out, so every
+    position has a cell.  The table grows with the operands met, not with
+    the ids interned, and a unary operation, whose one operand is the
+    right one, keeps a single row.
+    """
+
+    def __init__(self, dtype):
+        self.pos = [np.full(16, -1, np.int64), np.full(16, -1, np.int64)]
+        self.ids: list[list[int]] = [[], []]
+        self.res = np.full((1, 1), -1, dtype)
+
+    def place(self, side: int, x: np.ndarray, n_ids: int) -> np.ndarray:
+        """The positions of the ids ``x`` (all below ``n_ids``) on one
+        side, handing out new positions in order of id."""
+        pos = self.pos[side]
+        if pos.size < n_ids:
+            grown = np.full(max(n_ids, 2 * pos.size), -1, np.int64)
+            grown[:pos.size] = pos
+            pos = self.pos[side] = grown
+        p = pos.take(x)
+        if p.min() < 0:
+            new = np.unique(x[p < 0])
+            ids = self.ids[side]
+            pos[new] = np.arange(len(ids), len(ids) + new.size)
+            ids.extend(new.tolist())
+            p = pos.take(x)
+        return p
+
+    def fit(self) -> None:
+        """Double ``res`` until every position handed out has a cell."""
+        (rows, cols), (n, m) = self.res.shape, map(len, self.ids)
+        if n <= rows and m <= cols:
+            return
+        while rows < n:
+            rows *= 2
+        while cols < m:
+            cols *= 2
+        res = np.full((rows, cols), -1, self.res.dtype)
+        res[:self.res.shape[0], :self.res.shape[1]] = self.res
+        self.res = res
+
+    def peek(self, i: int, j: int) -> int:
+        """The result held for ids ``i`` and ``j``, else -1."""
+        left, right = self.pos
+        if i >= left.size or j >= right.size:
+            return -1
+        pi, pj = left.item(i), right.item(j)
+        if pi < 0 or pj < 0:
+            return -1
+        return self.res.item(pi, pj)
 
 
 class _Calculus:
     """The relations of one algebra met during one call, interned as ids,
     and the calculus on arrays of ids.
 
-    An operation on a batch takes the distinct arguments in it, computes
-    the scalar ``compose``, ``meet``, ``generate`` ... once for each one
-    not seen earlier in the call, and gathers the results back.  The memo
-    holds only what the call used, so nothing is tabulated in advance and
-    |A| is not bounded.
+    Each operation keeps a ``_Table`` of its results.  An operation on a
+    batch gathers the operands' positions and then the results in one
+    step each; the results still missing are computed once each with the
+    scalar ``compose``, ``meet``, ``generate`` ... and written to the
+    table.  A scalar step, such as one factor of an alternation, reads and
+    writes the same tables.  Only what the call meets is computed, so
+    nothing is tabulated in advance and |A| is not bounded.
     """
 
     def __init__(self, a: FiniteAlgebra):
         self.a = a
         self.rels: list[BinRel] = []
         self._ids: dict[tuple, int] = {}
-        # operation -> {argument key: result}; a pair of ids (i, j) is the
-        # key i << 32 | j, a single id its own key
-        self._memo: dict = collections.defaultdict(dict)
+        # operation -> its results, and the alternation counts among them
+        self._tables: dict = {}
+        self._counts: list[int] = []
         self.identity = self.intern(BinRel.identity(a.size))
 
     def intern(self, rel: BinRel) -> int:
@@ -86,24 +150,48 @@ class _Calculus:
             self.rels.append(rel)
         return i
 
+    def _table(self, op) -> _Table:
+        t = self._tables.get(op)
+        if t is None:
+            t = self._tables[op] = _Table(np.int8 if op == "<=" else np.int32)
+            if isinstance(op, int):
+                bisect.insort(self._counts, op)
+        return t
+
     def lift(self, op, x: np.ndarray, y: np.ndarray | None = None):
         """``op`` applied to each environment's ids ``x`` (and ``y``).
 
         ``op`` is ``"o"``, ``"&"``, ``"|"``, ``"<="`` or ``"conv"``, a
         relation kind (``generate``), or the factor count of an
-        alternation of ``x`` and ``y``.
+        alternation of ``x`` and ``y``.  A unary ``op`` takes ``x`` as its
+        right operand.  The results are gathered from ``op``'s table; the
+        cells still empty are computed once each, then gathered again.
         """
-        key = x if y is None else x << 32 | y
-        uniq, inv = np.unique(key, return_inverse=True)
-        vals = [self._one(op, u) for u in uniq.tolist()]
-        return np.array(vals, dtype=bool if op == "<=" else np.int64)[inv]
+        t, n_ids = self._table(op), len(self.rels)
+        if y is None:
+            if not t.ids[0]:
+                t.ids[0].append(0)
+            left, right = 0, t.place(1, x, n_ids)
+        else:
+            left, right = t.place(0, x, n_ids), t.place(1, y, n_ids)
+        t.fit()
+        cells = left * t.res.shape[1] + right
+        out = t.res.take(cells)
+        if out.min() < 0:
+            flat, cols = t.res.reshape(-1), t.res.shape[1]
+            for cell in np.unique(cells[out < 0]).tolist():
+                i, j = divmod(cell, cols)
+                flat[cell] = self._compute(op, t.ids[0][i], t.ids[1][j])
+            out = flat.take(cells)
+        return out > 0 if op == "<=" else out
 
-    def _one(self, op, key: int):
-        memo = self._memo[op]
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = self._compute(op, key >> 32, key & 0xFFFFFFFF)
-        return out
+    def _get(self, op, i: int, j: int) -> int:
+        """``op`` of ids ``i`` and ``j``: a scalar read of its table, and
+        a batch of one when the result is missing."""
+        held = self._table(op).peek(i, j)
+        if held >= 0:
+            return held
+        return int(self.lift(op, np.array([i]), np.array([j]))[0])
 
     def _compute(self, op, i: int, j: int):
         """``op`` of ids ``i`` and ``j``; a unary ``op`` takes ``j``."""
@@ -111,11 +199,24 @@ class _Calculus:
         if op == "<=":
             return r <= s
         if isinstance(op, int):
-            # the alternation i o j o i o ... of op >= 1 factors
-            if op == 1:
-                return i
-            head = self._one(op - 1, i << 32 | j)
-            return self._one("o", head << 32 | (j if op % 2 == 0 else i))
+            # the alternation i o j o i o ... of op >= 1 factors, continued
+            # from the largest count below op already held for (i, j).
+            # Factors are reflexive, so it only grows, and two steps in a
+            # row that change nothing leave it fixed for every larger count
+            m, head = 1, i
+            for c in reversed(self._counts[:bisect.bisect_left(
+                    self._counts, op)]):
+                held = self._tables[c].peek(i, j)
+                if held >= 0:
+                    m, head = c, held
+                    break
+            unchanged = 0
+            while m < op and unchanged < 2:
+                m += 1
+                prev, head = head, self._get("o", head,
+                                             j if m % 2 == 0 else i)
+                unchanged = unchanged + 1 if head == prev else 0
+            return head
         if op == "o":
             rel = compose(r, s)
         elif op == "&":
@@ -134,7 +235,7 @@ class _Batch:
 
     ``eval`` gives an expression's id per environment.  A subexpression
     met again, in this batch or another, is answered from the calculus's
-    memo.
+    tables.
     """
 
     def __init__(self, calc: _Calculus, cols: dict, n: int):
@@ -239,9 +340,14 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
         if most ** count > room:
             most -= 1
         by_kind[kind] = enumerate_relations(a, kind, most + 1)
-        total *= len(by_kind[kind]) ** count
+        prior, size = total, len(by_kind[kind])
+        total *= size ** count
         if total > MAX_ENVS:
-            raise GuardExceeded(f"at least {total} variable assignments "
+            # str() takes ints of at most 4300 digits by default
+            shown = (total if count * math.log10(size) < 4000
+                     else f"{size}**{count}" if prior == 1
+                     else f"{prior} * {size}**{count}")
+            raise GuardExceeded(f"at least {shown} variable assignments "
                                 f"exceed the cap {MAX_ENVS}")
     spaces = [(name, by_kind[kind]) for name, kind in ident.var_kinds]
     calc = _Calculus(a)

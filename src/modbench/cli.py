@@ -32,6 +32,10 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# The most values of a parameter one spectrum command scans; its rows are
+# kept until the scan ends.
+MAX_SCAN = 10_000
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
@@ -203,7 +207,11 @@ def cmd_spectrum(args) -> int:
         m_hi = args.m_to if args.m_to is not None else m_lo
         if m_hi < m_lo:
             raise ValueError(f"--m-to {m_hi} is below --m-from {m_lo}")
-        ms = list(range(m_lo, m_hi + 1))
+        if m_hi - m_lo >= MAX_SCAN:
+            raise ValueError(f"--m-from {m_lo} --m-to {m_hi} spans "
+                             f"{m_hi - m_lo + 1} values; one spectrum scans "
+                             f"at most {MAX_SCAN}")
+        ms = range(m_lo, m_hi + 1)
     elif args.m_from is not None or args.m_to is not None:
         raise CatalogError(f"{args.family} has no parameter for "
                            f"--m-from/--m-to")

@@ -1,10 +1,12 @@
+import collections
 import itertools
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modbench import checks
 from modbench.algebras import FiniteAlgebra, Signature, parse_algebra
@@ -556,6 +558,124 @@ def test_batch_size_changes_no_output(corpus, monkeypatch, name):
     for size in (1, 7):
         monkeypatch.setattr(checks, "BATCH", size)
         assert results() == want, size
+
+
+@st.composite
+def _small_algebras(draw):
+    size = draw(st.sampled_from((2, 3)))
+    arities = draw(st.lists(st.integers(0, 3 if size == 2 else 2),
+                            min_size=1, max_size=2))
+    ops = tuple((f"f{i}", ar) for i, ar in enumerate(arities))
+    tables = {name: draw(st.lists(st.integers(0, size - 1),
+                                  min_size=size ** ar, max_size=size ** ar))
+              for name, ar in ops}
+    return FiniteAlgebra(f"hyp{size}", size, Signature(ops), tables)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), family=st.sampled_from(ALGEBRA_FAMILIES),
+       k=st.integers(0, 2))
+def test_batch_sizes_agree_with_the_oracle_on_random_algebras(a, family, k):
+    ident = get_entry(family).identity()
+    spaces = [len(enumerate_relations(a, kind)) for _, kind in
+              ident.var_kinds]
+    # the oracle walks every assignment in Python
+    assume(np.prod(spaces, dtype=object) <= 4096)
+    got = check_concrete(a, ident, k=k)
+    for size in (1, 7):
+        with mock.patch.object(checks, "BATCH", size):
+            assert check_concrete(a, ident, k=k) == got, size
+    assert (got.holds, got.counterexample, got.envs_checked) == \
+        _oracle_check(a, ident, k)
+
+
+def _counting(monkeypatch):
+    """Wrap the scalar calculus the concrete checker calls; each call
+    appends its operation and arguments to the list returned."""
+    seen = []
+    for name in ("compose", "meet", "union", "generate"):
+        def wrapper(*args, _name=name, _fn=getattr(checks, name)):
+            if _name == "generate":
+                args = (args[0], tuple(args[1]), args[2])
+                seen.append((_name, args[1:]))
+            else:
+                seen.append((_name, tuple(r.rows for r in args)))
+            return _fn(*args)
+        monkeypatch.setattr(checks, name, wrapper)
+    return seen
+
+
+def test_each_distinct_argument_is_computed_once(chain3, monkeypatch):
+    seen = _counting(monkeypatch)
+    agai = get_entry("AGAI").identity()
+    for run, want in (
+            (lambda: spectrum(chain3, "AGAI"), Bound(1, 1)),
+            (lambda: check_concrete(chain3, agai, k=4).least_k, 1),
+            (lambda: check_concrete(chain3, agai, k=0).holds, False)):
+        seen.clear()
+        assert run() == want
+        assert len(set(seen)) == len(seen)
+        counts = collections.Counter(name for name, _ in seen)
+        assert counts == {"compose": 625, "union": 625, "generate": 25,
+                          "meet": 100 if want != False else 50}, counts
+
+
+def test_result_tables_grow_with_the_results_computed(monkeypatch):
+    # the 6-element chain, a member of V(lattice2)
+    n = 6
+    chain6 = FiniteAlgebra("chain6", n, Signature((("meet", 2),
+                                                   ("join", 2))),
+                           {"meet": [min(x, y) for x in range(n)
+                                     for y in range(n)],
+                            "join": [max(x, y) for x in range(n)
+                                     for y in range(n)]})
+    made = []
+
+    class Recorded(checks._Calculus):
+        def __init__(self, a):
+            super().__init__(a)
+            made.append(self)
+
+    monkeypatch.setattr(checks, "_Calculus", Recorded)
+    res = check_concrete(chain6, get_entry("DAY").identity(m=5), k=64)
+    assert res.holds and res.least_k == 5
+    (calc,) = made
+    tables = calc._tables.values()
+    cells = sum(t.res.size for t in tables)
+    computed = sum(int(np.count_nonzero(t.res >= 0)) for t in tables)
+    # 15,712 cells hold 3,842 results, where the 234 ids would index
+    # 54,756 cells per operation
+    assert cells <= 8 * computed
+    assert cells < len(calc.rels) ** 2
+
+
+def test_alternations_of_large_counts(chain3):
+    # a count is continued from the largest one held, one composition at
+    # a time, never by recursing through every count below it, and it
+    # stops at the fixed point of the alternation
+    adm = enumerate_relations(chain3, ADMISSIBLE)
+    for r, s in ((adm[1], adm[2]), (adm[5], adm[-3]), (adm[7], adm[7])):
+        env = {"R": r, "S": s}
+        assert eval_expr(chain3, PowE(VarE("R"), 5000), env) == \
+            rel_alt(r, r, 5000)
+        assert eval_expr(chain3, AltE(VarE("R"), VarE("S"), 5001), env) == \
+            rel_alt(r, s, 5001)
+    calc = checks._Calculus(chain3)
+    r, s = calc.intern(adm[5]), calc.intern(adm[-3])
+    x, y = np.array([r]), np.array([s])
+    for m in (3, 4000, 5000, 2):
+        assert calc.rels[int(calc.lift(m, x, y)[0])] == \
+            rel_alt(adm[5], adm[-3], m), m
+    assert calc.rels[int(calc.lift(10 ** 9, y, x)[0])] == \
+        rel_alt(adm[-3], adm[5], 5000)
+
+
+def test_guard_message_of_a_huge_count(z2):
+    # str() refuses an int of more than 4,300 digits; the count is shown
+    # as a power instead
+    reason = ("at least 2 * 2**20003 variable assignments exceed the cap "
+              "2000000")
+    assert spectrum(z2, "AGI", params={"m": 20000}) == Bound(0, None, reason)
 
 
 def test_identity_without_variables_is_one_empty_environment(chain3):

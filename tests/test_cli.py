@@ -221,6 +221,32 @@ def test_spectrum_range_flags_are_usage_errors(capsys):
         assert (code, out) == (2, "") and "no parameter" in err
 
 
+def test_a_range_too_long_to_scan_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "spectrum", "z2", "--family", "RMOD",
+                         "--m-from", "2", "--m-to", "99999999999")
+    assert (code, out) == (2, "")
+    assert "spans 99999999998 values" in err and "Traceback" not in err
+    # one value over the limit is refused too
+    code, out, err = run(capsys, "spectrum", "z2", "--family", "RMOD",
+                         "--m-from", "2", "--m-to", "10002")
+    assert (code, out) == (2, "") and "spans 10001 values" in err
+
+
+def test_large_counts_are_answered(capsys):
+    code, out, err = run(capsys, "check", "lattice2", "--identity", "RMOD",
+                         "--k", "1", "--param", "m=5000", "--json")
+    assert (code, err) == (0, "") and json.loads(out)["holds"]
+    code, out, err = run(capsys, "spectrum", "lattice2", "--family", "RMOD",
+                         "--m-from", "5000", "--cap", "5000", "--json")
+    (row,) = json.loads(out)["results"]
+    assert (code, err, row["m"], row["value"]) == (0, "", 5000, 1)
+    # a guard over a count of more than 4,300 digits says so
+    code, out, err = run(capsys, "check", "z2", "--identity", "AGI", "--k",
+                         "1", "--param", "m=20000")
+    assert (code, out) == (3, "")
+    assert "at least 2 * 2**20003 variable assignments" in err
+
+
 def test_param_naming_the_scanned_parameter_is_a_usage_error(capsys):
     for family, param in (("DAY", "m=5"), ("TOLC", "h=2")):
         code, out, err = run(capsys, "spectrum", "z2", "--family", family,
