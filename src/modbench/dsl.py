@@ -27,6 +27,9 @@ from dataclasses import dataclass, replace
 from .relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
 
 K = "k"  # the symbolic count
+# The most factors an alternation of a given count spells out: each is a
+# list item, so a count the caller cannot bound would exhaust the memory.
+MAX_FACTORS = 10_000
 
 KIND_KEYWORDS = {"cong": CONGRUENCE, "tol": TOLERANCE, "adm": ADMISSIBLE}
 GEN_KEYWORDS = {"gen_adm": ADMISSIBLE, "gen_tol": TOLERANCE,
@@ -164,7 +167,10 @@ def rebuild(e: RelExpr, kids) -> RelExpr:
 
 def alternation(first, second, m: int) -> RelExpr:
     """The composition first o second o first o ... of m >= 1 factors,
-    flattened like ``compose``."""
+    flattened like ``compose``; at most ``MAX_FACTORS`` factors."""
+    if m > MAX_FACTORS:
+        raise DslError(f"an alternation of m = {m} factors passes the bound "
+                       f"of {MAX_FACTORS}")
     return compose(*[(first, second)[i % 2] for i in range(m)])
 
 

@@ -77,6 +77,15 @@ the key index as before, and the rows an append adds leave their buckets.
 Colliding keys or buckets only let rows of K through, which the index
 drops, so no element, witness or refusal changes.  Rows of the dense table
 are looked up cheaper than they are hashed and take no filter.
+
+A counted level also stops when one row of N is left.  The chunks up to the
+last append were checked whole, so that row first occurs in a later chunk
+and is the level's last element: it is appended at once, and a level that
+counts one new row runs no chunk at all.  Its witness is deferred:
+:meth:`FreeAlgebra.term_of` resumes the level's enumeration at the chunk
+after the stop and takes the first candidate equal to the row, which is the
+witness the level run to its end gives.  A built algebra keeps for this the
+packed rows and the operation programs, without the key index.
 """
 
 from __future__ import annotations
@@ -117,6 +126,8 @@ _SAMPLE_SHARE = 1 / 512
 # random 2- and 3-element algebras spent 23 % of its applications on a
 # count that saved 5 %
 _COUNT_SHARE = 1 / 4
+# the witness operation of a counted level's last element until it is found
+_DEFERRED = -2
 
 
 class CapExceeded(RuntimeError):
@@ -328,17 +339,24 @@ def _row_bytes(rows: np.ndarray) -> np.ndarray:
 
 
 class FreeAlgebra:
-    """Built by :func:`build_free`; immutable afterwards."""
+    """Built by :func:`build_free`.  Its elements never change; a witness
+    that the build deferred is filled in on first use."""
 
-    def __init__(self, base, g, vecs, generators, w_op, w_args):
+    def __init__(self, base, g, vecs, generators, w_op, w_args,
+                 resume=None):
         self.base = base
         self.g = g
         self.tuple_count = base.size ** g
         self.vecs = vecs                     # (N, size**g) uint8
         self.vecs.setflags(write=False)
         self.generators = generators         # element index per generator
-        self._w_op = w_op                    # signature index, -1 = Var
-        self._w_args = w_args                # argument element indices
+        # each element's witness: the signature index of its operation (-1
+        # for a generator, _DEFERRED until found) and its argument elements
+        self._w_op = w_op
+        self._w_args = w_args
+        # (rows-only builder, ops, {element: (old, total, chunks run)}) for
+        # the levels whose last element's witness is deferred
+        self._resume = resume
         self._terms: dict[int, Term] = {}
 
     @property
@@ -351,15 +369,25 @@ class FreeAlgebra:
             raise AlgebraError(f"element index {e} out of range")
         if e in self._terms:
             return self._terms[e]
-        op = int(self._w_op[e])
+        op, args = self._witness(e)
         if op < 0:
-            t: Term = Var(int(self._w_args[e][0]))
+            t: Term = Var(int(args[0]))
         else:
             name, arity = self.base.signature.ops[op]
-            t = App(name, tuple(self.term_of(int(x))
-                                for x in self._w_args[e][:arity]))
+            t = App(name, tuple(self.term_of(int(x)) for x in args[:arity]))
         self._terms[e] = t
         return t
+
+    def _witness(self, e: int) -> tuple[int, np.ndarray]:
+        """The witness operation and argument elements of element e, found
+        first when the build deferred it."""
+        if self._w_op[e] == _DEFERRED:
+            builder, ops, levels = self._resume
+            op, args = _first_occurrence(builder, ops, *levels[e],
+                                         builder.rows[:, e:e + 1])
+            self._w_op[e] = op
+            self._w_args[e, :args.size] = args
+        return int(self._w_op[e]), self._w_args[e]
 
     def gen_pair_congruence(self, pairs) -> np.ndarray:
         """Class labels of the congruence generated by generator pairs.
@@ -469,6 +497,14 @@ class _Builder:
         padded = np.zeros((k, self.max_arity), dtype=np.int64)
         padded[:, :args.shape[1]] = args
         self.w_args.append(padded)
+
+    def rows_only(self) -> _Builder:
+        """This builder without its key index and witness lists, its rows
+        trimmed to the elements: what :func:`_level_chunks` and
+        :func:`_run_op` read to run a level again."""
+        self.rows = self.rows[:, :self.n].copy()
+        del self._main, self._side, self._dense, self.w_op, self.w_args
+        return self
 
     def refuse(self):
         """Raise the entries cap's refusal: ``elements_reached`` is the first
@@ -1029,6 +1065,22 @@ def _level_chunks(builder: _Builder, ops, old: int, total: int):
             yield (op, program, *chunk)
 
 
+def _first_occurrence(builder: _Builder, ops, old: int, total: int,
+                      skip: int, row: np.ndarray) -> tuple[int, np.ndarray]:
+    """The operation and argument elements of the first candidate equal to
+    ``row`` (one column) in the closure level on the frontier
+    ``[old, total)`` after its first ``skip`` chunks."""
+    for op, program, arg_rows, pick, args_of in itertools.islice(
+            _level_chunks(builder, ops, old, total), skip, None):
+        res = _run_op(builder, program, arg_rows)
+        if pick is not None:
+            res = np.take(res, pick, axis=1)
+        hit = np.flatnonzero((res == row).all(axis=0))
+        if hit.size:
+            return op, args_of(hit[:1])[0]
+    raise AssertionError("a deferred element occurs in its level")
+
+
 def build_free(a: FiniteAlgebra, g: int,
                cap_entries: int = DEFAULT_CAP_ENTRIES,
                work_budget: int = DEFAULT_WORK_BUDGET) -> FreeAlgebra:
@@ -1046,8 +1098,8 @@ def build_free(a: FiniteAlgebra, g: int,
     # is refused without building its power
     if (size > 1 and g > cap_entries.bit_length()
             or size ** g * g > cap_entries):
-        # str() takes ints of at most 4300 digits by default
-        coords = (size ** g if g * math.log10(size) < 4300
+        # the decimal count while it has at most 20 digits
+        coords = (size ** g if g * math.log10(size) < 20
                   else f"{size}**{g}")
         raise CapExceeded(
             f"tuple space alone ({g} generators of {coords} coordinates) "
@@ -1092,6 +1144,7 @@ def build_free(a: FiniteAlgebra, g: int,
     swaps = functools.cache(lambda: _swap_tables(builder, size, g))
     units_used = 0
     frontier_start = 0
+    deferred: dict[int, tuple[int, int, int]] = {}
     while frontier_start < builder.n:
         old = frontier_start
         level_total = builder.n
@@ -1110,32 +1163,42 @@ def build_free(a: FiniteAlgebra, g: int,
             builder.refuse()
         # the level's chunks below add up to at most ``projected``
         units_used += projected
-        # the level stops after the append that reaches its count, and
+        # the level stops once at most one of its counted rows is left, and
         # checks only the candidates that may be counted rows against the
         # known ones, unless the dense table does that cheaper
         new = (_level_count(builder, ops, apps, old, g, swaps)
                if countable else None)
-        last = pending = None
+        stop = pending = None
         if new is not None:
             if not new.shape[1]:
                 break
-            last = level_total + new.shape[1]
+            stop = level_total + new.shape[1] - 1
             if builder._dense is None:
                 pending = _Pending(builder, new)
-        for op, program, arg_rows, pick, args_of in _level_chunks(
-                builder, ops, old, level_total):
-            res = _run_op(builder, program, arg_rows)
-            if pick is not None:
-                res = np.take(res, pick, axis=1)
-            pos = (builder if pending is None else pending).new_rows(res)
-            if pos.size:
-                builder.append(res[:, pos], op, args_of(pos))
-                if builder.n == last:
-                    break
+        run = 0
+        if builder.n != stop:
+            for op, program, arg_rows, pick, args_of in _level_chunks(
+                    builder, ops, old, level_total):
+                run += 1
+                res = _run_op(builder, program, arg_rows)
+                if pick is not None:
+                    res = np.take(res, pick, axis=1)
+                pos = (builder if pending is None else pending).new_rows(res)
+                if pos.size:
+                    builder.append(res[:, pos], op, args_of(pos))
+                    if stop is not None and builder.n >= stop:
+                        break
+        if builder.n == stop:
+            # the row left first occurs after the chunks run
+            builder.append(new[:, builder.new_rows(new)], _DEFERRED,
+                           np.empty((1, 0), dtype=np.int64))
+            deferred[builder.n - 1] = (old, level_total, run)
 
     vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, c)
     return FreeAlgebra(a, g, vecs, generators, np.concatenate(builder.w_op),
-                       np.concatenate(builder.w_args))
+                       np.concatenate(builder.w_args),
+                       (builder.rows_only(), ops, deferred) if deferred
+                       else None)
 
 
 # ---------------------------------------------------------------------------

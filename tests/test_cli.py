@@ -397,8 +397,36 @@ def test_huge_tuple_spaces_are_refused_without_their_power(capsys,
         assert time.perf_counter() - start < 1, argv
         assert (code, out) == (3, ""), argv
         assert f" generators of {coords} coordinates) exceeds cap " in err
-    # a count that str() converts is printed as before
+    # a count of at most 20 digits is printed in decimal
     code, _, err = run(capsys, "free", "z2", "-g", "30")
     assert code == 3
     assert err == ("cap exceeded: tuple space alone (30 generators of "
                    "1073741824 coordinates) exceeds cap 10000000\n")
+    for g, coords in ((66, "73786976294838206464"), (67, "2**67")):
+        code, _, err = run(capsys, "free", "z2", "-g", str(g))
+        assert code == 3
+        assert f"({g} generators of {coords} coordinates)" in err
+    code, out, _ = run(capsys, "spectrum", "z2", "--family", "DAY",
+                       "--m-from", "10000", "--json")
+    assert code == 3
+    assert json.loads(out)["results"][0]["unchecked"] == (
+        "tuple space alone (10001 generators of 2**10001 coordinates) "
+        "exceeds cap 10000000")
+
+
+def test_huge_alternation_counts_are_a_usage_error(capsys):
+    # DAY and TR_REL spell out an alternation of m factors, so m is
+    # refused before any is made; RMOD's power of m answers at any m
+    m = "99999999999"
+    for family in ("DAY", "TR_REL"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "z2", "--family", family,
+                             "--m-from", m)
+        assert time.perf_counter() - start < 1, family
+        assert (code, out) == (2, ""), family
+        assert err == (f"error: an alternation of m = {m} factors passes "
+                       f"the bound of 10000\n")
+    code, out, _ = run(capsys, "spectrum", "z2", "--family", "RMOD",
+                       "--m-from", m, "--json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == 1

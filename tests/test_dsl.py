@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modbench.catalog import CATALOG, CatalogError, get_entry
-from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, K, MeetE,
-                          PowE, VarE, _check_count, children, compose,
-                          expr_str, expr_vars, has_symbolic, identity_str,
+from modbench.dsl import (MAX_FACTORS, AltE, ComposeE, ConvE, DslError,
+                          GenE, K, MeetE, PowE, VarE, _check_count,
+                          alternation, children, compose, expr_str, expr_vars, has_symbolic, identity_str,
                           meet, parse_identity, push_converse, rebuild,
                           substitute_k)
 from modbench.relations import ADMISSIBLE, CONGRUENCE, TOLERANCE
@@ -103,6 +103,13 @@ def test_catalog_parameter_validation():
         get_entry("DAY").identity(zz=1)
     with pytest.raises(CatalogError):
         get_entry("NOPE")
+
+
+def test_alternations_spell_out_at_most_max_factors():
+    a, b = VarE("a"), VarE("b")
+    assert len(alternation(a, b, MAX_FACTORS).items) == MAX_FACTORS
+    with pytest.raises(DslError, match=f"m = {MAX_FACTORS + 1} factors"):
+        alternation(a, b, MAX_FACTORS + 1)
 
 
 def test_catalog_size():

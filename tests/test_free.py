@@ -13,7 +13,9 @@ from modbench.algebras import AlgebraError, FiniteAlgebra, Signature
 from modbench.free import (App, CapExceeded, Var, build_free, eval_term,
                            eval_term_vector, parse_term, subst_vars,
                            term_str)
+from modbench.checks import PWContext
 from modbench.relations import CONGRUENCE, generate
+from modbench.report import consistency_report
 from conftest import free_as_algebra, induced_table, random_algebra
 
 
@@ -188,7 +190,14 @@ def test_random_small_builds_are_closed():
             assert table.size == f.n_elements ** arity
 
 
+def _resolved(f):
+    """Find every witness that the build of ``f`` deferred."""
+    for e in range(f.n_elements):
+        f._witness(e)
+
+
 def _build_outputs(f):
+    _resolved(f)
     return (f.vecs.tobytes(), f.vecs.shape, f.generators,
             f._w_op.tobytes(), f._w_args.tobytes())
 
@@ -726,14 +735,20 @@ def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
 
 def _assert_count_free(cases, chunk_words=free._CHUNK_WORDS):
     """Build each case with the count declined, as built, and made for
-    every level that allows one; the outcomes must agree.  Returns how many
-    levels were counted as built and when always made."""
+    every level that allows one; the outcomes, each deferred witness
+    resolved, must agree.  Returns how many levels were counted and how
+    many witnesses were deferred, as built and when always made."""
     real = free._level_count
-    made = []
+    real_first = free._first_occurrence
+    made, deferred = [], []
 
     def recorded(*args):
         made.append(real(*args))
         return made[-1]
+
+    def resolved(*args):
+        deferred.append(args)
+        return real_first(*args)
 
     per, counted = [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -741,11 +756,14 @@ def _assert_count_free(cases, chunk_words=free._CHUNK_WORDS):
         mp.setattr(free, "_level_count", lambda *args: None)
         per.append([_outcome(a, g, **caps) for a, g, caps in cases])
         mp.setattr(free, "_level_count", recorded)
+        mp.setattr(free, "_first_occurrence", resolved)
         for share in (free._COUNT_SHARE, math.inf):
             mp.setattr(free, "_COUNT_SHARE", share)
             made.clear()
+            deferred.clear()
             per.append([_outcome(a, g, **caps) for a, g, caps in cases])
-            counted.append(sum(m is not None for m in made))
+            counted.append((sum(m is not None for m in made),
+                            len(deferred)))
     assert per[1] == per[0] and per[2] == per[0]
     return counted
 
@@ -765,8 +783,11 @@ def test_corpus_builds_do_not_depend_on_the_count(corpus):
                  ("pixley3", 3, (10, 100, None)), ("pixley3", 4, (None,)),
                  ("chain3", 5, (100, 3_000, 6_250)))
              for room in rooms]
-    as_built, always = _assert_count_free(cases)
+    (as_built, deferred), (always, more) = _assert_count_free(cases)
     assert 0 < as_built < always
+    # the complete F(lattice2, 5) defers the last element of its two
+    # counted levels; counting every level defers more
+    assert 2 == deferred < more
 
 
 @settings(max_examples=40, deadline=None)
@@ -838,6 +859,7 @@ def test_swap_tables_permute_packed_coordinates(size, g, n_planes):
 def _levels(f):
     """Each element's closure level: 0 for a seed, else one more than the
     highest level among its witness arguments."""
+    _resolved(f)
     level = np.zeros(f.n_elements, dtype=np.int64)
     for e in range(f.n_elements):
         arity = (f.base.signature.ops[f._w_op[e]][1] if f._w_op[e] >= 0
@@ -875,11 +897,19 @@ def test_random_levels_are_invariant_under_swapped_variables(a, g):
     _assert_levels_are_symmetric(f)
 
 
-def test_lattice2_f5_stops_each_level_at_its_last_new_element(monkeypatch,
-                                                              lattice2):
-    # 57.4 M candidate rows run to the end of every level; counted, the last
-    # two big levels stop after their last new element and the last level,
-    # which adds nothing, is skipped
+# the candidate rows of a build whose counted levels ran on to their last
+# new element's first occurrence
+@pytest.mark.parametrize("name, ran_on", [("lattice2", 15_754_388),
+                                          ("chain3", 15_629_467)],
+                         ids=["lattice2", "chain3"])
+def test_f5_stops_each_level_with_one_new_element_left(monkeypatch, corpus,
+                                                       name, ran_on):
+    # 57.4 M candidate rows run to the end of every level.  Counted, the
+    # last two big levels stop when one new element is left, which is
+    # appended as the level's last, and the last level, which adds nothing,
+    # is skipped: 6.22 M rows for lattice2 and 6.12 M for chain3.  Finding
+    # the two deferred witnesses runs each level on to that element's first
+    # occurrence, and no further
     real = free._run_op
     rows = []
 
@@ -889,8 +919,20 @@ def test_lattice2_f5_stops_each_level_at_its_last_new_element(monkeypatch,
         return res
 
     monkeypatch.setattr(free, "_run_op", counted)
-    assert build_free(lattice2, 5).n_elements == 7_579
-    assert sum(rows) < 20_000_000
+    f = build_free(corpus[name], 5)
+    assert f.n_elements == 7_579
+    assert sum(rows) <= 6_500_000
+    assert np.flatnonzero(f._w_op == free._DEFERRED).tolist() == [7577, 7578]
+    _resolved(f)
+    assert sum(rows) <= ran_on
+    assert free._DEFERRED not in f._w_op
+
+
+def test_lattice2_report_resolves_no_deferred_witness(lattice2):
+    # the report reads partitions of F(5), never its witnesses
+    ctx = PWContext(lattice2)
+    assert consistency_report(lattice2, ctx=ctx)["ok"]
+    assert (ctx.free(5)._w_op == free._DEFERRED).sum() == 2
 
 
 # ---------------------------------------------------------------------------
