@@ -47,10 +47,10 @@ its boundary.  The entries cap refuses with ``elements_reached`` the first
 element count that does not fit, ``cap_entries // coordinates + 1``, either
 when an append overflows or already at a level's boundary: a level with
 many more candidates than the cap has room for first samples a small share
-of them, and refuses when the sample alone makes more distinct new rows than
-there is room for.  Each of those rows is an element the level would add,
-so the canonical order would overflow in the same level, with the same
-refusal; when the sample proves nothing, the level runs as before.
+of them, and refuses when more of the sample's distinct keys than that room
+are missing from the index.  Each is a row the level adds (a fingerprint
+collision only hides one), so the canonical order overflows in the same
+level; the sample decides only whether the refusal comes now or later.
 
 A big level then counts its new elements N exactly before it runs.
 Permuting the variables acts on F(g) by automorphisms: it permutes the
@@ -111,11 +111,11 @@ _CHUNK_WORDS = 1 << 16
 # chunk inserts into a small array
 _SIDE_SHARE = 1 / 8
 # a closure level whose candidates are more than 1 / _SAMPLE_SHARE times the
-# elements the entries cap has room for samples this share of them, to prove
-# that it overflows.  The corpus reports' levels and those of term searches
-# on random small algebras measured at most 166 times their room, except
-# F(lattice2, 6)'s refused one, 12,367 times; a sample that proves nothing
-# costs at most this share of its level
+# elements the entries cap has room for samples this share of them and
+# counts the sample's new keys, to prove that it overflows.  The corpus
+# reports' levels and those of term searches on random small algebras
+# measured at most 166 times their room, except F(lattice2, 6)'s refused
+# one, 12,367 times; a sample that proves nothing costs at most this share
 _SAMPLE_SHARE = 1 / 512
 # a closure level counts its new elements first when the count's rows are at
 # most this share of the level's applications.  F(lattice2, 5) counts its
@@ -416,19 +416,12 @@ class FreeAlgebra:
 
 class _Builder:
     """Word-major packed element rows (one column per element) and an index
-    of one key per row.
-
-    A row of one uint8 or uint16 word is its own key, and the index is a
-    dense table of which rows are elements.  Any other row has a 64-bit key
-    in a sorted index: a one-word row is its own key when its used bits
-    leave room for a chunk position beside them, and an invertible
-    fingerprint of the word otherwise, so key equality is row equality.  A
-    wider row's key is a fingerprint, and every match is confirmed on the
-    rows themselves.  A chunk whose keys collide is deduplicated on its
-    rows' bytes instead, so element identity is exact either way.
-
-    New keys go into a small sorted side index, which lookups probe beside
-    the main one, merged into it past ``_SIDE_SHARE`` of its size.
+    of one key per row, as the module docstring describes: a dense table of
+    which rows are elements for rows of one uint8 or uint16 word, else a
+    sorted main index and a small side index of new keys.  A one-word
+    row's key is the row or an invertible fingerprint of it, so key
+    equality is row equality; a wider row's matches are confirmed on the
+    rows themselves.
 
     ``width`` counts a row in uint64 words whatever its dtype, so chunk
     sizes and work units are those of uint64 rows.
@@ -485,8 +478,7 @@ class _Builder:
         if self._dense is not None:
             self._dense[rows[0]] = True
         else:
-            keys = (rows[0].astype(np.uint64) if self.exact
-                    else _fingerprint(rows, self.weights))
+            keys = self.keys(rows)
             order = np.argsort(keys, kind="stable")
             self._side = _merged(self._side, (keys[order], self.n + order))
             if self._side[0].size > _SIDE_SHARE * self._main[0].size:
@@ -535,12 +527,10 @@ class _Builder:
             return miss[np.sort(first)]
         b = max(1, (m - 1).bit_length())
         low = np.uint64((1 << b) - 1)
-        if self.exact:
-            # the row is its key, widened to uint64 in the packed words
-            packed = rows[0].astype(np.uint64)
-        else:
-            keys = _fingerprint(rows, self.weights)
-            packed = keys >> b
+        keys = self.keys(rows)
+        # a fingerprint gives up its low bits to the position; an exact key,
+        # the row widened to uint64, has them free and is shifted in place
+        packed = keys if self.exact else keys >> b
         packed <<= b
         packed |= np.arange(m, dtype=np.uint64)
         packed.sort()
@@ -589,14 +579,30 @@ class _Builder:
             where = np.empty(self._dense.size, dtype=np.int64)
             where[self.rows[0, :self.n]] = np.arange(self.n)
             return where[rows[0]]
-        _, elem = self._lookup(rows[0].astype(np.uint64) if self.exact
-                               else _fingerprint(rows, self.weights))
+        _, elem = self._lookup(self.keys(rows))
         if self.width > 1 and not np.array_equal(
                 rows, np.take(self.rows, elem, axis=1)):
             known = _row_bytes(self.rows[:, :self.n].T)
             order = np.argsort(known)
             return order[np.searchsorted(known[order], _row_bytes(rows.T))]
         return elem
+
+    def new_keys(self, rows: np.ndarray, seen: np.ndarray) -> np.ndarray:
+        """Sorted distinct ``seen`` and the rows' keys that no element has."""
+        keys = np.sort(self.keys(rows))
+        keys = keys[~(self._dense[keys] if self._dense is not None
+                      else self._lookup(keys)[0])]
+        # both are sorted, so the stable sort is a merge of two runs
+        keys = np.sort(np.concatenate((seen, keys)), kind="stable")
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return keys[first]
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's key: the row itself when exact, which every row of the
+        dense table is, and its fingerprint otherwise."""
+        return (rows[0].astype(np.uint64) if self.exact
+                else _fingerprint(rows, self.weights))
 
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per key: whether either index holds it, and then an element with
@@ -833,28 +839,26 @@ def _pair_args(builder: _Builder, old: int, total: int):
 
 def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
     """Whether a sample of the closure level on the frontier
-    ``[old, builder.n)`` makes more distinct new rows than the entries cap
-    has room for, which proves that the level overflows.
+    ``[old, builder.n)`` has more distinct new keys than the entries cap has
+    room for elements, which proves that the level overflows.
 
     The sample is at most ``_SAMPLE_SHARE`` of the level's candidates, and
     is drawn only when that share is more than the room left.  A sampled
     candidate draws its operation in proportion to ``apps``, the operation's
     applications in the level, each argument uniformly from the elements,
-    and then one uniformly chosen position from the frontier.  So it is a
-    candidate of the level, or for a symmetric table the mirror of one, and
-    its row, when not an element yet, is one that the level adds.  Rows are
-    counted exactly, on the builder's own key paths: each batch drops its
-    known rows, and a scratch builder collects the new ones.  The sample
-    stops after a batch once its yield so far, projected to the whole
-    sample, cannot pass the room left.  The seed is fixed; the sample
-    decides only whether a refusal comes now or later in the level.
+    and then one uniformly chosen position from the frontier: a candidate of
+    the level, or for a symmetric table the mirror of one.  So a key that no
+    element has is a row the level adds, distinct keys are distinct rows,
+    and a colliding fingerprint only hides a new row.  The sample stops
+    after a batch once its keys so far, projected to the whole sample,
+    cannot pass the room left.  The seed is fixed.
     """
     total = builder.n
     room = builder.max_elements - total
     budget = math.floor(sum(apps) * _SAMPLE_SHARE)
     if budget <= room:
         return False
-    seen = _Builder(builder.n_planes, builder.c, room * builder.c, 1)
+    seen = np.empty(0, dtype=np.uint64)
     rng = np.random.default_rng(0)
     share = np.array(apps, dtype=float) / sum(apps)
     drawn = 0
@@ -868,23 +872,23 @@ def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
                 old, total, size=k)
             res = _run_op(builder, program,
                           [np.take(builder.rows, x, axis=1) for x in args])
-            if not _collect(seen, res[:, builder.new_rows(res)], room):
+            seen = builder.new_keys(res, seen)
+            if seen.size > room:
                 return True
         drawn += m
-        if seen.n * budget <= room * drawn:
+        if seen.size * budget <= room * drawn:
             return False
     return False
 
 
-def _collect(seen: _Builder, rows: np.ndarray, room: int) -> bool:
-    """Add the rows that the scratch builder ``seen`` does not hold yet;
-    False, adding none, when they would pass ``room``."""
+def _collect(builder: _Builder, seen: _Builder, rows: np.ndarray):
+    """Add the rows that the scratch builder ``seen`` does not hold yet, and
+    refuse the build when they would pass the room left, ``seen``'s cap."""
     pos = seen.new_rows(rows)
-    if seen.n + pos.size > room:
-        return False
+    if seen.n + pos.size > seen.max_elements:
+        builder.refuse()
     if pos.size:
         seen.append(rows[:, pos], -1, np.empty((pos.size, 0), np.int64))
-    return True
 
 
 def _swap_tables(builder: _Builder, size: int, g: int) -> list:
@@ -991,16 +995,14 @@ def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
                 # the representative is block position 0 and argument p
                 arg_rows.insert(p, arg_rows.pop(0))
                 res = _run_op(builder, program, arg_rows)
-                if not _collect(seen, res[:, builder.new_rows(res)], room):
-                    builder.refuse()
+                _collect(builder, seen, res[:, builder.new_rows(res)])
     # each round permutes the rows the round before added
     done = 0
     while done < seen.n:
         start, done = done, seen.n
         for table in tables:
-            if not _collect(seen, _permuted(builder, table,
-                                            seen.rows[:, start:done]), room):
-                builder.refuse()
+            _collect(builder, seen,
+                     _permuted(builder, table, seen.rows[:, start:done]))
     return seen.rows[:, :seen.n]
 
 
@@ -1028,11 +1030,9 @@ class _Pending:
         """The bucket of each row: the high bits of its key, which a key
         that is the row itself gets from a multiplication by an odd
         constant (Knuth's multiplicative hashing)."""
+        h = self.builder.keys(rows)
         if self.builder.exact:
-            h = rows[0].astype(np.uint64)
             h *= np.uint64(0x9E3779B97F4A7C15)
-        else:
-            h = _fingerprint(rows, self.builder.weights)
         h >>= self.shift
         return h.view(np.int64)
 

@@ -709,22 +709,91 @@ def test_random_refusals_do_not_depend_on_the_sample(a, g, room, words):
 def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
     # in the canonical order the 156,251st element of F(6) comes after
     # 35.6 M candidate rows; the sample proves the overflow at the boundary
-    # of that level
-    real = free._run_op
-    rows = []
+    # of that level.  It counts the keys of its rows, so only the levels'
+    # own 246,512 candidate rows reach new_rows (572,398 when the sample's
+    # rows went there too), and no scratch builder is made
+    real_run, real_sample = free._run_op, free._sample_overflows
+    real_new, real_init = free._Builder.new_rows, free._Builder.__init__
+    rows, checked, made = [], [], []
+    sampling = [False]
 
     def counted(*args):
-        res = real(*args)
+        res = real_run(*args)
         rows.append(res.shape[1])
         return res
 
+    def sample(*args):
+        sampling[0] = True
+        try:
+            return real_sample(*args)
+        finally:
+            sampling[0] = False
+
+    def new_rows(builder, res):
+        checked.append((sampling[0], res.shape[1]))
+        return real_new(builder, res)
+
+    def init(builder, *args):
+        made.append(args)
+        real_init(builder, *args)
+
     monkeypatch.setattr(free, "_run_op", counted)
+    monkeypatch.setattr(free, "_sample_overflows", sample)
+    monkeypatch.setattr(free._Builder, "new_rows", new_rows)
+    monkeypatch.setattr(free._Builder, "__init__", init)
     with pytest.raises(CapExceeded) as over:
         build_free(lattice2, 6)
     assert over.value.elements_reached == 156_251
     assert str(over.value) == ("free algebra exceeds 10000000 vector entries "
                                "(156251 elements of 64 coordinates)")
     assert sum(rows) < 2_000_000
+    assert not any(in_sample for in_sample, _ in checked)
+    assert sum(m for _, m in checked) <= 250_000
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("name, g, room, throughout", [
+    ("lattice2", 6, 40_000, False), ("chain3", 5, 6_250, True)],
+    ids=["64-coordinates", "243-coordinates"])
+def test_colliding_sample_keys_prove_nothing(monkeypatch, corpus, name, g,
+                                            room, throughout):
+    # every key the sample makes is one element's fingerprint, so it counts
+    # no new row: the sample proves nothing, and the canonical order
+    # refuses the level as it does with the sample switched off.  Multiword
+    # rows collide throughout the build, whose own dedup falls back to the
+    # rows' bytes; one-word rows' own dedup needs a bijective fingerprint,
+    # so their keys collide in the sample only
+    a = corpus[name]
+    caps = {"cap_entries": room * a.size ** g}
+    real = free._sample_overflows
+    fired = []
+
+    def sample(*args):
+        fired.append(real(*args))
+        return fired[-1]
+
+    def colliding(builder, *args):
+        held = free._fingerprint(builder.rows[:, :1], builder.weights)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(free, "_fingerprint",
+                       lambda rows, weights: np.repeat(held, rows.shape[1]))
+            return sample(builder, *args)
+
+    monkeypatch.setattr(free, "_sample_overflows", sample)
+    want = _outcome(a, g, **caps)
+    # without collisions the sample proves the overflow
+    assert want[0] == "refused" and fired[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_SAMPLE_SHARE", 0)
+        assert _outcome(a, g, **caps) == want
+    fired.clear()
+    monkeypatch.setattr(free, "_sample_overflows", colliding)
+    if throughout:
+        monkeypatch.setattr(
+            free, "_fingerprint",
+            lambda rows, weights: np.zeros(rows.shape[1], dtype=np.uint64))
+    assert _outcome(a, g, **caps) == want
+    assert fired and not any(fired)
 
 
 # ---------------------------------------------------------------------------
