@@ -10,8 +10,8 @@ Each search is the saturation walk (``checks.walk_scan``) of an identity
 built from catalog entries -- DAY(3), TSCHANTZ(2), or TSCHANTZ(2)'s
 left-hand side with DAY(3)'s or DAY_REV(3)'s right-hand side -- in the
 free algebra on the 4 or 3 generators of the configuration
-``checks.pw_analyze`` derives; witnesses of path elements become the chain
-terms.
+``checks.pw_analyze`` derives, built in its canonical order; witnesses of
+path elements become the chain terms.
 """
 
 from __future__ import annotations
@@ -241,7 +241,8 @@ def _search(a, scheme, ident, limit, ctx, caps, chain_of):
     ctx = context_for(a, ctx, *caps)
     # a Jonsson or ALVIN walk is one step longer than its chain parameter
     walk, f, parts = walk_scan(ctx, ident,
-                               limit + (scheme in (JONSSON, ALVIN)))
+                               limit + (scheme in (JONSSON, ALVIN)),
+                               ordered=True)
     if walk.reached is None:
         return SearchResult(scheme, None, walk.stalled, f.n_elements)
     chain = chain_of(walk, f, parts)

@@ -62,6 +62,16 @@ class PWGrammarError(CheckError):
 BATCH = 4096
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-d array, by a sort and a neighbour
+    compare: numpy 2's ``np.unique`` without ``return_index`` or
+    ``return_inverse`` hashes, which is 2-6 times slower on these sizes."""
+    x = np.sort(x)
+    first = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return x[first]
+
+
 class _Table:
     """The results of one operation met so far, gathered by operand.
 
@@ -90,7 +100,7 @@ class _Table:
             pos = self.pos[side] = grown
         p = pos.take(x)
         if p.min() < 0:
-            new = np.unique(x[p < 0])
+            new = _distinct(x[p < 0])
             ids = self.ids[side]
             pos[new] = np.arange(len(ids), len(ids) + new.size)
             ids.extend(new.tolist())
@@ -179,7 +189,7 @@ class _Calculus:
         out = t.res.take(cells)
         if out.min() < 0:
             flat, cols = t.res.reshape(-1), t.res.shape[1]
-            for cell in np.unique(cells[out < 0]).tolist():
+            for cell in _distinct(cells[out < 0]).tolist():
                 i, j = divmod(cell, cols)
                 flat[cell] = self._compute(op, t.ids[0][i], t.ids[1][j])
             out = flat.take(cells)
@@ -508,7 +518,14 @@ def pw_analyze(ident: Identity) -> PWConfig:
 
 
 class PWContext:
-    """Caches free algebras and generated partitions for one algebra."""
+    """Caches free algebras and generated partitions for one algebra.
+
+    A saturation walk reads no element's name or witness, so it takes F(g)
+    in any order, and a walk-only build is cheaper; a chain search reads
+    witness terms, and asks for the canonical order.  An ordered F(g)
+    serves both.  A walk-only one is replaced by the ordered build when that
+    is asked for, and the partitions of the old one, which name its
+    elements, are dropped."""
 
     def __init__(self, algebra: FiniteAlgebra,
                  cap_entries: int = DEFAULT_CAP_ENTRIES,
@@ -520,9 +537,11 @@ class PWContext:
         self._failed: set[int] = set()
         self._parts: dict = {}
 
-    def free(self, g: int) -> FreeAlgebra:
-        if g in self._free:
-            return self._free[g]
+    def free(self, g: int, ordered: bool = True) -> FreeAlgebra:
+        """F(g), in the canonical order unless ``ordered`` is False."""
+        held = self._free.get(g)
+        if held is not None and (held.ordered or not ordered):
+            return held
         # the entries |F(g)|*|A|^g and the closure work grow with g, so a
         # build over the caps on at most g generators rules this one out
         skipped = [bad for bad in self._failed if bad <= g]
@@ -533,16 +552,23 @@ class PWContext:
         try:
             self._free[g] = build_free(self.algebra, g,
                                        cap_entries=self.cap_entries,
-                                       work_budget=self.work_budget)
+                                       work_budget=self.work_budget,
+                                       ordered=ordered)
         except CapExceeded:
             self._failed.add(g)
             raise
+        if held is not None:
+            self._parts = {key: labels for key, labels in self._parts.items()
+                           if key[0] != g}
         return self._free[g]
 
     def partition(self, g: int, pairs) -> np.ndarray:
+        """Labels of the congruence that the generator pairs generate on
+        the F(g) held, or on a walk-only one built for the call."""
         key = (g, tuple(sorted(pairs)))
         if key not in self._parts:
-            self._parts[key] = self.free(g).gen_pair_congruence(list(pairs))
+            self._parts[key] = self.free(g, ordered=False
+                                         ).gen_pair_congruence(list(pairs))
         return self._parts[key]
 
 
@@ -645,7 +671,7 @@ def _meet_reach(e: MeetE, frontier, parts):
     out = np.zeros_like(frontier)
     if len(composites) == 1 and combined is not None:
         # (u,v) in the meet forces u,v into one class; recurse classwise
-        for cid in np.unique(combined[frontier]):
+        for cid in _distinct(combined[frontier]):
             cls = combined == cid
             out |= cls & _reach(composites[0], frontier & cls, parts)
         return out
@@ -661,12 +687,14 @@ def _meet_reach(e: MeetE, frontier, parts):
     return out
 
 
-def _pw_setup(ctx: PWContext, ident: Identity, cfg: PWConfig):
+def _pw_setup(ctx: PWContext, ident: Identity, cfg: PWConfig,
+              ordered: bool = False):
     """What a walk of ``ident`` under ``cfg`` starts from: the free
-    algebra on generators 0 .. ``cfg.target``, each variable's labels, the
-    source generator as a frontier, and the target generator."""
+    algebra on generators 0 .. ``cfg.target``, in the canonical order when
+    ``ordered``, each variable's labels, the source generator as a
+    frontier, and the target generator."""
     g = cfg.target + 1
-    f = ctx.free(g)
+    f = ctx.free(g, ordered)
     seeds = dict(cfg.seeds)
     parts = {name: ctx.partition(g, seeds.get(name, ()))
              for name, _ in ident.var_kinds}
@@ -687,8 +715,8 @@ def pw_check(ctx: PWContext, ident: Identity, k: int | None = None) -> bool:
     return bool(_reach(rhs, frontier, parts)[target])
 
 
-def walk_scan(ctx: PWContext, ident: Identity,
-              limit: int) -> tuple[Walk, FreeAlgebra, dict]:
+def walk_scan(ctx: PWContext, ident: Identity, limit: int,
+              ordered: bool = False) -> tuple[Walk, FreeAlgebra, dict]:
     """One walk deciding ``ident`` at every k up to ``limit``.
 
     The right-hand side must be a k-free prefix followed by an alternation
@@ -696,6 +724,8 @@ def walk_scan(ctx: PWContext, ident: Identity,
     generator, and the inclusion holds at k exactly when layer k of the
     trailing walk holds the target, so ``Walk.reached`` is the least such
     k.  Returns the walk, the free algebra and the variables' labels.
+    The free algebra is in the canonical order, whose witness terms a chain
+    is read from, only when ``ordered``; the walk is the same either way.
     """
     cfg = pw_analyze(ident)
     rhs = push_converse(ident.rhs, ident.kinds())
@@ -705,7 +735,7 @@ def walk_scan(ctx: PWContext, ident: Identity,
         raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly once, "
                              f"as the count of a trailing alternation or "
                              f"power")
-    f, parts, frontier, target = _pw_setup(ctx, ident, cfg)
+    f, parts, frontier, target = _pw_setup(ctx, ident, cfg, ordered)
     for factor in prefix:
         frontier = _reach(factor, frontier, parts)
     walk = Walk(tail, frontier, parts)

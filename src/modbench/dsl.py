@@ -175,9 +175,17 @@ def alternation(first, second, m: int) -> RelExpr:
 
 
 def expr_vars(e: RelExpr) -> set[str]:
-    if isinstance(e, VarE):
-        return {e.name}
-    return set().union(*map(expr_vars, children(e)))
+    """The variable names in ``e``, collected into one set from an explicit
+    stack of the nodes still to visit."""
+    out: set[str] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, VarE):
+            out.add(x.name)
+        else:
+            stack.extend(children(x))
+    return out
 
 
 def has_symbolic(e: RelExpr) -> bool:

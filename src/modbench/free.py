@@ -86,6 +86,17 @@ counts one new row runs no chunk at all.  Its witness is deferred:
 after the stop and takes the first candidate equal to the row, which is the
 witness the level run to its end gives.  A built algebra keeps for this the
 packed rows and the operation programs, without the key index.
+
+A walk-only build (``ordered=False``) appends a counted level's new rows at
+once, in the count's order, and runs none of its chunks: no filter, no stop
+row, no deferred witness.  Its levels' element sets are those of the
+ordered build, since each level adds the candidates of the same frontier
+and known sets that are not known, so every uncounted level, count, sample,
+refusal and work-budget check is the ordered build's; only the elements'
+names differ.  A saturation walk reads only which elements and which
+kernel classes there are, and its layers are unions of classes, so every
+walk answer is the same on either build.  The witnesses are not those of
+the canonical order, and :meth:`FreeAlgebra.term_of` refuses to give them.
 """
 
 from __future__ import annotations
@@ -126,7 +137,8 @@ _SAMPLE_SHARE = 1 / 512
 # random 2- and 3-element algebras spent 23 % of its applications on a
 # count that saved 5 %
 _COUNT_SHARE = 1 / 4
-# the witness operation of a counted level's last element until it is found
+# the witness operation of a counted level's last element until it is found,
+# and of every counted element of a walk-only build
 _DEFERRED = -2
 
 
@@ -340,12 +352,15 @@ def _row_bytes(rows: np.ndarray) -> np.ndarray:
 
 class FreeAlgebra:
     """Built by :func:`build_free`.  Its elements never change; a witness
-    that the build deferred is filled in on first use."""
+    that the build deferred is filled in on first use.  ``ordered`` is
+    False for a walk-only build, whose elements are not in the canonical
+    order and which gives no witness terms."""
 
     def __init__(self, base, g, vecs, generators, w_op, w_args,
-                 resume=None):
+                 resume=None, ordered=True):
         self.base = base
         self.g = g
+        self.ordered = ordered
         self.tuple_count = base.size ** g
         self.vecs = vecs                     # (N, size**g) uint8
         self.vecs.setflags(write=False)
@@ -365,6 +380,9 @@ class FreeAlgebra:
 
     def term_of(self, e: int) -> Term:
         """The first-discovered witness term of an element."""
+        if not self.ordered:
+            raise AlgebraError("a walk-only free algebra has no witness "
+                               "terms; build it ordered")
         if not 0 <= e < self.n_elements:
             raise AlgebraError(f"element index {e} out of range")
         if e in self._terms:
@@ -1083,12 +1101,15 @@ def _first_occurrence(builder: _Builder, ops, old: int, total: int,
 
 def build_free(a: FiniteAlgebra, g: int,
                cap_entries: int = DEFAULT_CAP_ENTRIES,
-               work_budget: int = DEFAULT_WORK_BUDGET) -> FreeAlgebra:
+               work_budget: int = DEFAULT_WORK_BUDGET,
+               ordered: bool = True) -> FreeAlgebra:
     """BFS closure of the projection vectors under all operations.
 
     Deterministic: elements appear in discovery order with operations in
     signature order and argument tuples enumerated lexicographically
-    (symmetric binary tables enumerate unordered pairs).
+    (symmetric binary tables enumerate unordered pairs).  With ``ordered``
+    False, a counted level's elements come in the count's order instead,
+    for saturation walks only (see the module docstring).
     """
     if g < 1:
         raise AlgebraError("generator count must be positive")
@@ -1172,6 +1193,10 @@ def build_free(a: FiniteAlgebra, g: int,
         if new is not None:
             if not new.shape[1]:
                 break
+            if not ordered:
+                builder.append(new, _DEFERRED,
+                               np.empty((new.shape[1], 0), dtype=np.int64))
+                continue
             stop = level_total + new.shape[1] - 1
             if builder._dense is None:
                 pending = _Pending(builder, new)
@@ -1198,7 +1223,7 @@ def build_free(a: FiniteAlgebra, g: int,
     return FreeAlgebra(a, g, vecs, generators, np.concatenate(builder.w_op),
                        np.concatenate(builder.w_args),
                        (builder.rows_only(), ops, deferred) if deferred
-                       else None)
+                       else None, ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -1213,7 +1238,9 @@ def meet_labels(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
 
 
 def saturate(labels: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """All elements sharing a class with some frontier element."""
-    if not frontier.any():
-        return frontier.copy()
-    return np.isin(labels, np.unique(labels[frontier]))
+    """All elements sharing a class with some frontier element.  Labels are
+    below the element count, as ``gen_pair_congruence`` and
+    ``meet_labels`` give them, so a mask of the frontier's classes fits."""
+    hit = np.zeros(labels.size, dtype=bool)
+    hit[labels[frontier]] = True
+    return hit[labels]

@@ -605,6 +605,16 @@ def _counting(monkeypatch):
     return seen
 
 
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=200),
+       narrow=st.booleans())
+def test_distinct_is_np_unique(x, narrow):
+    x = np.array(x, dtype=np.int64)
+    if narrow:
+        x %= 7
+    assert np.array_equal(checks._distinct(x), np.unique(x))
+
+
 def test_each_distinct_argument_is_computed_once(chain3, monkeypatch):
     seen = _counting(monkeypatch)
     agai = get_entry("AGAI").identity()

@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from modbench.cli import main
+from modbench.cli import MAX_LISTED_CONGRUENCES, load_algebra, main
 from modbench.bounds import bound
 from modbench.checks import PWContext, spectrum
+from modbench.relations import all_congruences
 from conftest import m5_text
 
 
@@ -172,6 +173,42 @@ def test_cli_is_thin_adapter(capsys, z2):
     data = json.loads(out)
     value = bound("THM", r=2, q=2)
     assert (data["lhs"], data["rhs"]) == (value.lhs, value.rhs)
+
+
+def test_alg_info_lists_every_congruence_up_to_its_bound(capsys, tmp_path):
+    # corpus algebras and m5: the output is the full lattice's, as listed
+    # without a bound
+    path = tmp_path / "m5.alg"
+    path.write_text(m5_text())
+    for source in ("one", "z2", "lattice2", "chain3", "semilattice2",
+                   "pixley3", str(path)):
+        a = load_algebra(source)
+        congs = all_congruences(a)
+        code, out, _ = run(capsys, "alg", "info", source, "--json")
+        assert code == 0 and json.loads(out) == {
+            "name": a.name, "size": a.size,
+            "ops": [{"name": n, "arity": r} for n, r in a.signature.ops],
+            "congruences": len(congs),
+            "congruenceRows": [c.to_bitstrings() for c in congs]}
+        code, out, _ = run(capsys, "alg", "info", source)
+        ops = ", ".join(f"{n}/{r}" for n, r in a.signature.ops)
+        assert out == (f"algebra {a.name}: size {a.size}, ops {ops}\n"
+                       f"congruences: {len(congs)}\n")
+
+
+def test_alg_info_stops_a_long_congruence_listing(capsys, tmp_path):
+    # the identity operation on nine elements: 21,147 congruences, which
+    # took about 40 s to list in full
+    path = tmp_path / "s9.alg"
+    path.write_text("algebra s9\nsize 9\nop f 1\n"
+                    + " ".join(map(str, range(9))) + "\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "alg", "info", str(path), "--json")
+    assert time.perf_counter() - start < 5
+    data = json.loads(out)
+    assert code == 0 and "congruenceRows" not in data
+    assert data["congruences"] == (
+        f"skipped: more than {MAX_LISTED_CONGRUENCES} congruences")
 
 
 def test_missing_file(capsys):

@@ -292,6 +292,15 @@ def test_walks_match_on_random_trees(e, k):
     _assert_walks_match(e, _KINDS, k)
 
 
+def test_expr_vars_takes_expressions_deeper_than_the_recursion_limit():
+    e = VarE("a")
+    for i in range(5000):
+        e = ConvE(e) if i % 2 else ComposeE((VarE("b"), e))
+    with pytest.raises(RecursionError):
+        _old_expr_vars(e)
+    assert expr_vars(e) == {"a", "b"}
+
+
 def test_rebuild_keeps_nesting_and_rejects_non_expressions():
     a, b = VarE("a"), VarE("b")
     nested = MeetE((MeetE((a, b)), a))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import math
@@ -13,7 +14,9 @@ from modbench.algebras import AlgebraError, FiniteAlgebra, Signature
 from modbench.free import (App, CapExceeded, Var, build_free, eval_term,
                            eval_term_vector, parse_term, subst_vars,
                            term_str)
-from modbench.checks import PWContext
+from modbench.catalog import get_entry
+from modbench.chains import search_day, search_gumm, search_jonsson
+from modbench.checks import PWContext, pw_check, spectrum
 from modbench.relations import CONGRUENCE, generate
 from modbench.report import consistency_report
 from conftest import free_as_algebra, induced_table, random_algebra
@@ -997,11 +1000,220 @@ def test_f5_stops_each_level_with_one_new_element_left(monkeypatch, corpus,
     assert free._DEFERRED not in f._w_op
 
 
-def test_lattice2_report_resolves_no_deferred_witness(lattice2):
-    # the report reads partitions of F(5), never its witnesses
+def test_lattice2_report_builds_f5_walk_only(monkeypatch, lattice2):
+    # the report's searches build F(3) and F(4) in the canonical order; its
+    # spectra walk F(5) only, which runs none of its counted levels'
+    # chunks: 2.33 M candidate rows instead of 6.22 M, and with the refused
+    # F(6) 2.94 M in all
+    real = free._run_op
+    rows = []
+
+    def counted(*args):
+        res = real(*args)
+        rows.append(res.shape[1])
+        return res
+
+    monkeypatch.setattr(free, "_run_op", counted)
     ctx = PWContext(lattice2)
     assert consistency_report(lattice2, ctx=ctx)["ok"]
-    assert (ctx.free(5)._w_op == free._DEFERRED).sum() == 2
+    assert sum(rows) < 3_500_000
+    assert ctx.free(3).ordered and ctx.free(4).ordered
+    f5 = ctx.free(5, ordered=False)
+    assert not f5.ordered and f5._resume is None
+
+
+# ---------------------------------------------------------------------------
+# Walk-only builds: a counted level's new rows are appended in the count's
+# order, and the build has the ordered build's element set and refusals
+
+
+def _either_order(a, g, **caps):
+    """The ordered and the walk-only build's generators, element count and
+    sorted rows, or refusal, and how many rows the walk-only build appended
+    from its counts, whose witnesses it leaves unfound."""
+    out, counted = [], 0
+    for ordered in (True, False):
+        try:
+            f = build_free(a, g, ordered=ordered, **caps)
+        except CapExceeded as exc:
+            out.append(("refused", str(exc), exc.elements_reached))
+            continue
+        assert f.ordered == ordered
+        if not ordered:
+            counted = int((f._w_op == free._DEFERRED).sum())
+            assert f._resume is None
+            with pytest.raises(AlgebraError, match="walk-only"):
+                f.term_of(0)
+        out.append((f.generators, f.n_elements,
+                    sorted(row.tobytes() for row in f.vecs)))
+    assert out[1] == out[0]
+    return out[0], counted
+
+
+# the candidate rows of the ordered builds, and the most a walk-only one
+# may run
+@pytest.mark.parametrize("name, ordered_rows", [("lattice2", 6_222_502),
+                                                ("chain3", 6_122_620)],
+                         ids=["lattice2", "chain3"])
+def test_walk_only_f5_runs_no_chunk_of_its_counted_levels(
+        monkeypatch, corpus, name, ordered_rows):
+    real = free._run_op
+    rows = []
+
+    def counted(*args):
+        res = real(*args)
+        rows.append(res.shape[1])
+        return res
+
+    monkeypatch.setattr(free, "_run_op", counted)
+    a = corpus[name]
+    assert build_free(a, 5).n_elements == 7_579
+    assert sum(rows) == ordered_rows
+    rows.clear()
+    f = build_free(a, 5, ordered=False)
+    assert f.n_elements == 7_579 and sum(rows) <= 2_400_000
+    monkeypatch.setattr(free, "_run_op", real)
+    outcome, appended = _either_order(a, 5)
+    assert outcome[1] == 7_579 and appended > 4_000
+
+
+def test_walk_only_f5_refuses_as_the_ordered_build(corpus):
+    # entries caps across F(5)'s levels, and work budgets that refuse its
+    # third or fourth level
+    outcomes = [
+        _either_order(corpus[name], 5, **caps)[0]
+        for name, rooms in (("lattice2", (10, 300, 3_000, 4_000, 6_250)),
+                            ("chain3", (100, 3_000, 6_250)))
+        for caps in ([{"cap_entries": room * corpus[name].size ** 5}
+                      for room in rooms]
+                     + [{"work_budget": budget}
+                        for budget in (10 ** 6, 10 ** 8)])]
+    refused = [o for o in outcomes if o[0] == "refused"]
+    assert any("vector entries" in o[1] for o in refused)
+    assert any("work budget" in o[1] for o in refused)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), g=st.integers(2, 5),
+       room=st.one_of(st.integers(1, 60), st.none()),
+       budget=st.sampled_from([10 ** 5, 10 ** 7]))
+def test_random_walk_only_builds_match_the_ordered_build(a, g, room, budget):
+    # every level that allows a count is counted, so most levels past the
+    # first are appended in the count's order
+    caps = {"work_budget": budget}
+    if room is not None:
+        caps["cap_entries"] = (g + room) * a.size ** g
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_COUNT_SHARE", math.inf)
+        _either_order(a, g, **caps)
+
+
+# variety-level cells on F(3), F(4) and F(5), and identities checked at a
+# fixed count
+_WALK_CELLS = [("TSCHANTZ", "m", 2), ("DAY", "m", 3), ("DAY_REV", "m", 3),
+               ("DSTAR", "l", 1), ("DAY", "m", 4), ("DAY_REV", "m", 4)]
+_WALK_CHECKS = [("TSCHANTZ", {}, 1), ("DAY", {}, 2), ("DAY", {"m": 4}, 3)]
+
+
+@contextlib.contextmanager
+def _ordered_only():
+    """Every ``PWContext.free`` call builds in the canonical order."""
+    real = PWContext.free
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PWContext, "free",
+                   lambda ctx, g, ordered=True: real(ctx, g))
+        yield
+
+
+def _walk_answers(a, **caps):
+    """The cells and checks of one context, and the orders of the free
+    algebras it built for them."""
+    ctx = PWContext(a, **caps)
+    out = [spectrum(a, fam, cap=8, params={p: m}, ctx=ctx)
+           for fam, p, m in _WALK_CELLS]
+    for name, params, k in _WALK_CHECKS:
+        try:
+            out.append(pw_check(ctx, get_entry(name).identity(**params), k))
+        except CapExceeded as exc:
+            out.append(str(exc))
+    return out, {f.ordered for f in ctx._free.values()}
+
+
+def _assert_walks_agree(a, **caps):
+    """The walks' answers on walk-only builds equal those on builds that
+    every call asks to be ordered; returns the orders held."""
+    with _ordered_only():
+        want, held = _walk_answers(a, **caps)
+    assert held <= {True}
+    got, held = _walk_answers(a, **caps)
+    assert got == want
+    return held
+
+
+def test_walks_agree_on_either_build(corpus):
+    for name in ("lattice2", "chain3"):
+        assert _assert_walks_agree(corpus[name]) == {False}
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_small_algebras(), room=st.integers(1, 300))
+def test_random_walks_agree_on_either_build(a, room):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_COUNT_SHARE", math.inf)
+        _assert_walks_agree(a, cap_entries=room * a.size ** 4)
+
+
+def _walks_then_searches(a, **caps):
+    """The three searches on a context in which the TSCHANTZ(2) and DAY(3)
+    spectra first built and partitioned F(3) and F(4), the context, and
+    the free algebras it held before the searches."""
+    ctx = PWContext(a, **caps)
+    for fam, p, m in _WALK_CELLS[:2]:
+        spectrum(a, fam, cap=8, params={p: m}, ctx=ctx)
+    walked = dict(ctx._free)
+    out = []
+    for search in (search_day, search_gumm, search_jonsson):
+        try:
+            out.append(search(a, ctx=ctx))
+        except CapExceeded as exc:
+            out.append(str(exc))
+    return out, ctx, walked
+
+
+def _assert_search_after_walks_is_fresh(a, **caps):
+    """Searches after walks on walk-only builds equal those after walks on
+    ordered builds; returns them, and whether some walk-only build
+    differed from the ordered one that replaced it."""
+    with _ordered_only():
+        want, _, _ = _walks_then_searches(a, **caps)
+    got, ctx, walked = _walks_then_searches(a, **caps)
+    assert got == want
+    assert all(not f.ordered and ctx._free[g].ordered
+               for g, f in walked.items())
+    return got, any(not np.array_equal(f.vecs, ctx._free[g].vecs)
+                    for g, f in walked.items())
+
+
+def test_search_after_walks_matches_a_fresh_search(corpus):
+    # counting every level puts F(4)'s elements in another order, so a
+    # partition kept from the walk-only F(4) would name other elements
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_COUNT_SHARE", math.inf)
+        for name in ("lattice2", "chain3"):
+            a = corpus[name]
+            got, reordered = _assert_search_after_walks_is_fresh(a)
+            assert reordered
+            assert got == [search(a) for search in (
+                search_day, search_gumm, search_jonsson)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_small_algebras(), room=st.integers(1, 300))
+def test_random_search_after_walks_matches_a_fresh_search(a, room):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_COUNT_SHARE", math.inf)
+        _assert_search_after_walks_is_fresh(
+            a, cap_entries=room * a.size ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,3 +1422,16 @@ def test_one_element_algebra_past_64_generators(one):
     # 64-dimension limit, so nothing may index the generators as axes
     f = build_free(one, 100)
     assert (f.n_elements, f.tuple_count, f.g) == (1, 1, 100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300))
+def test_saturate_is_the_frontier_classes(data, n):
+    # class labels below the element count, as partitions and their meets
+    # give them, and frontiers from empty to full
+    classes = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.integers(0, classes, n)
+    frontier = rng.random(n) < data.draw(st.sampled_from([0, 0.01, 0.3, 1]))
+    assert np.array_equal(free.saturate(labels, frontier),
+                          np.isin(labels, np.unique(labels[frontier])))
