@@ -22,8 +22,17 @@ argument position, or one piece of a run too long for a chunk; the outer
 positions are gathered once per run and the last is a slice of the element
 rows.  A symmetric binary table takes the unordered pairs (x, y <= x) in
 whole rows x: the chunk's x against every y up to its last x, two slices,
-and one take cuts out the lower triangle.  A new element's witness
-arguments are recovered from its position in the chunk.
+and one take cuts out the lower triangle.  A totally symmetric table of
+higher arity gives one row for every order of a tuple, so it takes one
+tuple per argument multiset, the one that comes first in the order without
+symmetry, which has the least frontier element f of the multiset on
+position 0 and the others non-decreasing over the elements before the
+frontier and from f on.  Those tuples keep the order they have among all
+tuples, and the first occurrence of every row is one of them.  A chunk is
+consecutive f against the gathered tails of its first f, one take picking
+the tails that hold no frontier element before f, or a piece of one f's
+tails.  A new element's witness arguments are recovered from its position
+in the chunk.
 
 A row that is one uint8 or uint16 word indexes a dense table of the known
 elements (2**8 or 2**16 entries), so a chunk's new rows are its table
@@ -43,14 +52,16 @@ new.
 Elements appear in the order of first occurrence in the global candidate
 sequence, so neither they nor their witnesses depend on the chunk size, and
 neither do refusals.  The work budget is checked once per closure level, at
-its boundary.  The entries cap refuses with ``elements_reached`` the first
-element count that does not fit, ``cap_entries // coordinates + 1``, either
-when an append overflows or already at a level's boundary: a level with
-many more candidates than the cap has room for first samples a small share
-of them, and refuses when more of the sample's distinct keys than that room
-are missing from the index.  Each is a row the level adds (a fingerprint
-collision only hides one), so the canonical order overflows in the same
-level; the sample decides only whether the refusal comes now or later.
+its boundary; it charges every argument tuple of a totally symmetric table
+of arity 3 or more, so no refusal depends on the multisets.  The entries
+cap refuses with ``elements_reached`` the first element count that does not
+fit, ``cap_entries // coordinates + 1``, either when an append overflows or
+already at a level's boundary: a level with many more candidates than the
+cap has room for first samples a small share of them, and refuses when more
+of the sample's distinct keys than that room are missing from the index.
+Each is a row the level adds (a fingerprint collision only hides one), so
+the canonical order overflows in the same level; the sample decides only
+whether the refusal comes now or later.
 
 A big level then counts its new elements N exactly before it runs.
 Permuting the variables acts on F(g) by automorphisms: it permutes the
@@ -111,7 +122,10 @@ import numpy as np
 from .algebras import AlgebraError, FiniteAlgebra
 
 DEFAULT_CAP_ENTRIES = 10_000_000
-# work units: operation applications x value-combination count x packed width
+# work units: operation applications x value-combination count x packed width.
+# The applications are every argument tuple with one on the frontier,
+# however few of them a symmetric table's level runs, so refusals do not
+# depend on the enumeration
 DEFAULT_WORK_BUDGET = 8_000_000_000
 # candidate rows per chunk, times the uint64 words of a row: 512 KB of uint64
 # rows, and a half to an eighth of that for rows of one narrower word (chunks
@@ -855,6 +869,76 @@ def _pair_args(builder: _Builder, old: int, total: int):
         x0 = x1
 
 
+def _sorted_tuples(first: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The non-decreasing r-tuples over ``range(d)`` whose first entry is in
+    the ascending ``first``, in lexicographic order, one per column."""
+    tuples = first[None]
+    for _ in range(r - 1):
+        # each tuple continues with every value from its last one up
+        last = tuples[-1]
+        n = d - last
+        tuples = np.repeat(tuples, n, axis=1)
+        start = np.repeat(np.cumsum(n) - n - last, n)
+        tuples = np.vstack((tuples, np.arange(tuples.shape[1]) - start))
+    return tuples
+
+
+def _multiset_args(builder: _Builder, old: int, total: int, ar: int):
+    """The argument tuples of a totally symmetric operation of arity ``ar``
+    that come first among their permutations in the canonical order, as
+    chunks like :func:`_block_args` yields: position 0 holds f, the least
+    frontier element of the multiset, and the other positions, the tail,
+    are non-decreasing over ``[0, old)`` and ``[f, total)``.
+
+    The tails of f0 are those of the ranks ``range(d)``, d = old + total -
+    f0, rank ``old + i`` naming element ``f0 + i``.  When they fit in a
+    chunk more than once, a chunk is consecutive f sharing them: the
+    rectangle (f in the chunk) x (tails of f0), broadcast from a slice of
+    the rows and the gathered tail rows, with ``pick`` its cells whose tail
+    avoids ``[f0, f)``.  Otherwise f0 alone takes its tails in groups of
+    consecutive first entries that fit in a chunk, a group of one first
+    entry split in equal pieces when it does not, so no more tails are made
+    at once than a chunk or one first entry holds.
+    """
+    r = ar - 1
+    f0 = old
+    while f0 < total:
+        d = old + total - f0
+        # the tails through each first entry a: C(d - a + r - 2, r - 1)
+        per = np.ones(d, dtype=np.int64)
+        for j in range(1, r):
+            per = per * np.arange(d + j - 1, j - 1, -1) // j
+        ends = np.cumsum(per)
+        k = min(total - f0, max(1, builder.chunk // int(ends[-1])))
+        a0 = 0
+        while a0 < d:
+            done = int(ends[a0 - 1]) if a0 else 0
+            a1 = max(a0 + 1, int(np.searchsorted(ends, done + builder.chunk,
+                                                 side="right")))
+            tails = _sorted_tuples(np.arange(a0, a1), d, r)
+            tails[tails >= old] += f0 - old
+            pick = None
+            if k > 1:
+                low = np.where(tails < old, total, tails).min(axis=0)
+                pick = np.flatnonzero(low >= np.arange(f0, f0 + k)[:, None])
+            n = tails.shape[1]
+            pieces = -(-n // builder.chunk)
+            for i in range(pieces):
+                part = tails[:, n * i // pieces:n * (i + 1) // pieces]
+
+                def args_of(pos, pick=pick, part=part, f0=f0):
+                    f, at = np.divmod(pos if pick is None else pick[pos],
+                                      part.shape[1])
+                    return np.stack((f + f0, *part[:, at]), axis=1)
+
+                rows = builder.rows
+                yield ([rows[:, f0:f0 + k, None]]
+                       + [np.take(rows, t, axis=1)[:, None] for t in part],
+                       pick, args_of)
+            a0 = a1
+        f0 += k
+
+
 def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
     """Whether a sample of the closure level on the frontier
     ``[old, builder.n)`` has more distinct new keys than the entries cap has
@@ -865,9 +949,9 @@ def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
     candidate draws its operation in proportion to ``apps``, the operation's
     applications in the level, each argument uniformly from the elements,
     and then one uniformly chosen position from the frontier: a candidate of
-    the level, or for a symmetric table the mirror of one.  So a key that no
-    element has is a row the level adds, distinct keys are distinct rows,
-    and a colliding fingerprint only hides a new row.  The sample stops
+    the level, or for a symmetric table a permutation of one.  So a key
+    that no element has is a row the level adds, distinct keys are distinct
+    rows, and a colliding fingerprint only hides a new row.  The sample stops
     after a batch once its keys so far, projected to the whole sample,
     cannot pass the room left.  The seed is fixed.
     """
@@ -986,7 +1070,8 @@ def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
     The known elements K, the frontier and the new elements N are unions of
     orbits of the variable permutations, and N is the orbits of the
     candidates with one argument on an orbit representative and the others
-    on K, less K: the adjacent transpositions close those into N.  The cost
+    on K, less K: the adjacent transpositions close those into N.  A
+    symmetric table takes the representative on position 0 only.  The cost
     in rows is a chunk's overhead, the frontier's images, at most the
     room's images and the representatives' candidates, all known before
     any candidate runs.
@@ -994,7 +1079,7 @@ def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
     total = builder.n
     room = builder.max_elements - total
     budget = _COUNT_SHARE * sum(apps)
-    per_rep = sum(total if symmetric else ar * total ** (ar - 1)
+    per_rep = sum((1 if symmetric else ar) * total ** (ar - 1)
                   for _, ar, _, symmetric in ops)
     cost = builder.chunk + (g - 1) * (total - old + room)
     # an orbit holds at most g! elements, and 20! is more than any frontier
@@ -1071,7 +1156,8 @@ def _level_chunks(builder: _Builder, ops, old: int, total: int):
     args_of)``."""
     for op, ar, program, symmetric in ops:
         if symmetric:
-            chunks = _pair_args(builder, old, total)
+            chunks = (_pair_args(builder, old, total) if ar == 2
+                      else _multiset_args(builder, old, total, ar))
         else:
             # block p: position p on the frontier, the positions before it
             # on older elements; empty for p > 0 on the first level
@@ -1081,6 +1167,15 @@ def _level_chunks(builder: _Builder, ops, old: int, total: int):
                 for p in range(ar if old else 1))
         for chunk in chunks:
             yield (op, program, *chunk)
+
+
+def _symmetric(table: np.ndarray, size: int, ar: int) -> bool:
+    """Whether an operation of arity at least 2 gives the same value for
+    every order of its arguments: whether its table is invariant under the
+    adjacent transpositions, which generate every permutation."""
+    cube = table.reshape((size,) * ar)
+    return ar > 1 and all(np.array_equal(cube, cube.swapaxes(p, p + 1))
+                          for p in range(ar - 1))
 
 
 def _first_occurrence(builder: _Builder, ops, old: int, total: int,
@@ -1106,10 +1201,13 @@ def build_free(a: FiniteAlgebra, g: int,
     """BFS closure of the projection vectors under all operations.
 
     Deterministic: elements appear in discovery order with operations in
-    signature order and argument tuples enumerated lexicographically
-    (symmetric binary tables enumerate unordered pairs).  With ``ordered``
-    False, a counted level's elements come in the count's order instead,
-    for saturation walks only (see the module docstring).
+    signature order and argument tuples enumerated lexicographically.  A
+    symmetric binary table enumerates unordered pairs, and a totally
+    symmetric table of higher arity the first tuple of each argument
+    multiset, which gives the elements and witnesses that every tuple
+    gives.  With ``ordered`` False, a counted level's elements come in the
+    count's order instead, for saturation walks only (see the module
+    docstring).
     """
     if g < 1:
         raise AlgebraError("generator count must be positive")
@@ -1151,9 +1249,7 @@ def build_free(a: FiniteAlgebra, g: int,
                 builder.append(rows, i, np.empty((1, 0), dtype=np.int64))
         else:
             ops.append((i, ar, _compile_op(tab, size, ar, n_planes),
-                        ar == 2 and np.array_equal(
-                            tab.reshape(size, size),
-                            tab.reshape(size, size).T)))
+                        _symmetric(tab, size, ar)))
 
     # levels are counted while the swap tables, (g - 1) * bytes * 256 * words
     # words, are those of one-word planes (16 KB a table) or fit in the words
@@ -1172,7 +1268,7 @@ def build_free(a: FiniteAlgebra, g: int,
         frontier_start = builder.n
         # applications per operation in this level
         apps = [(level_total * (level_total + 1) - old * (old + 1)) // 2
-                if symmetric else level_total ** ar - old ** ar
+                if symmetric and ar == 2 else level_total ** ar - old ** ar
                 for _, ar, _, symmetric in ops]
         projected = sum(k * size ** ar * builder.width
                         for k, (_, ar, _, _) in zip(apps, ops))
