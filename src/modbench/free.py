@@ -72,42 +72,23 @@ argument on an orbit representative of the frontier and the others on K,
 less K.  The adjacent transpositions generate every permutation, so the
 count closes those candidates under them, moving a packed plane's bits
 through one table per byte position.  The level runs in the canonical
-order and stops right after the append that reaches K + N elements; a
-counted level that adds nothing, the last of a build, is not run, and one
-that would pass the cap is refused at its boundary.  A level is counted only
+order and stops right after the append that reaches K + N elements, so
+every element and witness is that of the level run to its end; a counted
+level that adds nothing, the last of a build, is not run, and one that
+would pass the cap is refused at its boundary.  A level is counted only
 when the count's cost in rows is at most ``_COUNT_SHARE`` of its
-applications, and its elements, witnesses and refusal are those of the
-level run to its end.
-
-The count keeps N's rows, so a counted level checks against the known
-elements only the candidates that may be in N.  A counting filter (Fan et
-al., *Summary cache*, 2000) holds, per bucket of a row's key, how many rows
-of N fall in it and are not appended yet.  Every candidate of the level is
-in K or N, so one whose bucket counts none is in K; the others go through
-the key index as before, and the rows an append adds leave their buckets.
-Colliding keys or buckets only let rows of K through, which the index
-drops, so no element, witness or refusal changes.  Rows of the dense table
-are looked up cheaper than they are hashed and take no filter.
-
-A counted level also stops when one row of N is left.  The chunks up to the
-last append were checked whole, so that row first occurs in a later chunk
-and is the level's last element: it is appended at once, and a level that
-counts one new row runs no chunk at all.  Its witness is deferred:
-:meth:`FreeAlgebra.term_of` resumes the level's enumeration at the chunk
-after the stop and takes the first candidate equal to the row, which is the
-witness the level run to its end gives.  A built algebra keeps for this the
-packed rows and the operation programs, without the key index.
+applications.
 
 A walk-only build (``ordered=False``) appends a counted level's new rows at
-once, in the count's order, and runs none of its chunks: no filter, no stop
-row, no deferred witness.  Its levels' element sets are those of the
-ordered build, since each level adds the candidates of the same frontier
-and known sets that are not known, so every uncounted level, count, sample,
-refusal and work-budget check is the ordered build's; only the elements'
-names differ.  A saturation walk reads only which elements and which
-kernel classes there are, and its layers are unions of classes, so every
-walk answer is the same on either build.  The witnesses are not those of
-the canonical order, and :meth:`FreeAlgebra.term_of` refuses to give them.
+once, in the count's order, and runs none of its chunks.  Its levels'
+element sets are those of the ordered build, since each level adds the
+candidates of the same frontier and known sets that are not known, so every
+uncounted level, count, sample, refusal and work-budget check is the
+ordered build's; only the elements' names differ.  A saturation walk reads
+only which elements and which kernel classes there are, and its layers are
+unions of classes, so every walk answer is the same on either build.  The
+counted elements have no witnesses, and :meth:`FreeAlgebra.term_of`
+refuses to give any.
 """
 
 from __future__ import annotations
@@ -143,17 +124,18 @@ _SIDE_SHARE = 1 / 8
 # one, 12,367 times; a sample that proves nothing costs at most this share
 _SAMPLE_SHARE = 1 / 512
 # a closure level counts its new elements first when the count's rows are at
-# most this share of the level's applications.  F(lattice2, 5) counts its
-# last two big levels at 1 / 4 and 1 / 2 (0.23-0.33 s) and only the last at
-# 1 / 8 (0.59-0.67 s); F(chain3, 5) counts the same levels at all three.
+# most this share of the level's applications.  The ordered F(lattice2, 5)
+# counts its last two big levels at 1 / 4 and 1 / 2 (0.35-0.45 s on a 2-core
+# Xeon) and only the last at 1 / 8 (0.51 s); F(chain3, 5) counts the two at
+# all three.
 # The term searches on random small algebras count no level at 1 / 4 and
 # eight at 1 / 2, for no measured gain, and the worst level measured on
 # random 2- and 3-element algebras spent 23 % of its applications on a
 # count that saved 5 %
 _COUNT_SHARE = 1 / 4
-# the witness operation of a counted level's last element until it is found,
-# and of every counted element of a walk-only build
-_DEFERRED = -2
+# the witness operation of a walk-only build's counted elements, which have
+# no witness
+_NO_WITNESS = -2
 
 
 class CapExceeded(RuntimeError):
@@ -365,27 +347,25 @@ def _row_bytes(rows: np.ndarray) -> np.ndarray:
 
 
 class FreeAlgebra:
-    """Built by :func:`build_free`.  Its elements never change; a witness
-    that the build deferred is filled in on first use.  ``ordered`` is
-    False for a walk-only build, whose elements are not in the canonical
-    order and which gives no witness terms."""
+    """Built by :func:`build_free`; its elements and witnesses never
+    change.  ``ordered`` is False for a walk-only build, whose elements are
+    not in the canonical order and which gives no witness terms."""
 
     def __init__(self, base, g, vecs, generators, w_op, w_args,
-                 resume=None, ordered=True):
+                 ordered=True):
         self.base = base
         self.g = g
         self.ordered = ordered
         self.tuple_count = base.size ** g
         self.vecs = vecs                     # (N, size**g) uint8
-        self.vecs.setflags(write=False)
         self.generators = generators         # element index per generator
         # each element's witness: the signature index of its operation (-1
-        # for a generator, _DEFERRED until found) and its argument elements
+        # for a generator, _NO_WITNESS for a walk-only build's counted
+        # element) and its argument elements
         self._w_op = w_op
         self._w_args = w_args
-        # (rows-only builder, ops, {element: (old, total, chunks run)}) for
-        # the levels whose last element's witness is deferred
-        self._resume = resume
+        for array in (vecs, w_op, w_args):
+            array.setflags(write=False)
         self._terms: dict[int, Term] = {}
 
     @property
@@ -401,7 +381,7 @@ class FreeAlgebra:
             raise AlgebraError(f"element index {e} out of range")
         if e in self._terms:
             return self._terms[e]
-        op, args = self._witness(e)
+        op, args = int(self._w_op[e]), self._w_args[e]
         if op < 0:
             t: Term = Var(int(args[0]))
         else:
@@ -409,17 +389,6 @@ class FreeAlgebra:
             t = App(name, tuple(self.term_of(int(x)) for x in args[:arity]))
         self._terms[e] = t
         return t
-
-    def _witness(self, e: int) -> tuple[int, np.ndarray]:
-        """The witness operation and argument elements of element e, found
-        first when the build deferred it."""
-        if self._w_op[e] == _DEFERRED:
-            builder, ops, levels = self._resume
-            op, args = _first_occurrence(builder, ops, *levels[e],
-                                         builder.rows[:, e:e + 1])
-            self._w_op[e] = op
-            self._w_args[e, :args.size] = args
-        return int(self._w_op[e]), self._w_args[e]
 
     def gen_pair_congruence(self, pairs) -> np.ndarray:
         """Class labels of the congruence generated by generator pairs.
@@ -521,14 +490,6 @@ class _Builder:
         padded = np.zeros((k, self.max_arity), dtype=np.int64)
         padded[:, :args.shape[1]] = args
         self.w_args.append(padded)
-
-    def rows_only(self) -> _Builder:
-        """This builder without its key index and witness lists, its rows
-        trimmed to the elements: what :func:`_level_chunks` and
-        :func:`_run_op` read to run a level again."""
-        self.rows = self.rows[:, :self.n].copy()
-        del self._main, self._side, self._dense, self.w_op, self.w_args
-        return self
 
     def refuse(self):
         """Raise the entries cap's refusal: ``elements_reached`` is the first
@@ -1109,47 +1070,6 @@ def _level_count(builder: _Builder, ops, apps, old: int, g: int, swaps
     return seen.rows[:, :seen.n]
 
 
-class _Pending:
-    """A counting filter over the new rows of a counted closure level (Fan
-    et al., *Summary cache*, 2000): one hash of a row's key picks a bucket,
-    which counts the level's new rows in it that are not appended yet.
-
-    Every candidate of a counted level is a known element or one of its new
-    rows, so a candidate whose bucket counts none is known, and only the
-    others go to :meth:`_Builder.new_rows`.  Colliding keys or buckets only
-    let known rows through, which ``new_rows`` drops.
-    """
-
-    def __init__(self, builder: _Builder, rows: np.ndarray):
-        self.builder = builder
-        n = rows.shape[1]
-        # 16 to 32 buckets per new row
-        bits = (16 * n).bit_length()
-        self.shift = np.uint64(64 - bits)
-        self.counts = np.zeros(1 << bits, dtype=np.min_scalar_type(n))
-        np.add.at(self.counts, self._buckets(rows), 1)
-
-    def _buckets(self, rows: np.ndarray) -> np.ndarray:
-        """The bucket of each row: the high bits of its key, which a key
-        that is the row itself gets from a multiplication by an odd
-        constant (Knuth's multiplicative hashing)."""
-        h = self.builder.keys(rows)
-        if self.builder.exact:
-            h *= np.uint64(0x9E3779B97F4A7C15)
-        h >>= self.shift
-        return h.view(np.int64)
-
-    def new_rows(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`_Builder.new_rows` of the rows, which it is passed only
-        where their bucket counts a pending row; the rows it returns are
-        taken off their buckets, to be appended."""
-        at = self._buckets(rows)
-        maybe = np.flatnonzero(self.counts[at] != 0)
-        pos = maybe[self.builder.new_rows(rows[:, maybe])]
-        np.subtract.at(self.counts, at[pos], 1)
-        return pos
-
-
 def _level_chunks(builder: _Builder, ops, old: int, total: int):
     """The chunks of the closure level on the frontier ``[old, total)`` in
     the canonical order, each as ``(op, program, arg_rows, pick,
@@ -1176,22 +1096,6 @@ def _symmetric(table: np.ndarray, size: int, ar: int) -> bool:
     cube = table.reshape((size,) * ar)
     return ar > 1 and all(np.array_equal(cube, cube.swapaxes(p, p + 1))
                           for p in range(ar - 1))
-
-
-def _first_occurrence(builder: _Builder, ops, old: int, total: int,
-                      skip: int, row: np.ndarray) -> tuple[int, np.ndarray]:
-    """The operation and argument elements of the first candidate equal to
-    ``row`` (one column) in the closure level on the frontier
-    ``[old, total)`` after its first ``skip`` chunks."""
-    for op, program, arg_rows, pick, args_of in itertools.islice(
-            _level_chunks(builder, ops, old, total), skip, None):
-        res = _run_op(builder, program, arg_rows)
-        if pick is not None:
-            res = np.take(res, pick, axis=1)
-        hit = np.flatnonzero((res == row).all(axis=0))
-        if hit.size:
-            return op, args_of(hit[:1])[0]
-    raise AssertionError("a deferred element occurs in its level")
 
 
 def build_free(a: FiniteAlgebra, g: int,
@@ -1261,7 +1165,6 @@ def build_free(a: FiniteAlgebra, g: int,
     swaps = functools.cache(lambda: _swap_tables(builder, size, g))
     units_used = 0
     frontier_start = 0
-    deferred: dict[int, tuple[int, int, int]] = {}
     while frontier_start < builder.n:
         old = frontier_start
         level_total = builder.n
@@ -1280,46 +1183,31 @@ def build_free(a: FiniteAlgebra, g: int,
             builder.refuse()
         # the level's chunks below add up to at most ``projected``
         units_used += projected
-        # the level stops once at most one of its counted rows is left, and
-        # checks only the candidates that may be counted rows against the
-        # known ones, unless the dense table does that cheaper
         new = (_level_count(builder, ops, apps, old, g, swaps)
                if countable else None)
-        stop = pending = None
+        stop = None
         if new is not None:
             if not new.shape[1]:
                 break
             if not ordered:
-                builder.append(new, _DEFERRED,
+                builder.append(new, _NO_WITNESS,
                                np.empty((new.shape[1], 0), dtype=np.int64))
                 continue
-            stop = level_total + new.shape[1] - 1
-            if builder._dense is None:
-                pending = _Pending(builder, new)
-        run = 0
-        if builder.n != stop:
-            for op, program, arg_rows, pick, args_of in _level_chunks(
-                    builder, ops, old, level_total):
-                run += 1
-                res = _run_op(builder, program, arg_rows)
-                if pick is not None:
-                    res = np.take(res, pick, axis=1)
-                pos = (builder if pending is None else pending).new_rows(res)
-                if pos.size:
-                    builder.append(res[:, pos], op, args_of(pos))
-                    if stop is not None and builder.n >= stop:
-                        break
-        if builder.n == stop:
-            # the row left first occurs after the chunks run
-            builder.append(new[:, builder.new_rows(new)], _DEFERRED,
-                           np.empty((1, 0), dtype=np.int64))
-            deferred[builder.n - 1] = (old, level_total, run)
+            stop = level_total + new.shape[1]
+        for op, program, arg_rows, pick, args_of in _level_chunks(
+                builder, ops, old, level_total):
+            res = _run_op(builder, program, arg_rows)
+            if pick is not None:
+                res = np.take(res, pick, axis=1)
+            pos = builder.new_rows(res)
+            if pos.size:
+                builder.append(res[:, pos], op, args_of(pos))
+                if builder.n == stop:
+                    break
 
     vecs = _unpack_planes(builder.rows[:, :builder.n], n_planes, c)
     return FreeAlgebra(a, g, vecs, generators, np.concatenate(builder.w_op),
-                       np.concatenate(builder.w_args),
-                       (builder.rows_only(), ops, deferred) if deferred
-                       else None, ordered)
+                       np.concatenate(builder.w_args), ordered)
 
 
 # ---------------------------------------------------------------------------

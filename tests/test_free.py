@@ -101,6 +101,14 @@ def test_witnesses_reproduce_vectors(z2, lattice2, semilattice2):
             assert np.array_equal(vec, f.vecs[e])
 
 
+@pytest.mark.parametrize("ordered", [True, False])
+def test_built_arrays_are_read_only(lattice2, ordered):
+    f = build_free(lattice2, 3, ordered=ordered)
+    for array in (f.vecs, f._w_op, f._w_args):
+        with pytest.raises(ValueError, match="read-only"):
+            array[-1] = 0
+
+
 def test_universal_property(z2, lattice2):
     # evaluating witnesses at any generator assignment is a homomorphism
     for a, g in [(z2, 2), (lattice2, 3)]:
@@ -194,14 +202,7 @@ def test_random_small_builds_are_closed():
             assert table.size == f.n_elements ** arity
 
 
-def _resolved(f):
-    """Find every witness that the build of ``f`` deferred."""
-    for e in range(f.n_elements):
-        f._witness(e)
-
-
 def _build_outputs(f):
-    _resolved(f)
     return (f.vecs.tobytes(), f.vecs.shape, f.generators,
             f._w_op.tobytes(), f._w_args.tobytes())
 
@@ -836,20 +837,14 @@ def test_colliding_sample_keys_prove_nothing(monkeypatch, corpus, name, g,
 
 def _assert_count_free(cases, chunk_words=free._CHUNK_WORDS):
     """Build each case with the count declined, as built, and made for
-    every level that allows one; the outcomes, each deferred witness
-    resolved, must agree.  Returns how many levels were counted and how
-    many witnesses were deferred, as built and when always made."""
+    every level that allows one; the outcomes must agree.  Returns how many
+    levels were counted, as built and when always made."""
     real = free._level_count
-    real_first = free._first_occurrence
-    made, deferred = [], []
+    made = []
 
     def recorded(*args):
         made.append(real(*args))
         return made[-1]
-
-    def resolved(*args):
-        deferred.append(args)
-        return real_first(*args)
 
     per, counted = [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -857,14 +852,11 @@ def _assert_count_free(cases, chunk_words=free._CHUNK_WORDS):
         mp.setattr(free, "_level_count", lambda *args: None)
         per.append([_outcome(a, g, **caps) for a, g, caps in cases])
         mp.setattr(free, "_level_count", recorded)
-        mp.setattr(free, "_first_occurrence", resolved)
         for share in (free._COUNT_SHARE, math.inf):
             mp.setattr(free, "_COUNT_SHARE", share)
             made.clear()
-            deferred.clear()
             per.append([_outcome(a, g, **caps) for a, g, caps in cases])
-            counted.append((sum(m is not None for m in made),
-                            len(deferred)))
+            counted.append(sum(m is not None for m in made))
     assert per[1] == per[0] and per[2] == per[0]
     return counted
 
@@ -884,11 +876,8 @@ def test_corpus_builds_do_not_depend_on_the_count(corpus):
                  ("pixley3", 3, (10, 100, None)), ("pixley3", 4, (None,)),
                  ("chain3", 5, (100, 3_000, 6_250)))
              for room in rooms]
-    (as_built, deferred), (always, more) = _assert_count_free(cases)
+    as_built, always = _assert_count_free(cases)
     assert 0 < as_built < always
-    # the complete F(lattice2, 5) defers the last element of its two
-    # counted levels; counting every level defers more
-    assert 2 == deferred < more
 
 
 @settings(max_examples=40, deadline=None)
@@ -917,17 +906,25 @@ _COLLIDING_FINGERPRINTS = [
 def test_counted_builds_with_colliding_fingerprints(corpus):
     # multiword keys all collide, or take four values, so the orbit
     # representatives are found on the rows' bytes and the counted levels'
-    # filters let known rows through; one-word rows get a byteswap, a
-    # bijection whose high bits, the filter's buckets, are the rows' first
-    # coordinates
+    # chunks go down the exact path; one-word rows get a byteswap, a
+    # bijection that moves the coordinates that tell elements apart into
+    # the low bits that the chunk sort gives up
+    real = free._level_count
+    made = []
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
     for fake, cases in _COLLIDING_FINGERPRINTS:
-        cases = [(corpus[name], g, {}) for name, g in cases]
-        want = [_outcome(a, g) for a, g, _ in cases]
+        want = [_outcome(corpus[name], g) for name, g in cases]
+        made.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(free, "_fingerprint", fake)
             mp.setattr(free, "_COUNT_SHARE", math.inf)
-            outcomes, made = _assert_filter_free(cases)
-        assert outcomes == want and made
+            mp.setattr(free, "_level_count", recorded)
+            assert [_outcome(corpus[name], g) for name, g in cases] == want
+        assert any(m is not None for m in made)
 
 
 def _swapped(vecs, size, g, i):
@@ -960,7 +957,6 @@ def test_swap_tables_permute_packed_coordinates(size, g, n_planes):
 def _levels(f):
     """Each element's closure level: 0 for a seed, else one more than the
     highest level among its witness arguments."""
-    _resolved(f)
     level = np.zeros(f.n_elements, dtype=np.int64)
     for e in range(f.n_elements):
         arity = (f.base.signature.ops[f._w_op[e]][1] if f._w_op[e] >= 0
@@ -998,19 +994,17 @@ def test_random_levels_are_invariant_under_swapped_variables(a, g):
     _assert_levels_are_symmetric(f)
 
 
-# the candidate rows of a build whose counted levels ran on to their last
-# new element's first occurrence
-@pytest.mark.parametrize("name, ran_on", [("lattice2", 15_754_388),
-                                          ("chain3", 15_629_467)],
-                         ids=["lattice2", "chain3"])
+# the candidate rows of the ordered builds, 2.2 M of them in their counts
+_F5_ROWS = {"lattice2": 15_754_388, "chain3": 15_629_467}
+
+
+@pytest.mark.parametrize("name", ["lattice2", "chain3"])
 def test_f5_stops_each_level_with_one_new_element_left(monkeypatch, corpus,
-                                                       name, ran_on):
+                                                       name):
     # 57.4 M candidate rows run to the end of every level.  Counted, the
-    # last two big levels stop when one new element is left, which is
-    # appended as the level's last, and the last level, which adds nothing,
-    # is skipped: 6.22 M rows for lattice2 and 6.12 M for chain3.  Finding
-    # the two deferred witnesses runs each level on to that element's first
-    # occurrence, and no further
+    # last two big levels stop right after the append of their last new
+    # element, and the last level, which adds nothing, is skipped.  Every
+    # witness comes from the build, so no term runs an operation
     real = free._run_op
     rows = []
 
@@ -1022,11 +1016,11 @@ def test_f5_stops_each_level_with_one_new_element_left(monkeypatch, corpus,
     monkeypatch.setattr(free, "_run_op", counted)
     f = build_free(corpus[name], 5)
     assert f.n_elements == 7_579
-    assert sum(rows) <= 6_500_000
-    assert np.flatnonzero(f._w_op == free._DEFERRED).tolist() == [7577, 7578]
-    _resolved(f)
-    assert sum(rows) <= ran_on
-    assert free._DEFERRED not in f._w_op
+    assert sum(rows) == _F5_ROWS[name]
+    rows.clear()
+    for e in range(f.n_elements):
+        f.term_of(e)
+    assert not rows and free._NO_WITNESS not in f._w_op
 
 
 def test_lattice2_report_builds_f5_walk_only(monkeypatch, lattice2):
@@ -1047,8 +1041,7 @@ def test_lattice2_report_builds_f5_walk_only(monkeypatch, lattice2):
     assert consistency_report(lattice2, ctx=ctx)["ok"]
     assert sum(rows) < 3_500_000
     assert ctx.free(3).ordered and ctx.free(4).ordered
-    f5 = ctx.free(5, ordered=False)
-    assert not f5.ordered and f5._resume is None
+    assert not ctx.free(5, ordered=False).ordered
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1052,7 @@ def test_lattice2_report_builds_f5_walk_only(monkeypatch, lattice2):
 def _either_order(a, g, **caps):
     """The ordered and the walk-only build's generators, element count and
     sorted rows, or refusal, and how many rows the walk-only build appended
-    from its counts, whose witnesses it leaves unfound."""
+    from its counts, which have no witnesses."""
     out, counted = [], 0
     for ordered in (True, False):
         try:
@@ -1069,8 +1062,7 @@ def _either_order(a, g, **caps):
             continue
         assert f.ordered == ordered
         if not ordered:
-            counted = int((f._w_op == free._DEFERRED).sum())
-            assert f._resume is None
+            counted = int((f._w_op == free._NO_WITNESS).sum())
             with pytest.raises(AlgebraError, match="walk-only"):
                 f.term_of(0)
         out.append((f.generators, f.n_elements,
@@ -1079,13 +1071,11 @@ def _either_order(a, g, **caps):
     return out[0], counted
 
 
-# the candidate rows of the ordered builds, and the most a walk-only one
-# may run
-@pytest.mark.parametrize("name, ordered_rows", [("lattice2", 6_222_502),
-                                                ("chain3", 6_122_620)],
-                         ids=["lattice2", "chain3"])
+@pytest.mark.parametrize("name", ["lattice2", "chain3"])
 def test_walk_only_f5_runs_no_chunk_of_its_counted_levels(
-        monkeypatch, corpus, name, ordered_rows):
+        monkeypatch, corpus, name):
+    # 2.24 M of the candidate rows are the counts'; the ordered build runs
+    # _F5_ROWS
     real = free._run_op
     rows = []
 
@@ -1096,9 +1086,6 @@ def test_walk_only_f5_runs_no_chunk_of_its_counted_levels(
 
     monkeypatch.setattr(free, "_run_op", counted)
     a = corpus[name]
-    assert build_free(a, 5).n_elements == 7_579
-    assert sum(rows) == ordered_rows
-    rows.clear()
     f = build_free(a, 5, ordered=False)
     assert f.n_elements == 7_579 and sum(rows) <= 2_400_000
     monkeypatch.setattr(free, "_run_op", real)
@@ -1246,101 +1233,6 @@ def test_random_search_after_walks_matches_a_fresh_search(a, room):
 
 
 # ---------------------------------------------------------------------------
-# Counted levels' filters: only the candidates whose bucket counts a pending
-# new row are checked against the known elements, and the build is that of
-# every candidate checked
-
-
-def _every_row(pending, rows):
-    return pending.builder.new_rows(rows)
-
-
-def _one_bucket(pending, rows):
-    return np.zeros(rows.shape[1], dtype=np.int64)
-
-
-def _assert_filter_free(cases, chunk_words=free._CHUNK_WORDS):
-    """Build each case with the counted levels' filters as built, passing
-    every candidate to ``new_rows``, and with every row in one bucket; the
-    outcomes must agree.  Returns the outcomes and the coordinate counts of
-    the rows that filters were made for."""
-    real = free._Pending.__init__
-    made = set()
-
-    def recorded(pending, builder, rows):
-        made.add(builder.c)
-        real(pending, builder, rows)
-
-    per = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(free, "_CHUNK_WORDS", chunk_words)
-        mp.setattr(free._Pending, "__init__", recorded)
-        for attr, fake in ((None, None), ("new_rows", _every_row),
-                           ("_buckets", _one_bucket)):
-            with pytest.MonkeyPatch.context() as inner:
-                if attr:
-                    inner.setattr(free._Pending, attr, fake)
-                per.append([_outcome(a, g, **caps) for a, g, caps in cases])
-    assert per[1] == per[0] and per[2] == per[0]
-    return per[0], made
-
-
-def test_corpus_builds_do_not_depend_on_the_filter(monkeypatch, corpus):
-    # caps of 10 elements to the full build, with the levels counted as
-    # built and with every level counted that allows a count: one-word
-    # exact (32 coordinates), one-word fingerprint (64) and multiword rows
-    # (27, 81); dense rows make no filter
-    cases = [(corpus[name], g,
-              {"cap_entries": room * corpus[name].size ** g} if room else {})
-             for name, g, rooms in (
-                 ("z2", 5, (None,)), ("lattice2", 4, (None,)),
-                 ("semilattice2", 6, (10, 30, None)),
-                 ("lattice2", 5, (10, 300, 3_000, 4_000, 6_250, None)),
-                 ("chain3", 4, (10, 100, None)),
-                 ("pixley3", 3, (10, 100, None)),
-                 ("chain3", 5, (100, 3_000, 6_250)))
-             for room in rooms]
-    assert _assert_filter_free(cases)[1] == {32}
-    monkeypatch.setattr(free, "_COUNT_SHARE", math.inf)
-    assert _assert_filter_free(cases)[1] == {27, 32, 64, 81}
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=_small_algebras(), g=st.integers(3, 6),
-       room=st.one_of(st.integers(1, 60), st.none()),
-       words=st.sampled_from(_CHUNKINGS))
-def test_random_builds_do_not_depend_on_the_filter(a, g, room, words):
-    # every level that allows a count is counted, so most builds past 16
-    # coordinates filter; caps of a few elements in every chunking, where
-    # chunks of one and of 13 words split a level's new rows across many
-    # appends, and a full build, up to a small work budget, in chunks of
-    # the default size
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(free, "_COUNT_SHARE", math.inf)
-        if room is None:
-            _assert_filter_free([(a, g, {"work_budget": 10 ** 7})])
-        else:
-            _assert_filter_free(
-                [(a, g, {"cap_entries": (g + room) * a.size ** g})], words)
-
-
-def test_lattice2_f5_checks_few_candidates_against_the_known_elements(
-        monkeypatch, lattice2):
-    # without the filter, 15.66 M candidate rows reach new_rows, most of
-    # them in the counted levels; with it, mostly the counts' own 2.28 M
-    real = free._Builder.new_rows
-    rows = []
-
-    def counted(builder, res):
-        rows.append(res.shape[1])
-        return real(builder, res)
-
-    monkeypatch.setattr(free._Builder, "new_rows", counted)
-    assert build_free(lattice2, 5).n_elements == 7_579
-    assert sum(rows) < 4_000_000
-
-
-# ---------------------------------------------------------------------------
 # Totally symmetric operations of arity 3 or more: a level runs one argument
 # tuple per multiset and builds exactly what its whole blocks build
 
@@ -1366,8 +1258,7 @@ def _symmetric_algebras(draw):
 
 
 def _symmetric_outcome(a, g, ordered, **caps):
-    """An ordered build's outputs, every deferred witness found, and its
-    terms; a walk-only build's generators, element count and sorted rows;
+    """An ordered build's outputs and its terms; a walk-only build's generators, element count and sorted rows;
     or the refusal."""
     try:
         f = build_free(a, g, ordered=ordered, **caps)
@@ -1384,33 +1275,26 @@ def _assert_symmetry_free(cases, ordered, chunk_words=free._CHUNK_WORDS,
                           count_share=free._COUNT_SHARE):
     """Build each case as built and with symmetry detection off, which runs
     every argument tuple of the blocks; the outcomes must agree.  Returns
-    how many operations were found symmetric and how many witnesses were
-    deferred, as built."""
-    real, real_first = free._symmetric, free._first_occurrence
-    found, deferred = [], []
+    how many operations were found symmetric, as built."""
+    real = free._symmetric
+    found = []
 
     def detected(*args):
         found.append(real(*args))
         return found[-1]
 
-    def resolved(*args):
-        deferred.append(args)
-        return real_first(*args)
-
     per = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(free, "_CHUNK_WORDS", chunk_words)
         mp.setattr(free, "_COUNT_SHARE", count_share)
-        mp.setattr(free, "_first_occurrence", resolved)
         mp.setattr(free, "_symmetric", detected)
         per.append([_symmetric_outcome(a, g, ordered, **caps)
                     for a, g, caps in cases])
-        made = len(deferred)
         mp.setattr(free, "_symmetric", lambda *args: False)
         per.append([_symmetric_outcome(a, g, ordered, **caps)
                     for a, g, caps in cases])
     assert per[1] == per[0]
-    return sum(found), made
+    return sum(found)
 
 
 def _table(size, ar, f):
@@ -1444,8 +1328,7 @@ def test_random_symmetric_builds_match_the_block_enumeration(
     caps = {"work_budget": budget}
     if room is not None:
         caps["cap_entries"] = (g + room) * a.size ** g
-    found, _ = _assert_symmetry_free([(a, g, caps)], ordered, words, share)
-    assert found == 1
+    assert _assert_symmetry_free([(a, g, caps)], ordered, words, share) == 1
 
 
 def _median_algebras():
@@ -1468,12 +1351,8 @@ def test_median_builds_match_the_block_enumeration(ordered):
                           {"work_budget": 10 ** 7})]
     cases.append((med3c, 5, {}))
     for share in (free._COUNT_SHARE, math.inf):
-        found, deferred = _assert_symmetry_free(cases, ordered,
-                                                count_share=share)
-        assert found == len(cases)
-        if ordered and share == math.inf:
-            # counting every level defers the last element of some
-            assert deferred > 0
+        assert _assert_symmetry_free(cases, ordered,
+                                     count_share=share) == len(cases)
 
 
 def test_median_f4_runs_one_tuple_per_multiset(monkeypatch):
