@@ -23,7 +23,6 @@ a composite meets a congruence inside an intersection.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 import functools
 import itertools
@@ -34,8 +33,8 @@ import numpy as np
 from .algebras import FiniteAlgebra
 from .catalog import ALGEBRA, CatalogError, get_entry, level_of
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
-                  VarE, _check_count, alternation, expr_str, has_symbolic,
-                  push_converse, substitute_k)
+                  VarE, _check_count, alternation, children, expr_str,
+                  has_symbolic, push_converse, substitute_k)
 from .dsl import meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
@@ -120,16 +119,6 @@ class _Table:
         res[:self.res.shape[0], :self.res.shape[1]] = self.res
         self.res = res
 
-    def peek(self, i: int, j: int) -> int:
-        """The result held for ids ``i`` and ``j``, else -1."""
-        left, right = self.pos
-        if i >= left.size or j >= right.size:
-            return -1
-        pi, pj = left.item(i), right.item(j)
-        if pi < 0 or pj < 0:
-            return -1
-        return self.res.item(pi, pj)
-
 
 class _Calculus:
     """The relations of one algebra met during one call, interned as ids,
@@ -139,18 +128,17 @@ class _Calculus:
     batch gathers the operands' positions and then the results in one
     step each; the results still missing are computed once each with the
     scalar ``compose``, ``meet``, ``generate`` ... and written to the
-    table.  A scalar step, such as one factor of an alternation, reads and
-    writes the same tables.  Only what the call meets is computed, so
-    nothing is tabulated in advance and |A| is not bounded.
+    table.  An alternation is a chain of lifted compositions, so it reads
+    and writes the composition table.  Only what the call meets is
+    computed, so nothing is tabulated in advance and |A| is not bounded.
     """
 
     def __init__(self, a: FiniteAlgebra):
         self.a = a
         self.rels: list[BinRel] = []
         self._ids: dict[tuple, int] = {}
-        # operation -> its results, and the alternation counts among them
+        # operation -> its results
         self._tables: dict = {}
-        self._counts: list[int] = []
         self.identity = self.intern(BinRel.identity(a.size))
 
     def intern(self, rel: BinRel) -> int:
@@ -160,24 +148,17 @@ class _Calculus:
             self.rels.append(rel)
         return i
 
-    def _table(self, op) -> _Table:
-        t = self._tables.get(op)
-        if t is None:
-            t = self._tables[op] = _Table(np.int8 if op == "<=" else np.int32)
-            if isinstance(op, int):
-                bisect.insort(self._counts, op)
-        return t
-
     def lift(self, op, x: np.ndarray, y: np.ndarray | None = None):
         """``op`` applied to each environment's ids ``x`` (and ``y``).
 
-        ``op`` is ``"o"``, ``"&"``, ``"|"``, ``"<="`` or ``"conv"``, a
-        relation kind (``generate``), or the factor count of an
-        alternation of ``x`` and ``y``.  A unary ``op`` takes ``x`` as its
+        ``op`` is ``"o"``, ``"&"``, ``"|"``, ``"<="`` or ``"conv"``, or a
+        relation kind (``generate``).  A unary ``op`` takes ``x`` as its
         right operand.  The results are gathered from ``op``'s table; the
         cells still empty are computed once each, then gathered again.
         """
-        t, n_ids = self._table(op), len(self.rels)
+        t, n_ids = self._tables.get(op), len(self.rels)
+        if t is None:
+            t = self._tables[op] = _Table(np.int8 if op == "<=" else np.int32)
         if y is None:
             if not t.ids[0]:
                 t.ids[0].append(0)
@@ -195,38 +176,11 @@ class _Calculus:
             out = flat.take(cells)
         return out > 0 if op == "<=" else out
 
-    def _get(self, op, i: int, j: int) -> int:
-        """``op`` of ids ``i`` and ``j``: a scalar read of its table, and
-        a batch of one when the result is missing."""
-        held = self._table(op).peek(i, j)
-        if held >= 0:
-            return held
-        return int(self.lift(op, np.array([i]), np.array([j]))[0])
-
     def _compute(self, op, i: int, j: int):
         """``op`` of ids ``i`` and ``j``; a unary ``op`` takes ``j``."""
         r, s = self.rels[i], self.rels[j]
         if op == "<=":
             return r <= s
-        if isinstance(op, int):
-            # the alternation i o j o i o ... of op >= 1 factors, continued
-            # from the largest count below op already held for (i, j).
-            # Factors are reflexive, so it only grows, and two steps in a
-            # row that change nothing leave it fixed for every larger count
-            m, head = 1, i
-            for c in reversed(self._counts[:bisect.bisect_left(
-                    self._counts, op)]):
-                held = self._tables[c].peek(i, j)
-                if held >= 0:
-                    m, head = c, held
-                    break
-            unchanged = 0
-            while m < op and unchanged < 2:
-                m += 1
-                prev, head = head, self._get("o", head,
-                                             j if m % 2 == 0 else i)
-                unchanged = unchanged + 1 if head == prev else 0
-            return head
         if op == "o":
             rel = compose(r, s)
         elif op == "&":
@@ -269,8 +223,19 @@ class _Batch:
                 raise CheckError("symbolic count not substituted")
             if m == 0:
                 return np.full(self.n, calc.identity, dtype=np.int64)
-            factors = [self.eval(f, count) for f in _factors(e)]
-            return calc.lift(m, factors[0], factors[-1])
+            # first o second o first o ..., folded left one composition
+            # per factor.  Once two steps in a row change no id, every
+            # environment's alternation absorbs both factors, so it is
+            # fixed at every larger count
+            factors = [self.eval(f, count) for f in children(e)]
+            out, unchanged = factors[0], 0
+            for step in range(1, m):
+                prev = out
+                out = calc.lift("o", out, factors[step % len(factors)])
+                unchanged = unchanged + 1 if np.array_equal(out, prev) else 0
+                if unchanged == 2:
+                    break
+            return out
         if isinstance(e, ConvE):
             return calc.lift("conv", self.eval(e.item, count))
         op = {ComposeE: "o", MeetE: "&", GenE: "|"}.get(type(e))
@@ -434,13 +399,6 @@ class PWConfig:
     target: int
 
 
-def _factors(alternation):
-    """The factors an alternation cycles through; a power has one."""
-    if isinstance(alternation, PowE):
-        return (alternation.item,)
-    return (alternation.first, alternation.second)
-
-
 def _expand_counts(e):
     """Rewrite concrete alternations/powers on a left-hand side into
     explicit compositions."""
@@ -455,7 +413,7 @@ def _expand_counts(e):
             what = "alternation" if isinstance(e, AltE) else "power"
             raise PWGrammarError(f"left-hand {what} must be concrete and "
                                  f"positive")
-        factors = [_expand_counts(f) for f in _factors(e)]
+        factors = [_expand_counts(f) for f in children(e)]
         return alternation(factors[0], factors[-1], e.count)
     raise PWGrammarError(f"not allowed on a generic left-hand side: "
                          f"{expr_str(e)}")
@@ -611,7 +569,7 @@ class Walk:
     there and is reached through ``_reach`` at each step."""
 
     def __init__(self, alternation, start: np.ndarray, parts: dict):
-        self._factors = _factors(alternation)
+        self._factors = children(alternation)
         self._parts = parts
         self.labels = [_partition_like(f, parts) for f in self._factors]
         self.layers = [start]
@@ -731,7 +689,7 @@ def walk_scan(ctx: PWContext, ident: Identity, limit: int,
     rhs = push_converse(ident.rhs, ident.kinds())
     *prefix, tail = rhs.items if isinstance(rhs, ComposeE) else (rhs,)
     if (not isinstance(tail, (AltE, PowE)) or tail.count != K
-            or any(has_symbolic(x) for x in (*prefix, *_factors(tail)))):
+            or any(has_symbolic(x) for x in (*prefix, *children(tail)))):
         raise PWGrammarError(f"{expr_str(rhs)}: k must occur exactly once, "
                              f"as the count of a trailing alternation or "
                              f"power")

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 import time
@@ -19,9 +20,9 @@ from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, Identity, K,
                           MeetE, PowE, VarE, compose, has_symbolic,
                           parse_identity, push_converse, substitute_k)
 from modbench.free import CapExceeded
-from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
-                                GuardExceeded, RelationError,
-                                all_congruences, generate)
+from modbench.relations import (ADMISSIBLE, CONGRUENCE, KIND_LEVEL,
+                                TOLERANCE, BinRel, GuardExceeded,
+                                RelationError, all_congruences, generate)
 from modbench.relations import alt as rel_alt
 from modbench.relations import compose as rel_compose
 from modbench.relations import meet as rel_meet
@@ -650,34 +651,78 @@ def test_result_tables_grow_with_the_results_computed(monkeypatch):
     res = check_concrete(chain6, get_entry("DAY").identity(m=5), k=64)
     assert res.holds and res.least_k == 5
     (calc,) = made
+    # an alternation is composed out in the composition table, so no
+    # table is kept per count
+    assert set(calc._tables) <= {"o", "&", "|", "<=", "conv", *KIND_LEVEL}
     tables = calc._tables.values()
     cells = sum(t.res.size for t in tables)
     computed = sum(int(np.count_nonzero(t.res >= 0)) for t in tables)
-    # 15,712 cells hold 3,842 results, where the 234 ids would index
+    # 14,336 cells hold 2,476 results, where the 234 ids would index
     # 54,756 cells per operation
     assert cells <= 8 * computed
     assert cells < len(calc.rels) ** 2
 
 
 def test_alternations_of_large_counts(chain3):
-    # a count is continued from the largest one held, one composition at
-    # a time, never by recursing through every count below it, and it
-    # stops at the fixed point of the alternation
+    # an alternation is composed out one factor at a time and stops at its
+    # fixed point, so a count of 10**9 is answered at once; every
+    # alternation here is fixed well before 5000 factors
     adm = enumerate_relations(chain3, ADMISSIBLE)
-    for r, s in ((adm[1], adm[2]), (adm[5], adm[-3]), (adm[7], adm[7])):
-        env = {"R": r, "S": s}
-        assert eval_expr(chain3, PowE(VarE("R"), 5000), env) == \
-            rel_alt(r, r, 5000)
-        assert eval_expr(chain3, AltE(VarE("R"), VarE("S"), 5001), env) == \
-            rel_alt(r, s, 5001)
-    calc = checks._Calculus(chain3)
-    r, s = calc.intern(adm[5]), calc.intern(adm[-3])
-    x, y = np.array([r]), np.array([s])
-    for m in (3, 4000, 5000, 2):
-        assert calc.rels[int(calc.lift(m, x, y)[0])] == \
-            rel_alt(adm[5], adm[-3], m), m
-    assert calc.rels[int(calc.lift(10 ** 9, y, x)[0])] == \
-        rel_alt(adm[-3], adm[5], 5000)
+    ref = functools.cache(rel_alt)
+    for form, args in (("alt(R, S, {})", lambda r, s: (r, s)),
+                       ("alt(S, R, {})", lambda r, s: (s, r)),
+                       ("pow(R, {})", lambda r, s: (r, r))):
+        ident = parse_identity(f"adm R S; {form.format('k')} <= "
+                               f"{form.format(2)}")
+        for m in (2, 3, 4000, 5000, 5001, 10 ** 9):
+            def want(r, s, m=min(m, 5001)):
+                return ref(*args(r, s), m)
+
+            for r, s in ((adm[1], adm[2]), (adm[5], adm[-3]),
+                         (adm[7], adm[7])):
+                assert eval_expr(chain3, substitute_k(ident.lhs, m),
+                                 {"R": r, "S": s}) == want(r, s), (form, m)
+            # a batch of all 625 pairs, against the first pair in product
+            # order whose alternation passes that of two factors
+            expected = (True, None, len(adm) ** 2)
+            for n, (r, s) in enumerate(itertools.product(adm, adm), 1):
+                if not want(r, s) <= want(r, s, 2):
+                    expected = (False, {"R": r, "S": s}, n)
+                    break
+            res = check_concrete(chain3, ident, k=m)
+            assert (res.holds, res.counterexample, res.envs_checked) == \
+                expected, (form, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), data=st.data())
+def test_a_batch_of_alternations_stops_at_its_fixed_point(a, data):
+    # the batch stops once two steps in a row change no environment's id,
+    # so an environment fixed early waits for the others.  A relation on at
+    # most 3 elements has at most 9 pairs, and an alternation not yet fixed
+    # gains one every two factors, so 40 factors are past every fixed point
+    adm = enumerate_relations(a, ADMISSIBLE)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(adm),
+                                         st.sampled_from(adm)),
+                               min_size=2, max_size=8))
+
+    def fixed_at(r, s):
+        m = 1
+        while not rel_alt(r, s, m) == rel_alt(r, s, m + 1) == \
+                rel_alt(r, s, m + 2):
+            m += 1
+        return m
+
+    assume(len({fixed_at(r, s) for r, s in pairs}) > 1)
+    calc = checks._Calculus(a)
+    batch = checks._Batch(
+        calc, {v: np.array([calc.intern(p[i]) for p in pairs])
+               for i, v in enumerate("RS")}, len(pairs))
+    for m in (*range(41), 10 ** 9):
+        got = batch.eval(AltE(VarE("R"), VarE("S"), m))
+        for (r, s), i in zip(pairs, got.tolist()):
+            want = rel_alt(r, s, min(m, 40)) if m else BinRel.identity(a.size)
+            assert calc.rels[i] == want, m
 
 
 def test_guard_message_of_a_huge_count(z2):
