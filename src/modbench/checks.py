@@ -204,6 +204,9 @@ class _Batch:
 
     def __init__(self, calc: _Calculus, cols: dict, n: int):
         self.calc, self.cols, self.n = calc, cols, n
+        # whether an alternation of the symbolic count has not reached its
+        # fixed point in an ``eval`` since this was last cleared
+        self.moving = False
 
     def take(self, rows: np.ndarray) -> "_Batch":
         """The environments at the positions ``rows``, in that order."""
@@ -222,6 +225,7 @@ class _Batch:
             if m is None:
                 raise CheckError("symbolic count not substituted")
             if m == 0:
+                self.moving |= e.count == K
                 return np.full(self.n, calc.identity, dtype=np.int64)
             # first o second o first o ..., folded left one composition
             # per factor.  Once two steps in a row change no id, every
@@ -235,6 +239,7 @@ class _Batch:
                 unchanged = unchanged + 1 if np.array_equal(out, prev) else 0
                 if unchanged == 2:
                     break
+            self.moving |= e.count == K and unchanged < 2
             return out
         if isinstance(e, ConvE):
             return calc.lift("conv", self.eval(e.item, count))
@@ -300,7 +305,10 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     operation is monotone, so the right-hand side grows with its count,
     and ``least_k`` -- the largest per-environment least count -- is the
     least k at which the inclusion holds throughout.  It is None when the
-    check fails or k is not scanned.
+    check fails or k is not scanned.  Once every alternation of the count
+    has reached its fixed point on the environments still failing, their
+    right-hand side is the same at every larger count, so they fail at k
+    too and the counterexample is found without stepping up to k.
     """
     if k is not None:
         _check_count(k)
@@ -344,16 +352,18 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
         if not rows.size:
             continue
         batch = batch.take(rows)
-        # the batch is tried at m; the environments failing go on to m + 1
+        # the batch is tried at m; the environments failing go on to m + 1,
+        # or fail at k too once no alternation of the count moves any more
         pending, left = np.arange(rows.size), batch.eval(ident.lhs, k)
         m = least if scan else k
         while True:
+            batch.moving = False
             holds = calc.lift("<=", left, batch.eval(ident.rhs, m))
             fails = np.flatnonzero(~holds)
             if not fails.size:
                 break
             pending, left = pending[fails], left[fails]
-            if m == k:
+            if m == k or not batch.moving:
                 env = _digits(ids, start + int(rows[pending[0]]))
                 counterexample = {name: space[i] for (name, space), i
                                   in zip(spaces, env)}

@@ -57,11 +57,15 @@ of arity 3 or more, so no refusal depends on the multisets.  The entries
 cap refuses with ``elements_reached`` the first element count that does not
 fit, ``cap_entries // coordinates + 1``, either when an append overflows or
 already at a level's boundary: a level with many more candidates than the
-cap has room for first samples a small share of them, and refuses when more
-of the sample's distinct keys than that room are missing from the index.
-Each is a row the level adds (a fingerprint collision only hides one), so
-the canonical order overflows in the same level; the sample decides only
-whether the refusal comes now or later.
+cap has room for first samples a small share of them, and refuses when the
+sample's rows that are not elements yet count more than that room.  Each
+such row is a row the level adds, and one whose variables have pairwise
+distinct invariants stands for its whole orbit of g! rows under the
+variable permutations described below, named by the row with its variables
+sorted by invariant.  The count never passes the level's new elements (a
+fingerprint collision only hides some), so the canonical order overflows in
+the same level; the sample decides only whether the refusal comes now or
+later.
 
 A big level then counts its new elements N exactly before it runs.
 Permuting the variables acts on F(g) by automorphisms: it permutes the
@@ -117,11 +121,13 @@ _CHUNK_WORDS = 1 << 16
 # chunk inserts into a small array
 _SIDE_SHARE = 1 / 8
 # a closure level whose candidates are more than 1 / _SAMPLE_SHARE times the
-# elements the entries cap has room for samples this share of them and
-# counts the sample's new keys, to prove that it overflows.  The corpus
-# reports' levels and those of term searches on random small algebras
-# measured at most 166 times their room, except F(lattice2, 6)'s refused
-# one, 12,367 times; a sample that proves nothing costs at most this share
+# elements the entries cap has room for samples at most this share of them
+# and counts the sample's new rows by their orbits, to prove that it
+# overflows.  The corpus reports' levels and those of term searches on
+# random small algebras measured at most 166 times their room, except
+# F(lattice2, 6)'s refused one, 12,367 times, which its sample proves after
+# 7,703 of its 2.85 M draws; a sample that proves nothing costs at most
+# this share
 _SAMPLE_SHARE = 1 / 512
 # a closure level counts its new elements first when the count's rows are at
 # most this share of the level's applications.  The ordered F(lattice2, 5)
@@ -580,16 +586,10 @@ class _Builder:
             return order[np.searchsorted(known[order], _row_bytes(rows.T))]
         return elem
 
-    def new_keys(self, rows: np.ndarray, seen: np.ndarray) -> np.ndarray:
-        """Sorted distinct ``seen`` and the rows' keys that no element has."""
-        keys = np.sort(self.keys(rows))
-        keys = keys[~(self._dense[keys] if self._dense is not None
-                      else self._lookup(keys)[0])]
-        # both are sorted, so the stable sort is a merge of two runs
-        keys = np.sort(np.concatenate((seen, keys)), kind="stable")
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        return keys[first]
+    def known(self, keys: np.ndarray) -> np.ndarray:
+        """Per key, whether an element has it."""
+        return (self._dense[keys] if self._dense is not None
+                else self._lookup(keys)[0])
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """Each row's key: the row itself when exact, which every row of the
@@ -900,10 +900,125 @@ def _multiset_args(builder: _Builder, old: int, total: int, ar: int):
         f0 += k
 
 
-def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per word; numpy < 2 has no ``bitwise_count``, so there the
+    bytes are counted."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
+    bits = _BYTE_BITS[np.ascontiguousarray(words).view(np.uint8)]
+    return bits.reshape(*words.shape, words.itemsize).sum(axis=-1)
+
+
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1).sum(axis=1).astype(np.uint8)
+
+
+def _union(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys of the sorted distinct ``seen`` and ``keys``."""
+    # both runs are sorted, so the stable sort is a merge of two runs
+    keys = np.sort(np.concatenate((seen, np.sort(keys))), kind="stable")
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+class _NewCount:
+    """A lower bound on the elements that a closure level adds, from rows of
+    its candidates: the rows whose key no element has are new, and
+    ``count`` weighs their distinct keys by the orbits of the variable
+    permutations, which act on F(g) by automorphisms (see the module
+    docstring).
+
+    ``tables`` are :func:`_swap_tables`, or None to count keys alone.  With
+    them, each variable gets an invariant that a permutation carries along
+    with it: the set bits of each plane over the coordinates where the
+    variable takes each value but the last (the last value's are the rest
+    of the plane's), as one word.  A row whose g invariants are pairwise
+    distinct is fixed by no permutation but the identity, so its orbit is
+    g! new rows; sorting its variables by invariant, by odd-even
+    transposition, gives the one row of the orbit whose invariants ascend,
+    and that row's key names the orbit.  So ``count`` is g! times the
+    distinct keys of sorted rows plus the distinct keys of the other new
+    rows.  The level's new elements are a union of orbits, an orbit's rows
+    all have distinct invariants or all do not, and a colliding key or
+    invariant only counts less, so ``count`` never passes them.
+    """
+
+    def __init__(self, builder: _Builder, size: int, g: int, tables):
+        self.builder = builder
+        self.tables = tables
+        self.g, self.values = g, size - 1
+        self.weight = 1 if tables is None else math.factorial(g)
+        self.tied = self.orbits = np.empty(0, dtype=np.uint64)
+        self.count = 0
+        if tables is not None:
+            # masks[:, i * (size - 1) + v]: the coordinates where variable
+            # i takes value v, packed like one plane
+            digits = (np.arange(builder.c) // size ** np.arange(g - 1, -1, -1)
+                      [:, None] % size)
+            self.masks = _pack_planes(
+                (np.repeat(digits, size - 1, axis=0)
+                 == np.tile(np.arange(size - 1), g)[:, None]).astype(np.uint8),
+                1)
+            # a count is at most c / size, so this odd radix keeps the
+            # invariant exact while its digits fit in a word
+            radix = (builder.c // size + 1) | 1
+            self.radix = np.array(
+                [pow(radix, j, 1 << 64)
+                 for j in range(builder.n_planes * (size - 1))],
+                dtype=np.uint64)
+
+    def add(self, rows: np.ndarray) -> int:
+        """Count the new rows among ``rows`` too; returns ``count``."""
+        keys = self.builder.keys(rows)
+        new = ~self.builder.known(keys)
+        if self.tables is None:
+            self.tied = _union(self.tied, keys[new])
+        else:
+            rows, keys = np.compress(new, rows, axis=1), keys[new]
+            inv = self._invariants(rows)
+            ascending = np.sort(inv, axis=0)
+            free = (ascending[1:] != ascending[:-1]).all(axis=0)
+            self.tied = _union(self.tied, keys[~free])
+            self.orbits = _union(self.orbits, self.builder.keys(self._sorted(
+                np.compress(free, rows, axis=1), inv[:, free])))
+        self.count = self.tied.size + self.weight * self.orbits.size
+        return self.count
+
+    def _invariants(self, rows: np.ndarray) -> np.ndarray:
+        """(g, rows) invariant words, one per variable and row."""
+        b, n = self.builder, rows.shape[1]
+        planes = rows.reshape(b.n_planes, b.words, 1, n)
+        # [plane, variable and value, row]
+        bits = _popcount(planes & self.masks[:, :, None]).sum(
+            axis=1, dtype=np.uint64)
+        # [variable, plane and value, row]
+        bits = bits.reshape(b.n_planes, self.g, self.values, n).swapaxes(0, 1)
+        return (bits.reshape(self.g, self.radix.size, n)
+                * self.radix[:, None]).sum(axis=1, dtype=np.uint64)
+
+    def _sorted(self, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """The rows with their variables sorted by their pairwise distinct
+        invariants ``inv``, both sorted in place."""
+        g = inv.shape[0]
+        for r in range(g):
+            for i in range(r % 2, g - 1, 2):
+                swap = np.flatnonzero(inv[i] > inv[i + 1])
+                if swap.size:
+                    rows[:, swap] = _permuted(self.builder, self.tables[i],
+                                              np.take(rows, swap, axis=1))
+                    inv[i, swap], inv[i + 1, swap] = (inv[i + 1, swap],
+                                                      inv[i, swap])
+        return rows
+
+
+def _sample_overflows(builder: _Builder, ops, apps, old: int, size: int,
+                      g: int, swaps) -> bool:
     """Whether a sample of the closure level on the frontier
-    ``[old, builder.n)`` has more distinct new keys than the entries cap has
-    room for elements, which proves that the level overflows.
+    ``[old, builder.n)`` has a larger :class:`_NewCount` than the entries
+    cap has room for elements, which proves that the level overflows.
+    ``swaps()`` returns :func:`_swap_tables`; it is None when the build
+    makes none, and then the sample counts keys alone.
 
     The sample is at most ``_SAMPLE_SHARE`` of the level's candidates, and
     is drawn only when that share is more than the room left.  A sampled
@@ -911,37 +1026,45 @@ def _sample_overflows(builder: _Builder, ops, apps, old: int) -> bool:
     applications in the level, each argument uniformly from the elements,
     and then one uniformly chosen position from the frontier: a candidate of
     the level, or for a symmetric table a permutation of one.  So a key
-    that no element has is a row the level adds, distinct keys are distinct
-    rows, and a colliding fingerprint only hides a new row.  The sample stops
-    after a batch once its keys so far, projected to the whole sample,
-    cannot pass the room left.  The seed is fixed.
+    that no element has is a row the level adds.  The first batch is the
+    fewest draws that could pass the room, each next one twice as many up
+    to a chunk.  The sample stops after a batch once its count so far,
+    projected to the whole sample, cannot pass the room left.  The seed is
+    fixed.
     """
     total = builder.n
     room = builder.max_elements - total
     budget = math.floor(sum(apps) * _SAMPLE_SHARE)
     if budget <= room:
         return False
-    seen = np.empty(0, dtype=np.uint64)
+    tally = _NewCount(builder, size, g, swaps() if swaps else None)
     rng = np.random.default_rng(0)
-    share = np.array(apps, dtype=float) / sum(apps)
-    drawn = 0
+    drawn, m = 0, max(1, -(-room // tally.weight))
     while drawn < budget:
-        m = min(builder.chunk, budget - drawn)
-        for (_, ar, program, _), k in zip(ops, rng.multinomial(m, share)):
-            if not k:
-                continue
+        m = min(m, builder.chunk, budget - drawn)
+        for rows in _sampled_rows(builder, ops, apps, old, rng, m):
+            if tally.add(rows) > room:
+                return True
+        drawn += m
+        if tally.count * budget <= room * drawn:
+            return False
+        m *= 2
+    return False
+
+
+def _sampled_rows(builder: _Builder, ops, apps, old: int, rng, m: int):
+    """The rows of ``m`` candidates of the closure level on the frontier
+    ``[old, builder.n)``, drawn by ``rng`` as :func:`_sample_overflows`
+    describes, one array per operation drawn."""
+    total = builder.n
+    share = np.array(apps, dtype=float) / sum(apps)
+    for (_, ar, program, _), k in zip(ops, rng.multinomial(m, share)):
+        if k:
             args = rng.integers(0, total, size=(ar, k))
             args[rng.integers(0, ar, size=k), np.arange(k)] = rng.integers(
                 old, total, size=k)
-            res = _run_op(builder, program,
+            yield _run_op(builder, program,
                           [np.take(builder.rows, x, axis=1) for x in args])
-            seen = builder.new_keys(res, seen)
-            if seen.size > room:
-                return True
-        drawn += m
-        if seen.size * budget <= room * drawn:
-            return False
-    return False
 
 
 def _collect(builder: _Builder, seen: _Builder, rows: np.ndarray):
@@ -1179,7 +1302,8 @@ def build_free(a: FiniteAlgebra, g: int,
             raise CapExceeded(
                 f"free algebra work budget exceeded (next closure level "
                 f"needs {projected} more units of {work_budget})", builder.n)
-        if _sample_overflows(builder, ops, apps, old):
+        if _sample_overflows(builder, ops, apps, old, size, g,
+                             swaps if countable else None):
             builder.refuse()
         # the level's chunks below add up to at most ``projected``
         units_used += projected

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -764,6 +765,58 @@ def test_chain3_ag_counterexample_in_a_late_batch(chain3):
         "a": ["100", "011", "011"], "t1": ["100", "010", "001"],
         "t2": ["100", "011", "001"], "R": ["100", "011", "001"],
         "S": ["100", "010", "001"]}
+
+
+def _concrete_scans(cap):
+    """Each algebra-level family's ``check_concrete`` at ``cap`` on the
+    unary identity operation and the max semilattice on 3 and 4 elements,
+    or the guard's refusal, and the seconds they took."""
+    algebras = [a for n in (3, 4) for a in (
+        FiniteAlgebra(f"s{n}", n, Signature((("f", 1),)),
+                      {"f": list(range(n))}),
+        FiniteAlgebra(f"sl{n}", n, Signature((("j", 2),)),
+                      {"j": [max(x, y) for x in range(n) for y in range(n)]}))]
+    cells = []
+    start = time.perf_counter()
+    for a in algebras:
+        for family in ALGEBRA_FAMILIES:
+            try:
+                res = check_concrete(a, get_entry(family).identity(), k=cap)
+            except GuardExceeded as exc:
+                cells.append((a.name, family, str(exc)))
+                continue
+            shown = res.counterexample and sorted(
+                (name, rel.to_bitstrings())
+                for name, rel in res.counterexample.items())
+            cells.append((a.name, family, res.holds, shown, res.envs_checked,
+                          res.least_k))
+    return cells, time.perf_counter() - start
+
+
+# digests of the cells' repr, recorded with the scan that stepped every
+# failing environment up to the cap; from cap 5 on every cell is the same
+_SCAN_DIGESTS = {
+    0: "02c4a5e0a51581846046239e7443092a59d55669a9712eb96c87513d93b824f7",
+    1: "a010b071765247b53cc9d5045169eeb95d4043126e92a978a2ffe4ff75ddeb41",
+    5: "3ebb23ad36c89e9960a98a8d95c31c08129e56e7a2b8d44c8baacd36d79bea98",
+    64: "3ebb23ad36c89e9960a98a8d95c31c08129e56e7a2b8d44c8baacd36d79bea98",
+    1000: "3ebb23ad36c89e9960a98a8d95c31c08129e56e7a2b8d44c8baacd36d79bea98"}
+
+
+def test_concrete_scans_stop_where_no_alternation_moves():
+    # 26 of the 48 cells fail at every cap from 1 on: their failing
+    # environments' alternations reach their fixed point within a few
+    # steps, so a cap of 1000 costs what a cap of 64 does
+    seconds = {}
+    for cap, want in _SCAN_DIGESTS.items():
+        cells, seconds[cap] = _concrete_scans(cap)
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == want, cap
+        if cap >= 1:
+            assert sum(holds is False for _, _, holds, *_ in cells) == 26
+    # best of two, on a shared host
+    for cap in (64, 1000):
+        seconds[cap] = min(seconds[cap], _concrete_scans(cap)[1])
+    assert seconds[1000] <= 1.5 * seconds[64]
 
 
 def test_concrete_matches_oracle_on_a_five_element_algebra():

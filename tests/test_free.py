@@ -719,7 +719,16 @@ def test_corpus_refusals_do_not_depend_on_the_sample(corpus):
                  ("chain3", 4, (10, 100)), ("pixley3", 3, (10, 100)),
                  ("chain3", 5, (100, 3_000, 6_250)))
              for room in rooms]
-    per = _assert_sample_free(cases)
+    # exact fits: the last level that adds elements has room for them
+    # alone, so a sample that counts one more refuses a build that completes
+    fits = (("lattice2", 4, 166), ("semilattice2", 5, 31),
+            ("lattice2", 5, 7_579), ("chain3", 4, 166), ("pixley3", 3, 24),
+            ("semilattice2", 6, 63))
+    per = _assert_sample_free(cases + [
+        (corpus[name], g, {"cap_entries": n * corpus[name].size ** g})
+        for name, g, n in fits])
+    assert [o[1][0] for o, _ in per[0][len(cases):]] == [n for *_, n in fits]
+    per = [row[:len(cases)] for row in per]
     assert 0 < sum(o[0] == "refused" for o, _ in per[0]) < len(cases)
     # the default share refuses a level of one-word exact rows (32
     # coordinates), one-word fingerprint rows (64) and multiword rows (243)
@@ -734,9 +743,14 @@ def test_corpus_refusals_do_not_depend_on_the_sample(corpus):
 def test_random_refusals_do_not_depend_on_the_sample(a, g, room, words):
     # dense, one-word exact, one-word fingerprint and multiword rows: 8, 16,
     # 32 and 64 coordinates of 2 elements, 27 to 729 of 3; small chunks
-    # split a sample into many batches
-    _assert_sample_free(
-        [(a, g, {"cap_entries": (g + room) * a.size ** g})], words)
+    # split a sample into many batches.  A build that completes is built at
+    # its exact fit too
+    c = a.size ** g
+    cases = [(a, g, {"cap_entries": (g + room) * c})]
+    with contextlib.suppress(CapExceeded):
+        n = build_free(a, g, cap_entries=(g + 60) * c).n_elements
+        cases.append((a, g, {"cap_entries": n * c}))
+    _assert_sample_free(cases, words)
 
 
 def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
@@ -744,15 +758,17 @@ def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
     # 35.6 M candidate rows; the sample proves the overflow at the boundary
     # of that level.  It counts the keys of its rows, so only the levels'
     # own 246,512 candidate rows reach new_rows (572,398 when the sample's
-    # rows went there too), and no scratch builder is made
+    # rows went there too), and no scratch builder is made.  It weighs each
+    # orbit of 720 rows at once, so it runs 7,703 rows (196,608 when it
+    # counted keys alone)
     real_run, real_sample = free._run_op, free._sample_overflows
     real_new, real_init = free._Builder.new_rows, free._Builder.__init__
-    rows, checked, made = [], [], []
+    rows, sampled, checked, made = [], [], [], []
     sampling = [False]
 
     def counted(*args):
         res = real_run(*args)
-        rows.append(res.shape[1])
+        (sampled if sampling[0] else rows).append(res.shape[1])
         return res
 
     def sample(*args):
@@ -779,7 +795,8 @@ def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
     assert over.value.elements_reached == 156_251
     assert str(over.value) == ("free algebra exceeds 10000000 vector entries "
                                "(156251 elements of 64 coordinates)")
-    assert sum(rows) < 2_000_000
+    assert sum(rows) + sum(sampled) < 2_000_000
+    assert 0 < sum(sampled) <= 25_000
     assert not any(in_sample for in_sample, _ in checked)
     assert sum(m for _, m in checked) <= 250_000
     assert len(made) == 1
@@ -827,6 +844,90 @@ def test_colliding_sample_keys_prove_nothing(monkeypatch, corpus, name, g,
             lambda rows, weights: np.zeros(rows.shape[1], dtype=np.uint64))
     assert _outcome(a, g, **caps) == want
     assert fired and not any(fired)
+
+
+def _sample_counts(a, g, **caps):
+    """Per closure level that the build runs to its end: the weighted count
+    of a sample of as many draws as the level has applications, the
+    level's new elements, and whether the sample weighed an orbit."""
+    counts, starts = [], []
+
+    def sample(builder, ops, apps, old, size, g, swaps):
+        tally = free._NewCount(builder, size, g, swaps() if swaps else None)
+        rng = np.random.default_rng(builder.n)
+        draws = sum(apps)
+        for done in range(0, draws, builder.chunk):
+            for rows in free._sampled_rows(builder, ops, apps, old, rng,
+                                           min(builder.chunk, draws - done)):
+                tally.add(rows)
+        starts.append(builder.n)
+        counts.append((tally.count, tally.orbits.size > 0))
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_sample_overflows", sample)
+        try:
+            end = build_free(a, g, **caps).n_elements
+        except CapExceeded as exc:
+            # the work budget refuses at a boundary, after a whole level
+            end = exc.elements_reached if "work budget" in str(exc) else None
+    return [(count, stop - start, weighed)
+            for (count, weighed), start, stop
+            in zip(counts, starts, starts[1:] + [end]) if stop is not None]
+
+
+@st.composite
+def _orbit_algebras(draw):
+    """One to three elements; one or two binary or ternary operations, each
+    without symmetry or totally symmetric, and maybe a constant and a unary
+    operation."""
+    size = draw(st.integers(1, 3))
+
+    def values(k):
+        return draw(st.lists(st.integers(0, size - 1), min_size=k,
+                             max_size=k))
+
+    ops, tables = [], {}
+    for i, ar in enumerate(draw(st.lists(st.sampled_from((2, 3)),
+                                         min_size=1, max_size=2))):
+        tuples = list(itertools.product(range(size), repeat=ar))
+        if draw(st.booleans()):
+            bags = sorted({tuple(sorted(t)) for t in tuples})
+            value = dict(zip(bags, values(len(bags))))
+            tables[f"f{i}"] = [value[tuple(sorted(t))] for t in tuples]
+        else:
+            tables[f"f{i}"] = values(len(tuples))
+        ops.append((f"f{i}", ar))
+    for name, ar in (("c", 0), ("u", 1)):
+        if draw(st.booleans()):
+            ops.append((name, ar))
+            tables[name] = values(size ** ar)
+    return FiniteAlgebra("orb", size, Signature(tuple(ops)), tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_orbit_algebras(), g=st.integers(2, 6))
+def test_random_sample_counts_never_pass_the_level(a, g):
+    # a row fixed by a permutation, or one of an orbit sorted by tied
+    # invariants, counted as an orbit of g! rows passes the level's count
+    for count, new, _ in _sample_counts(a, g, cap_entries=200 * a.size ** g,
+                                        work_budget=10 ** 6):
+        assert count <= new
+
+
+@pytest.mark.parametrize("name, g, weighed", [
+    ("lattice2", 4, False), ("lattice2", 5, True), ("lattice2", 6, True),
+    ("semilattice2", 6, False), ("chain3", 4, False), ("pixley3", 3, True),
+    ("z2", 5, False)])
+def test_corpus_sample_counts_never_pass_the_level(corpus, name, g, weighed):
+    # up to the work budget's refusal of the fourth levels of F(lattice2, 5)
+    # and F(lattice2, 6).  Their third levels add 3,132 and 37,714
+    # elements, and a sample of as many draws as they have applications
+    # counts 2,783 and 30,351; they and F(pixley3, 3) have orbits of g! rows
+    levels = _sample_counts(corpus[name], g, work_budget=10 ** 7)
+    assert len(levels) >= 2
+    assert all(count <= new for count, new, _ in levels)
+    assert any(w for *_, w in levels) == weighed
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +1055,55 @@ def test_swap_tables_permute_packed_coordinates(size, g, n_planes):
                               _swapped(vals, size, g, i))
 
 
+@pytest.mark.parametrize("size, g, n_planes", [
+    (2, 3, 1), (2, 6, 1), (2, 7, 1), (3, 3, 2), (3, 4, 2), (4, 3, 2)])
+def test_new_count_sorts_variables_by_invariant(size, g, n_planes):
+    # one-word and multiword planes against a reference on unpacked rows:
+    # a variable's invariant is the set bits of each plane where it takes
+    # each value but the last, and a row with pairwise distinct invariants
+    # sorts to the row whose variables' invariant words ascend
+    c = size ** g
+    builder = free._Builder(n_planes, c, 10 ** 9, 1)
+    vals = np.random.default_rng(c).integers(
+        0, min(size, 2 ** n_planes), (300, c)).astype(np.uint8)
+    # few distinct values make ties, and many make distinct invariants
+    vals[::2] = np.minimum(vals[::2], 1)
+    rows = free._pack_planes(vals, n_planes)
+    tally = free._NewCount(builder, size, g, free._swap_tables(builder, size,
+                                                               g))
+    inv = tally._invariants(rows)
+    grid = np.array(list(itertools.product(range(size), repeat=g)))
+    want = [[tuple(int(((row >> b) & 1)[grid[:, i] == v].sum())
+                   for b in range(n_planes) for v in range(size - 1))
+             for i in range(g)] for row in vals]
+    assert all((inv[i, r] == inv[j, r]) == (want[r][i] == want[r][j])
+               for r in range(len(vals))
+               for i, j in itertools.combinations(range(g), 2))
+    distinct = np.array([len(set(w)) == g for w in want])
+    assert 0 < distinct.sum() < len(vals)
+    got = free._unpack_planes(tally._sorted(
+        rows[:, distinct].copy(), inv[:, distinct].copy()), n_planes, c)
+    for row, words, sorted_row in zip(vals[distinct], inv[:, distinct].T,
+                                      got):
+        # variable k of the sorted row is variable order[k] of the row
+        order = np.argsort(words)
+        at = np.empty_like(grid)
+        at[:, order] = grid
+        assert np.array_equal(sorted_row,
+                              row[np.ravel_multi_index(at.T, (size,) * g)])
+
+
+def test_popcount_without_bitwise_count(monkeypatch):
+    # numpy < 2 has no bitwise_count; there the bytes are counted
+    words = np.random.default_rng(0).integers(0, 2 ** 63, (3, 50),
+                                              dtype=np.uint64)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        want = free._popcount(words.astype(dtype))
+        with monkeypatch.context() as mp:
+            mp.delattr(np, "bitwise_count")
+            assert np.array_equal(free._popcount(words.astype(dtype)), want)
+
+
 def _levels(f):
     """Each element's closure level: 0 for a seed, else one more than the
     highest level among its witness arguments."""
@@ -994,8 +1144,10 @@ def test_random_levels_are_invariant_under_swapped_variables(a, g):
     _assert_levels_are_symmetric(f)
 
 
-# the candidate rows of the ordered builds, 2.2 M of them in their counts
-_F5_ROWS = {"lattice2": 15_754_388, "chain3": 15_629_467}
+# the candidate rows of the ordered builds, 2.2 M of them in their counts and
+# 280 in the sample of F(chain3, 5)'s last level: one batch of room / 5!
+# draws, none of them new
+_F5_ROWS = {"lattice2": 15_754_388, "chain3": 15_621_555}
 
 
 @pytest.mark.parametrize("name", ["lattice2", "chain3"])
