@@ -4,12 +4,14 @@ Two routes:
 
 * ``check_concrete`` quantifies the variables over actual relations of one
   algebra (all congruences; enumerated admissible relations and tolerances)
-  and evaluates both sides with the bitset calculus, in batches of
-  environments held as arrays of interned relation ids.  Each operation
-  keeps a table of its results by operand, so a batch's results are one
-  gather, and the scalar calculus runs once per argument the table still
-  lacks.  For relation variables this is algebra-level evidence, not a
-  variety-wide verdict.
+  and evaluates both sides with the bitset calculus, in blocks of
+  environments that are boxes of the assignment product: each variable's
+  interned relation ids lie on an axis of their own, and a subexpression
+  is computed over the product of its own variables' axes only.  Each
+  operation keeps a table of its results by operand, so a block's results
+  are one gather, and the scalar calculus runs once per argument the table
+  still lacks.  For relation variables this is algebra-level evidence, not
+  a variety-wide verdict.
 
 * ``pw_check`` decides congruence-variable inclusions for the whole
   generated variety: one free generator per node of the left-hand chain
@@ -54,11 +56,13 @@ class PWGrammarError(CheckError):
 # ---------------------------------------------------------------------------
 # Concrete evaluation
 
-# Environments evaluated together.  16,384 measured slower than 4,096 on
-# the bench's concrete spectra (wall 0.131-0.139 s against 0.122-0.135 s,
-# 1.2 MB more peak RSS) and no faster on chain7 DAY(5), whose traced peak
-# it raises from 2.3 to 3.8 MB.
-BATCH = 4096
+# The most environments in one block.  In one process (best of 2-5, a
+# 2-core Xeon), blocks of 4,096 / 8,192 / 16,384 / 32,768 / 65,536 took
+# chain3 AGAI 10-17 / 7.9 / 7.3 / 7.7 / 10.3 ms, chain3 AG 0.15-0.18 /
+# 0.098 / 0.070 / 0.064 / 0.079 s and the eight chain7 member cells
+# 0.55-0.61 / 0.49 / 0.45 / 0.49 / 0.63 s; the traced peak of chain7
+# DAY(5) grows with the block: 0.8 / 1.0 / 1.5 / 2.4 / 5.3 MB.
+BATCH = 16384
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -195,23 +199,32 @@ class _Calculus:
 
 
 class _Batch:
-    """Environments as columns of interned ids, one per variable.
+    """A box of environments: each variable's ids on an axis of its own,
+    or, after ``take``, every environment's ids in one flat axis.
 
-    ``eval`` gives an expression's id per environment.  A subexpression
-    met again, in this batch or another, is answered from the calculus's
-    tables.
+    ``shape`` is the box's; each variable's array has that many axes,
+    each of length 1 or the box's.  ``eval`` gives an expression's ids
+    over the product of its own variables' axes only, broadcast against
+    the others.  A subexpression met again, in this batch or another, is
+    answered from the calculus's tables.
     """
 
-    def __init__(self, calc: _Calculus, cols: dict, n: int):
-        self.calc, self.cols, self.n = calc, cols, n
+    def __init__(self, calc: _Calculus, cols: dict, shape: tuple):
+        self.calc, self.cols, self.shape = calc, cols, shape
         # whether an alternation of the symbolic count has not reached its
         # fixed point in an ``eval`` since this was last cleared
         self.moving = False
 
+    def flat(self, x: np.ndarray) -> np.ndarray:
+        """``x`` broadcast to every environment, in product order."""
+        return np.broadcast_to(x, self.shape).reshape(-1)
+
     def take(self, rows: np.ndarray) -> "_Batch":
-        """The environments at the positions ``rows``, in that order."""
-        return _Batch(self.calc, {v: c[rows] for v, c in self.cols.items()},
-                      len(rows))
+        """The environments at the flat positions ``rows``, in that
+        order."""
+        return _Batch(self.calc, {v: self.flat(c)[rows]
+                                  for v, c in self.cols.items()},
+                      (len(rows),))
 
     def eval(self, e, count: int | None = None) -> np.ndarray:
         """Ids of ``e`` with ``count`` replacing the symbolic count."""
@@ -226,7 +239,8 @@ class _Batch:
                 raise CheckError("symbolic count not substituted")
             if m == 0:
                 self.moving |= e.count == K
-                return np.full(self.n, calc.identity, dtype=np.int64)
+                return np.full((1,) * len(self.shape), calc.identity,
+                               dtype=np.int64)
             # first o second o first o ..., folded left one composition
             # per factor.  Once two steps in a row change no id, every
             # environment's alternation absorbs both factors, so it is
@@ -236,7 +250,8 @@ class _Batch:
             for step in range(1, m):
                 prev = out
                 out = calc.lift("o", out, factors[step % len(factors)])
-                unchanged = unchanged + 1 if np.array_equal(out, prev) else 0
+                unchanged = (unchanged + 1 if np.array_equal(
+                    out, np.broadcast_to(prev, out.shape)) else 0)
                 if unchanged == 2:
                     break
             self.moving |= e.count == K and unchanged < 2
@@ -273,7 +288,7 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
                     f"{kind}")
     calc = _Calculus(a)
     cols = {name: np.array([calc.intern(rel)]) for name, rel in env.items()}
-    return calc.rels[int(_Batch(calc, cols, 1).eval(e)[0])]
+    return calc.rels[int(_Batch(calc, cols, (1,)).eval(e)[0])]
 
 
 # The most variable assignments one concrete check enumerates.
@@ -296,11 +311,14 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     variables of one kind share its list.  A check of more than
     ``MAX_ENVS`` environments is refused (``GuardExceeded``) as soon as the
     relations listed so far prove it.  Environments run in product order
-    over them, in batches of at most ``BATCH``; the first one whose side
-    conditions hold and whose inclusion fails at ``k`` is the
-    counterexample.  When ``k``
-    occurs on the right-hand side only, a batch is tested from the largest
-    count an earlier batch needed upwards, each step keeping only the
+    over them, in blocks of at most ``BATCH`` that are boxes of the product
+    (``_boxes``); the first one whose side conditions hold and whose
+    inclusion fails at ``k`` is the counterexample.  A block keeps its box
+    while every environment of it is still in question; its side
+    conditions' survivors, and the environments still failing a step of
+    the scan, are taken flat.  When ``k``
+    occurs on the right-hand side only, a block is tested from the largest
+    count an earlier block needed upwards, each step keeping only the
     environments still failing: relations are reflexive and every
     operation is monotone, so the right-hand side grows with its count,
     and ``least_k`` -- the largest per-environment least count -- is the
@@ -332,26 +350,26 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
                      else f"{prior} * {size}**{count}")
             raise GuardExceeded(f"at least {shown} variable assignments "
                                 f"exceed the cap {MAX_ENVS}")
-    spaces = [(name, by_kind[kind]) for name, kind in ident.var_kinds]
     calc = _Calculus(a)
-    names = [name for name, _ in spaces]
-    ids = [np.array([calc.intern(r) for r in space], dtype=np.int64)
-           for _, space in spaces]
+    names = [name for name, _ in ident.var_kinds]
+    ids = [np.array([calc.intern(r) for r in by_kind[kind]], dtype=np.int64)
+           for _, kind in ident.var_kinds]
     scan = rhs_k and not lhs_k
     least = 0
     checked = 0
-    for start in range(0, total, BATCH):
-        stop = min(start + BATCH, total)
-        digits = _digits(ids, np.arange(start, stop))
-        batch = _Batch(calc, {name: space[d] for name, space, d
-                              in zip(names, ids, digits)}, stop - start)
-        ok = np.ones(batch.n, dtype=bool)
+    for box in _boxes([len(space) for space in ids]):
+        # each variable's ids of the box, on an axis of its own
+        parts = [space[cut] for space, cut in zip(ids, box)]
+        batch = _Batch(calc, dict(zip(names, np.ix_(*parts))),
+                       tuple(map(len, parts)))
+        ok = True
         for c in ident.side_conditions:
-            ok &= calc.lift("<=", batch.eval(c.sub), batch.eval(c.sup))
-        rows = np.flatnonzero(ok)
+            ok = ok & calc.lift("<=", batch.eval(c.sub), batch.eval(c.sup))
+        rows = np.flatnonzero(batch.flat(ok))
         if not rows.size:
             continue
-        batch = batch.take(rows)
+        if rows.size < math.prod(batch.shape):
+            batch = batch.take(rows)
         # the batch is tried at m; the environments failing go on to m + 1,
         # or fail at k too once no alternation of the count moves any more
         pending, left = np.arange(rows.size), batch.eval(ident.lhs, k)
@@ -359,16 +377,17 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
         while True:
             batch.moving = False
             holds = calc.lift("<=", left, batch.eval(ident.rhs, m))
-            fails = np.flatnonzero(~holds)
+            fails = np.flatnonzero(~batch.flat(holds))
             if not fails.size:
                 break
-            pending, left = pending[fails], left[fails]
+            pending = pending[fails]
             if m == k or not batch.moving:
-                env = _digits(ids, start + int(rows[pending[0]]))
-                counterexample = {name: space[i] for (name, space), i
-                                  in zip(spaces, env)}
+                counterexample = {
+                    name: calc.rels[int(batch.flat(col)[fails[0]])]
+                    for name, col in batch.cols.items()}
                 return ConcreteResult(False, counterexample,
                                       checked + int(pending[0]) + 1)
+            left = batch.flat(left)[fails]
             batch = batch.take(fails)
             m += 1
         least = m
@@ -376,14 +395,27 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     return ConcreteResult(True, None, checked, least if scan else None)
 
 
-def _digits(ids: list[np.ndarray], env):
-    """Each variable's index into its space for environment number(s)
-    ``env`` of the product order (the last variable varies fastest)."""
-    out = []
-    for space in reversed(ids):
-        env, digit = divmod(env, len(space))
-        out.append(digit)
-    return out[::-1]
+def _boxes(sizes: list[int]):
+    """The blocks of the product of ranges of ``sizes``, in product order
+    (the last axis varies fastest), as a slice per axis.  Each block holds
+    at most ``BATCH`` environments and is a box: the leading axes fixed,
+    one axis cut into a run, the trailing axes whole, so it is a
+    contiguous range of the order."""
+    split, tail = len(sizes), 1
+    while split and tail * sizes[split - 1] <= BATCH:
+        split -= 1
+        tail *= sizes[split]
+    whole = tuple(slice(0, n) for n in sizes[split:])
+    if not split:
+        yield whole
+        return
+    # the axis cut into runs is the last of the others
+    *lead, n = sizes[:split]
+    step = BATCH // tail
+    for fixed in itertools.product(*map(range, lead)):
+        for lo in range(0, n, step):
+            yield (*(slice(d, d + 1) for d in fixed),
+                   slice(lo, min(lo + step, n)), *whole)
 
 
 def _check_k(ident: Identity, k: int | None, symbolic: bool) -> None:
@@ -555,8 +587,10 @@ def context_for(a: FiniteAlgebra, ctx: PWContext | None = None,
         raise CheckError("caps given beside a context, which keeps the "
                          "caps it was built with")
     if ctx.algebra != a:
-        raise CheckError(f"context built for {ctx.algebra.name!r}, not for "
-                         f"{a.name!r}")
+        raise CheckError(
+            f"context built for another algebra with the same name "
+            f"{a.name!r}" if ctx.algebra.name == a.name else
+            f"context built for {ctx.algebra.name!r}, not for {a.name!r}")
     return ctx
 
 

@@ -126,7 +126,7 @@ _SIDE_SHARE = 1 / 8
 # overflows.  The corpus reports' levels and those of term searches on
 # random small algebras measured at most 166 times their room, except
 # F(lattice2, 6)'s refused one, 12,367 times, which its sample proves after
-# 7,703 of its 2.85 M draws; a sample that proves nothing costs at most
+# 7,749 of its 2.85 M draws; a sample that proves nothing costs at most
 # this share
 _SAMPLE_SHARE = 1 / 512
 # a closure level counts its new elements first when the count's rows are at
@@ -454,9 +454,7 @@ class _Builder:
         self._dense = (np.zeros(1 << bits, dtype=bool)
                        if self.width == 1 and bits <= 16 else None)
         self.rows = np.empty((self.width, 256), dtype=dtype)
-        rng = np.random.default_rng(0x5EED_0F0D)
-        self.weights = (rng.integers(1, 2 ** 63, size=self.width,
-                                     dtype=np.uint64) * 2 + 1)
+        self.weights = _Stream(0x5EED_0F0D).words(self.width) | np.uint64(1)
         # padded tail bits of each plane's last word must stay zero after
         # every op; None when the planes have no padding
         tail = c % bits
@@ -1038,11 +1036,11 @@ def _sample_overflows(builder: _Builder, ops, apps, old: int, size: int,
     if budget <= room:
         return False
     tally = _NewCount(builder, size, g, swaps() if swaps else None)
-    rng = np.random.default_rng(0)
+    stream = _Stream(0)
     drawn, m = 0, max(1, -(-room // tally.weight))
     while drawn < budget:
         m = min(m, builder.chunk, budget - drawn)
-        for rows in _sampled_rows(builder, ops, apps, old, rng, m):
+        for rows in _sampled_rows(builder, ops, apps, old, stream, m):
             if tally.add(rows) > room:
                 return True
         drawn += m
@@ -1052,19 +1050,57 @@ def _sample_overflows(builder: _Builder, ops, apps, old: int, size: int,
     return False
 
 
-def _sampled_rows(builder: _Builder, ops, apps, old: int, rng, m: int):
+def _sampled_rows(builder: _Builder, ops, apps, old: int, stream: _Stream,
+                  m: int):
     """The rows of ``m`` candidates of the closure level on the frontier
-    ``[old, builder.n)``, drawn by ``rng`` as :func:`_sample_overflows`
+    ``[old, builder.n)``, drawn from ``stream`` as :func:`_sample_overflows`
     describes, one array per operation drawn."""
     total = builder.n
-    share = np.array(apps, dtype=float) / sum(apps)
-    for (_, ar, program, _), k in zip(ops, rng.multinomial(m, share)):
+    for (_, ar, program, _), k in zip(ops, stream.counts(m, apps)):
         if k:
-            args = rng.integers(0, total, size=(ar, k))
-            args[rng.integers(0, ar, size=k), np.arange(k)] = rng.integers(
-                old, total, size=k)
+            args = stream.integers(0, total, (ar, k))
+            args[stream.integers(0, ar, k), np.arange(k)] = stream.integers(
+                old, total, k)
             yield _run_op(builder, program,
                           [np.take(builder.rows, x, axis=1) for x in args])
+
+
+class _Stream:
+    """A fixed stream of 64-bit words, splitmix64 of a counter (Steele, Lea
+    and Flood, OOPSLA 2014) in numpy's wrapping uint64 arithmetic: the
+    sample and the fingerprint weights need no ``numpy.random``, whose
+    import costs about 5 MB."""
+
+    def __init__(self, seed: int):
+        self.seed, self.drawn = np.uint64(seed), 0
+
+    def words(self, n: int) -> np.ndarray:
+        x = np.arange(self.drawn + 1, self.drawn + n + 1, dtype=np.uint64)
+        self.drawn += n
+        x = x * np.uint64(0x9E3779B97F4A7C15) + self.seed
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    def units(self, shape) -> np.ndarray:
+        """Floats in [0, 1) of the given shape, the top 53 bits of words."""
+        x = self.words(int(np.prod(shape))) >> np.uint64(11)
+        return (x.astype(float) * 2.0 ** -53).reshape(shape)
+
+    def integers(self, lo: int, hi: int, shape) -> np.ndarray:
+        """Integers in ``[lo, hi)`` of the given shape, each uniform up to
+        a bias below (hi - lo) / 2**53."""
+        return (self.units(shape) * (hi - lo)).astype(np.int64) + lo
+
+    def counts(self, m: int, weights) -> np.ndarray:
+        """How often each index is drawn in ``m`` draws, each drawing index
+        i in proportion to ``weights[i]``."""
+        ends = np.cumsum(np.array(weights, dtype=float))
+        # a unit times the last end rounds to below it, so no index of
+        # weight 0 is drawn
+        return np.bincount(np.searchsorted(ends, self.units(m) * ends[-1],
+                                           side="right"),
+                           minlength=ends.size)
 
 
 def _collect(builder: _Builder, seen: _Builder, rows: np.ndarray):

@@ -5,6 +5,7 @@ from modbench.chains import (ALVIN, DAY, GUMM, JONSSON, ChainError,
                              search_day, search_gumm, search_jonsson,
                              verify_chain)
 from modbench.checks import CheckError, PWContext, pw_check
+from modbench.algebras import FiniteAlgebra, Signature
 from modbench.catalog import get_entry
 from modbench.free import App, CapExceeded, Var
 
@@ -227,6 +228,15 @@ def test_scan_limit_is_inclusive(lattice2, pw_context):
 def test_context_for_another_algebra_is_refused(z2, lattice2):
     with pytest.raises(CheckError, match="'lattice2', not for 'z2'"):
         search_day(z2, ctx=PWContext(lattice2))
+
+
+def test_context_for_another_algebra_of_the_same_name_is_refused():
+    # two tables under one name: the message does not name 'x' twice
+    a, b = (FiniteAlgebra("x", 2, Signature((("f", 1),)), {"f": table})
+            for table in ([0, 1], [1, 0]))
+    with pytest.raises(CheckError, match="^context built for another "
+                       "algebra with the same name 'x'$"):
+        search_gumm(b, ctx=PWContext(a))
 
 
 def test_caps_beside_a_context_are_refused(lattice2):

@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import math
 import random
 import time
 from unittest import mock
@@ -13,8 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from modbench import checks
 from modbench.algebras import FiniteAlgebra, Signature, parse_algebra
 from modbench.catalog import ALGEBRA, CATALOG, VARIETY, get_entry
-from modbench.checks import (Bound, CheckError, PWConfig, PWContext,
-                             PWGrammarError, check_concrete,
+from modbench.checks import (Bound, CheckError, ConcreteResult, PWConfig,
+                             PWContext, PWGrammarError, check_concrete,
                              enumerate_relations, eval_expr, pw_analyze,
                              pw_check, spectrum, walk_scan)
 from modbench.dsl import (AltE, ComposeE, ConvE, DslError, GenE, Identity, K,
@@ -547,8 +548,8 @@ def test_symbolic_count_on_both_sides_is_not_scanned(chain3):
 @pytest.mark.parametrize("name", ["z2", "semilattice2", "lattice2",
                                   "pixley3"])
 def test_batch_size_changes_no_output(corpus, monkeypatch, name):
-    # one batch by default on these algebras; sizes 1 and 7 split every
-    # check, so counterexamples and the running least k cross batches
+    # one batch by default on these algebras; sizes 1, 7 and 26 split
+    # every check, so counterexamples and the running least k cross batches
     a = corpus[name]
 
     def results():
@@ -557,7 +558,7 @@ def test_batch_size_changes_no_output(corpus, monkeypatch, name):
                 for family in ALGEBRA_FAMILIES for k in (0, 1, 4)}
 
     want = results()
-    for size in (1, 7):
+    for size in (1, 7, 26):
         monkeypatch.setattr(checks, "BATCH", size)
         assert results() == want, size
 
@@ -574,21 +575,63 @@ def _small_algebras(draw):
     return FiniteAlgebra(f"hyp{size}", size, Signature(ops), tables)
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=_small_algebras(), family=st.sampled_from(ALGEBRA_FAMILIES),
+# every algebra-level family, ED and AG with side conditions, a symbolic
+# count on both sides, and a declared variable that no side uses
+_ORACLE_IDENTITIES = [
+    *(get_entry(family).identity() for family in ALGEBRA_FAMILIES),
+    parse_identity("adm R S; pow(R, k) & S <= alt(S, R, k)"),
+    parse_identity("cong a b; adm R; a & R <= pow(a & R, k)")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_small_algebras(), ident=st.sampled_from(_ORACLE_IDENTITIES),
        k=st.integers(0, 2))
-def test_batch_sizes_agree_with_the_oracle_on_random_algebras(a, family, k):
-    ident = get_entry(family).identity()
+def test_batch_sizes_agree_with_the_oracle_on_random_algebras(a, ident, k):
+    # batches of 1, 7 and 26 cut blocks whose split variable covers part of
+    # its axis; the oracle walks every assignment in Python
     spaces = [len(enumerate_relations(a, kind)) for _, kind in
               ident.var_kinds]
-    # the oracle walks every assignment in Python
-    assume(np.prod(spaces, dtype=object) <= 4096)
-    got = check_concrete(a, ident, k=k)
-    for size in (1, 7):
+    assume(math.prod(spaces) <= 4096)
+    holds, env, checked = _oracle_check(a, ident, k)
+    scanned = has_symbolic(ident.rhs) and not has_symbolic(ident.lhs)
+    least = (next(m for m in range(k + 1) if _oracle_check(a, ident, m)[0])
+             if holds and scanned else None)
+    for size in (1, 7, 26, checks.BATCH):
         with mock.patch.object(checks, "BATCH", size):
-            assert check_concrete(a, ident, k=k) == got, size
-    assert (got.holds, got.counterexample, got.envs_checked) == \
-        _oracle_check(a, ident, k)
+            got = check_concrete(a, ident, k=k)
+        assert (got.holds, got.counterexample, got.envs_checked,
+                got.least_k) == (holds, env, checked, least), size
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), max_size=4),
+       batch=st.integers(1, 300))
+def test_boxes_cover_the_product_in_order(sizes, batch):
+    # each block is a box of at most BATCH environments, and the blocks'
+    # environments, flattened in turn, are the product order
+    grid = np.arange(math.prod(sizes)).reshape(sizes)
+    seen = []
+    with mock.patch.object(checks, "BATCH", batch):
+        for box in checks._boxes(sizes):
+            block = grid[box].reshape(-1)
+            assert block.size <= batch
+            seen.extend(block.tolist())
+    assert seen == list(range(grid.size))
+
+
+def test_a_variable_no_side_uses_multiplies_the_assignments(chain3):
+    # b is declared and never used: each of its 4 congruences repeats
+    # every (a, R), 4 * 4 * 25 assignments in all
+    ident = parse_identity("cong a b; adm R; a & R <= pow(a & R, k)")
+    for size in (1, 7, 26, checks.BATCH):
+        with mock.patch.object(checks, "BATCH", size):
+            held = check_concrete(chain3, ident, k=1)
+            failed = check_concrete(chain3, ident, k=0)
+        assert (held.holds, held.envs_checked, held.least_k) == \
+            (True, 400, 1), size
+        assert (failed.holds, failed.envs_checked) == (False, 105), size
+        assert (False, failed.counterexample, 105) == \
+            _oracle_check(chain3, ident, 0), size
 
 
 def _counting(monkeypatch):
@@ -701,11 +744,13 @@ def test_a_batch_of_alternations_stops_at_its_fixed_point(a, data):
     # the batch stops once two steps in a row change no environment's id,
     # so an environment fixed early waits for the others.  A relation on at
     # most 3 elements has at most 9 pairs, and an alternation not yet fixed
-    # gains one every two factors, so 40 factors are past every fixed point
+    # gains one every two factors, so 40 factors are past every fixed point.
+    # The batch is a box, R on one axis and S on the other, so the first
+    # composition broadcasts and the fixed point compares broadcast ids
     adm = enumerate_relations(a, ADMISSIBLE)
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(adm),
-                                         st.sampled_from(adm)),
-                               min_size=2, max_size=8))
+    rs, ss = (data.draw(st.lists(st.sampled_from(adm), min_size=1,
+                                 max_size=3)) for _ in "RS")
+    pairs = list(itertools.product(rs, ss))
 
     def fixed_at(r, s):
         m = 1
@@ -717,11 +762,12 @@ def test_a_batch_of_alternations_stops_at_its_fixed_point(a, data):
     assume(len({fixed_at(r, s) for r, s in pairs}) > 1)
     calc = checks._Calculus(a)
     batch = checks._Batch(
-        calc, {v: np.array([calc.intern(p[i]) for p in pairs])
-               for i, v in enumerate("RS")}, len(pairs))
+        calc, {"R": np.array([calc.intern(r) for r in rs]).reshape(-1, 1),
+               "S": np.array([calc.intern(s) for s in ss]).reshape(1, -1)},
+        (len(rs), len(ss)))
     for m in (*range(41), 10 ** 9):
-        got = batch.eval(AltE(VarE("R"), VarE("S"), m))
-        for (r, s), i in zip(pairs, got.tolist()):
+        got = batch.flat(batch.eval(AltE(VarE("R"), VarE("S"), m)))
+        for (r, s), i in zip(pairs, got.tolist(), strict=True):
             want = rel_alt(r, s, min(m, 40)) if m else BinRel.identity(a.size)
             assert calc.rels[i] == want, m
 
@@ -748,6 +794,15 @@ def test_identity_without_variables_is_one_empty_environment(chain3):
     # an empty environment evaluates what needs no variable
     assert eval_expr(chain3, AltE(VarE("x"), VarE("y"), 0), {}) == \
         BinRel.identity(3)
+    # sides that need no variable are one assignment, at any batch
+    for rhs, k, least in ((AltE(VarE("x"), VarE("y"), 0), None, None),
+                          (AltE(VarE("x"), VarE("y"), K), 3, 0)):
+        object.__setattr__(ident, "lhs", AltE(VarE("x"), VarE("y"), 0))
+        object.__setattr__(ident, "rhs", rhs)
+        for size in (1, checks.BATCH):
+            with mock.patch.object(checks, "BATCH", size):
+                assert check_concrete(chain3, ident, k=k) == \
+                    ConcreteResult(True, None, 1, least)
 
 
 def test_chain3_agai_beyond_the_oracle(chain3):

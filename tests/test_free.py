@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -759,7 +762,7 @@ def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
     # of that level.  It counts the keys of its rows, so only the levels'
     # own 246,512 candidate rows reach new_rows (572,398 when the sample's
     # rows went there too), and no scratch builder is made.  It weighs each
-    # orbit of 720 rows at once, so it runs 7,703 rows (196,608 when it
+    # orbit of 720 rows at once, so it runs 7,749 rows (196,608 when it
     # counted keys alone)
     real_run, real_sample = free._run_op, free._sample_overflows
     real_new, real_init = free._Builder.new_rows, free._Builder.__init__
@@ -800,6 +803,34 @@ def test_lattice2_f6_is_refused_at_a_level_boundary(monkeypatch, lattice2):
     assert not any(in_sample for in_sample, _ in checked)
     assert sum(m for _, m in checked) <= 250_000
     assert len(made) == 1
+
+
+def test_builds_and_samples_import_no_numpy_random():
+    # the fingerprint weights and the overflow sample draw from
+    # free._Stream, so a process that builds F(z2, 3) and has the sample
+    # refuse F(lattice2, 6) never loads numpy.random, about 5 MB of memory
+    code = """if True:
+        import importlib.resources, sys
+        from modbench.algebras import parse_algebra
+        from modbench.free import CapExceeded, build_free
+
+        def load(name):
+            path = importlib.resources.files("modbench") / "data" / name
+            return parse_algebra(path.read_text())
+
+        print(build_free(load("z2.alg"), 3).n_elements)
+        try:
+            build_free(load("lattice2.alg"), 6)
+        except CapExceeded as exc:
+            print(exc.elements_reached)
+        print("numpy.random" in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(free.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["8", "156251", "False"]
 
 
 @pytest.mark.parametrize("name, g, room, throughout", [
@@ -854,10 +885,10 @@ def _sample_counts(a, g, **caps):
 
     def sample(builder, ops, apps, old, size, g, swaps):
         tally = free._NewCount(builder, size, g, swaps() if swaps else None)
-        rng = np.random.default_rng(builder.n)
+        stream = free._Stream(builder.n)
         draws = sum(apps)
         for done in range(0, draws, builder.chunk):
-            for rows in free._sampled_rows(builder, ops, apps, old, rng,
+            for rows in free._sampled_rows(builder, ops, apps, old, stream,
                                            min(builder.chunk, draws - done)):
                 tally.add(rows)
         starts.append(builder.n)
