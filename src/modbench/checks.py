@@ -9,9 +9,9 @@ Two routes:
   interned relation ids lie on an axis of their own, and a subexpression
   is computed over the product of its own variables' axes only.  Each
   operation keeps a table of its results by operand, so a block's results
-  are one gather, and the scalar calculus runs once per argument the table
-  still lacks.  For relation variables this is algebra-level evidence, not
-  a variety-wide verdict.
+  are one gather, and the cells the table still lacks are computed together
+  on packed bit rows.  For relation variables this is algebra-level
+  evidence, not a variety-wide verdict.
 
 * ``pw_check`` decides congruence-variable inclusions for the whole
   generated variety: one free generator per node of the left-hand chain
@@ -40,9 +40,15 @@ from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
 from .dsl import meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
-from .relations import (CONGRUENCE, KIND_LEVEL, BinRel, GuardExceeded,
-                        RelationError, compose, enumerate_relations, generate,
-                        is_compatible, meet, union)
+from .relations import (CONGRUENCE, KIND_LEVEL, WORD, BinRel, GuardExceeded,
+                        RelationError, converse_packed,
+                        enumerate_relations, generate, included_packed,
+                        is_compatible, pack, unpack)
+# the calculus's own names for the packed kernels, under which it calls
+# them
+from .relations import compose_packed as compose
+from .relations import meet_packed as meet
+from .relations import union_packed as union
 
 
 class CheckError(ValueError):
@@ -90,7 +96,7 @@ class _Table:
 
     def __init__(self, dtype):
         self.pos = [np.full(16, -1, np.int64), np.full(16, -1, np.int64)]
-        self.ids: list[list[int]] = [[], []]
+        self.ids = [np.zeros(0, np.int64), np.zeros(0, np.int64)]
         self.res = np.full((1, 1), -1, dtype)
 
     def place(self, side: int, x: np.ndarray, n_ids: int) -> np.ndarray:
@@ -103,10 +109,9 @@ class _Table:
             pos = self.pos[side] = grown
         p = pos.take(x)
         if p.min() < 0:
-            new = _distinct(x[p < 0])
-            ids = self.ids[side]
-            pos[new] = np.arange(len(ids), len(ids) + new.size)
-            ids.extend(new.tolist())
+            new, ids = _distinct(x[p < 0]), self.ids[side]
+            pos[new] = np.arange(ids.size, ids.size + new.size)
+            self.ids[side] = np.concatenate([ids, new])
             p = pos.take(x)
         return p
 
@@ -128,29 +133,55 @@ class _Calculus:
     """The relations of one algebra met during one call, interned as ids,
     and the calculus on arrays of ids.
 
+    Each relation is held as the bytes of its packed rows, keyed to its id.
     Each operation keeps a ``_Table`` of its results.  An operation on a
-    batch gathers the operands' positions and then the results in one
-    step each; the results still missing are computed once each with the
-    scalar ``compose``, ``meet``, ``generate`` ... and written to the
-    table.  An alternation is a chain of lifted compositions, so it reads
-    and writes the composition table.  Only what the call meets is
-    computed, so nothing is tabulated in advance and |A| is not bounded.
+    batch gathers the operands' positions and then the results in one step
+    each.  The cells still missing are computed together: their operands
+    are gathered as one uint64 array of shape (cells, |A|, ceil(|A| / 64)),
+    one packed-row step (``compose``, ``meet``, ...) runs over all of them,
+    and each distinct result is interned once.  ``generate`` runs one
+    closure per missing cell.  An alternation is a chain of lifted
+    compositions, so it reads and writes the composition table.  Only what
+    the call meets is computed, so nothing is tabulated in advance and |A|
+    is not bounded; a ``BinRel`` is made only for a relation read through
+    ``rel``.
     """
 
     def __init__(self, a: FiniteAlgebra):
         self.a = a
-        self.rels: list[BinRel] = []
-        self._ids: dict[tuple, int] = {}
+        # packed rows -> id, and each id's packed rows
+        self._ids: dict[bytes, int] = {}
+        self._keys: list[bytes] = []
         # operation -> its results
         self._tables: dict = {}
-        self.identity = self.intern(BinRel.identity(a.size))
+        self.identity = int(self.intern([BinRel.identity(a.size)])[0])
 
-    def intern(self, rel: BinRel) -> int:
-        i = self._ids.get(rel.rows)
-        if i is None:
-            i = self._ids[rel.rows] = len(self.rels)
-            self.rels.append(rel)
-        return i
+    def intern(self, rels) -> np.ndarray:
+        """The ids of a nonempty list of relations."""
+        return self._intern(pack(rels, self.a.size))
+
+    def _intern(self, stack: np.ndarray) -> np.ndarray:
+        """The ids of a nonempty stack of packed relations."""
+        data, width = stack.tobytes(), stack[0].nbytes
+        ids, keys, out = self._ids, self._keys, []
+        for lo in range(0, len(data), width):
+            key = data[lo:lo + width]
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(keys)
+                keys.append(key)
+            out.append(i)
+        return np.array(out, np.int64)
+
+    def rel(self, i: int) -> BinRel:
+        """The relation of id ``i``."""
+        return unpack(self._keys[i], self.a.size)
+
+    def _rows(self, ids: np.ndarray) -> np.ndarray:
+        """The packed rows of the relations ``ids``."""
+        n = self.a.size
+        data = b"".join(map(self._keys.__getitem__, ids.tolist()))
+        return np.frombuffer(data, WORD).reshape(-1, n, -(-n // 64))
 
     def lift(self, op, x: np.ndarray, y: np.ndarray | None = None):
         """``op`` applied to each environment's ids ``x`` (and ``y``).
@@ -158,14 +189,14 @@ class _Calculus:
         ``op`` is ``"o"``, ``"&"``, ``"|"``, ``"<="`` or ``"conv"``, or a
         relation kind (``generate``).  A unary ``op`` takes ``x`` as its
         right operand.  The results are gathered from ``op``'s table; the
-        cells still empty are computed once each, then gathered again.
+        cells still empty are computed together, then gathered again.
         """
-        t, n_ids = self._tables.get(op), len(self.rels)
+        t, n_ids = self._tables.get(op), len(self._keys)
         if t is None:
             t = self._tables[op] = _Table(np.int8 if op == "<=" else np.int32)
         if y is None:
-            if not t.ids[0]:
-                t.ids[0].append(0)
+            if not t.ids[0].size:
+                t.ids[0] = np.zeros(1, np.int64)
             left, right = 0, t.place(1, x, n_ids)
         else:
             left, right = t.place(0, x, n_ids), t.place(1, y, n_ids)
@@ -173,29 +204,26 @@ class _Calculus:
         cells = left * t.res.shape[1] + right
         out = t.res.take(cells)
         if out.min() < 0:
-            flat, cols = t.res.reshape(-1), t.res.shape[1]
-            for cell in _distinct(cells[out < 0]).tolist():
-                i, j = divmod(cell, cols)
-                flat[cell] = self._compute(op, t.ids[0][i], t.ids[1][j])
+            flat = t.res.reshape(-1)
+            todo = _distinct(cells[out < 0])
+            i, j = np.divmod(todo, t.res.shape[1])
+            flat[todo] = self._compute(op, t.ids[0][i], t.ids[1][j])
             out = flat.take(cells)
         return out > 0 if op == "<=" else out
 
-    def _compute(self, op, i: int, j: int):
-        """``op`` of ids ``i`` and ``j``; a unary ``op`` takes ``j``."""
-        r, s = self.rels[i], self.rels[j]
+    def _compute(self, op, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``op`` of each pair of ids ``i[c]`` and ``j[c]``, as ids, or for
+        ``"<="`` as whether it holds; a unary ``op`` takes ``j``."""
+        if op in KIND_LEVEL:
+            return self.intern([generate(self.a, self.rel(c).pairs(), op)
+                                for c in j.tolist()])
+        s = self._rows(j)
+        if op == "conv":
+            return self._intern(converse_packed(s))
+        r = self._rows(i)
         if op == "<=":
-            return r <= s
-        if op == "o":
-            rel = compose(r, s)
-        elif op == "&":
-            rel = meet(r, s)
-        elif op == "|":
-            rel = union(r, s)
-        elif op == "conv":
-            rel = s.converse()
-        else:
-            rel = generate(self.a, s.pairs(), op)
-        return self.intern(rel)
+            return included_packed(r, s)
+        return self._intern({"o": compose, "&": meet, "|": union}[op](r, s))
 
 
 class _Batch:
@@ -287,8 +315,8 @@ def eval_expr(a: FiniteAlgebra, e, env: dict[str, BinRel],
                     f"variable {name} bound to a relation that is not "
                     f"{kind}")
     calc = _Calculus(a)
-    cols = {name: np.array([calc.intern(rel)]) for name, rel in env.items()}
-    return calc.rels[int(_Batch(calc, cols, (1,)).eval(e)[0])]
+    cols = {name: calc.intern([rel]) for name, rel in env.items()}
+    return calc.rel(int(_Batch(calc, cols, (1,)).eval(e)[0]))
 
 
 # The most variable assignments one concrete check enumerates.
@@ -352,8 +380,8 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
                                 f"exceed the cap {MAX_ENVS}")
     calc = _Calculus(a)
     names = [name for name, _ in ident.var_kinds]
-    ids = [np.array([calc.intern(r) for r in by_kind[kind]], dtype=np.int64)
-           for _, kind in ident.var_kinds]
+    interned = {kind: calc.intern(rels) for kind, rels in by_kind.items()}
+    ids = [interned[kind] for _, kind in ident.var_kinds]
     scan = rhs_k and not lhs_k
     least = 0
     checked = 0
@@ -383,7 +411,7 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
             pending = pending[fails]
             if m == k or not batch.moving:
                 counterexample = {
-                    name: calc.rels[int(batch.flat(col)[fails[0]])]
+                    name: calc.rel(int(batch.flat(col)[fails[0]]))
                     for name, col in batch.cols.items()}
                 return ConcreteResult(False, counterexample,
                                       checked + int(pending[0]) + 1)

@@ -187,6 +187,88 @@ def transitive_closure(r: BinRel) -> BinRel:
     return r
 
 
+# -- packed rows -------------------------------------------------------------
+#
+# A stack of k relations on n elements as a uint64 array of shape
+# (k, n, ceil(n / 64)): bit j of row i is bit j % 64 of word j // 64, words
+# little-endian, so a row's bytes are its Python integer's.  The calculus
+# below runs on whole stacks, pair by pair: r[c] with s[c].
+
+WORD = np.dtype("<u8")
+
+
+def pack(rels, n: int) -> np.ndarray:
+    """The packed rows of relations on ``n`` elements."""
+    if n <= 64:
+        # a row is one word: numpy converts the row integers in one step
+        return np.array([rel.rows for rel in rels], WORD).reshape(-1, n, 1)
+    width = 8 * -(-n // 64)
+    data = b"".join(row.to_bytes(width, "little")
+                    for rel in rels for row in rel.rows)
+    return np.frombuffer(data, WORD).reshape(-1, n, width // 8)
+
+
+def unpack(data: bytes, n: int) -> BinRel:
+    """The relation on ``n`` elements of one packed relation's bytes, which
+    must be reflexive."""
+    width = len(data) // n
+    return BinRel._of(n, tuple(int.from_bytes(data[lo:lo + width], "little")
+                               for lo in range(0, len(data), width)))
+
+
+def _bits(r: np.ndarray, n: int) -> np.ndarray:
+    """The packed rows of a stack as 0/1 uint8 rows of ``n`` columns."""
+    return np.unpackbits(np.ascontiguousarray(r).view(np.uint8), axis=-1,
+                         count=n, bitorder="little")
+
+
+# the most words of selected rows one step of ``compose_packed`` holds
+_COMPOSE_WORDS = 1 << 16
+
+
+def compose_packed(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """r o s for each pair: row a of the result ORs the rows of ``s`` that
+    row a of ``r`` selects.  A step selects the rows for a block of pairs
+    and of rows of ``r`` at once, and ORs them in one reduction."""
+    k, n, words = r.shape
+    out = np.empty_like(s)
+    rows = max(1, min(n, _COMPOSE_WORDS // (n * words)))
+    pairs = max(1, _COMPOSE_WORDS // (n * rows * words))
+    for lo in range(0, k, pairs):
+        # axes: row b of s, pair, -, word
+        right = s[lo:lo + pairs].transpose(1, 0, 2)[:, :, None]
+        for top in range(0, n, rows):
+            # axes: column b of r, pair, row a of r
+            sel = np.ascontiguousarray(
+                _bits(r[lo:lo + pairs, top:top + rows], n).transpose(2, 0, 1))
+            np.bitwise_or.reduce(sel[..., None] * right, axis=0,
+                                 out=out[lo:lo + pairs, top:top + rows])
+    return out
+
+
+def meet_packed(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return r & s
+
+
+def union_packed(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return r | s
+
+
+def converse_packed(r: np.ndarray) -> np.ndarray:
+    """The converse of each relation: its bit matrix transposed."""
+    k, n, words = r.shape
+    out = np.zeros((k, n, 8 * words), np.uint8)
+    packed = np.packbits(_bits(r, n).swapaxes(1, 2), axis=-1,
+                         bitorder="little")
+    out[:, :, :packed.shape[2]] = packed
+    return out.view(WORD)
+
+
+def included_packed(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Whether r <= s, for each pair."""
+    return ~(r & ~s).any(axis=(1, 2))
+
+
 # -- compatibility and generation ------------------------------------------
 
 
@@ -310,35 +392,63 @@ def all_congruences(a: FiniteAlgebra, cap: int = 12) -> list[BinRel]:
     return sorted(_congruences(a, cap), key=lambda r: r.rows)
 
 
+# the most joins ``_congruences`` closes in one block
+_JOIN_BLOCK = 2048
+
+
 def _congruences(a: FiniteAlgebra, cap: int = 12):
     """The congruences of ``a`` as the join closure of the principal
-    congruences finds them: the identity and the principal ones first.
-    Refused (``GuardExceeded``) past ``cap`` elements."""
+    congruences finds them: the identity and the principal ones first,
+    then each new join of a frontier congruence with a principal one, in
+    order of the frontier and then of the principal congruences.
+    Refused (``GuardExceeded``) past ``cap`` elements.
+
+    A block of frontier congruences is joined with every principal one at
+    once: the unions are ORed and the whole block squared until no row
+    changes.  A block holds about ``_JOIN_BLOCK`` joins, so a listing
+    stopped early computes at most that many past its last congruence.
+    """
     if a.size > cap:
         raise GuardExceeded(
             f"congruence lattice guard: size {a.size} exceeds cap {cap}")
-    ident = BinRel.identity(a.size)
+    n = a.size
+    ident = BinRel.identity(n)
     found = {ident.rows: ident}
     principal = []
-    for x in range(a.size):
-        for y in range(x + 1, a.size):
+    for x in range(n):
+        for y in range(x + 1, n):
             c = _congruence_from_pairs(a, [(x, y)])
             principal.append(c)
             found[c.rows] = c
     yield from found.values()
-    frontier = list(found.values())
-    while frontier:
+    if len(principal) < 2:
+        # the join of one principal congruence with itself is no new one
+        return
+    frontier, joined = pack(found.values(), n), pack(principal, n)
+    seen = {rows.tobytes() for rows in frontier}
+    step = max(1, _JOIN_BLOCK // len(principal))
+    shape, width = joined.shape[1:], joined[0].nbytes
+    while len(frontier):
         nxt = []
-        for c in frontier:
-            for p in principal:
-                # a join of congruences, without cong_join's checks that
-                # its arguments and its result are congruences
-                j = transitive_closure(union(c, p))
-                if j.rows not in found:
-                    found[j.rows] = j
-                    nxt.append(j)
-                    yield j
-        frontier = nxt
+        for lo in range(0, len(frontier), step):
+            data = _closed((frontier[lo:lo + step, None] | joined)
+                           .reshape(-1, *shape)).tobytes()
+            for at in range(0, len(data), width):
+                key = data[at:at + width]
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(key)
+                    yield unpack(key, n)
+        frontier = np.frombuffer(b"".join(nxt), WORD).reshape(-1, *shape)
+
+
+def _closed(x: np.ndarray) -> np.ndarray:
+    """Each relation of the stack ``x`` closed transitively: the whole
+    stack is squared until no row changes."""
+    square = compose_packed(x, x)
+    while not np.array_equal(square, x):
+        x, square = square, compose_packed(square, square)
+    return x
 
 
 def enumerate_relations(a: FiniteAlgebra, kind: str,

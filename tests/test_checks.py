@@ -494,6 +494,28 @@ def _assert_matches_oracle(a, family, cap):
             assert got.least_k is None
 
 
+# expressions over R, S and T that use every operation of the calculus
+_WIDE_EXPRESSIONS = ("R o S", "R & conv(S)", "alt(R, S, 4)",
+                     "pow(T, 3) & (R o conv(S))", "gen_adm(R, S)",
+                     "gen_tol(R o T)", "gen_cong(R & S, T)",
+                     "conv(R o S) o T & alt(conv(T), S, 0)")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from((65, 100, 130)), seed=st.integers(0, 2 ** 32 - 1),
+       text=st.sampled_from(_WIDE_EXPRESSIONS))
+def test_eval_expr_matches_the_oracle_past_one_word(n, seed, text):
+    # relations of two and three 64-bit words per row, about two pairs a
+    # row so that compositions stay sparse, on a random unary algebra
+    rng = np.random.default_rng(seed)
+    a = FiniteAlgebra("wide", n, Signature((("f", 1),)),
+                      {"f": rng.integers(0, n, n).tolist()})
+    env = {name: BinRel.from_pairs(n, rng.integers(0, n, (2 * n, 2)))
+           for name in "RST"}
+    e = parse_identity(f"adm R S T; {text} <= R").lhs
+    assert eval_expr(a, e, env) == _oracle_eval(a, e, env)
+
+
 @st.composite
 def _two_element_algebras(draw):
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
@@ -635,8 +657,10 @@ def test_a_variable_no_side_uses_multiplies_the_assignments(chain3):
 
 
 def _counting(monkeypatch):
-    """Wrap the scalar calculus the concrete checker calls; each call
-    appends its operation and arguments to the list returned."""
+    """Wrap the calculus the concrete checker calls: the packed kernels,
+    which take a stack of operand pairs per call, and the scalar
+    ``generate``.  Each cell computed appends its operation and arguments
+    to the list returned."""
     seen = []
     for name in ("compose", "meet", "union", "generate"):
         def wrapper(*args, _name=name, _fn=getattr(checks, name)):
@@ -644,7 +668,8 @@ def _counting(monkeypatch):
                 args = (args[0], tuple(args[1]), args[2])
                 seen.append((_name, args[1:]))
             else:
-                seen.append((_name, tuple(r.rows for r in args)))
+                seen.extend((_name, tuple(map(np.ndarray.tobytes, cell)))
+                            for cell in zip(*args, strict=True))
             return _fn(*args)
         monkeypatch.setattr(checks, name, wrapper)
     return seen
@@ -661,6 +686,8 @@ def test_distinct_is_np_unique(x, narrow):
 
 
 def test_each_distinct_argument_is_computed_once(chain3, monkeypatch):
+    # cells are counted over every batch of the packed kernels: no operand
+    # pair is computed twice, in one batch or across batches
     seen = _counting(monkeypatch)
     agai = get_entry("AGAI").identity()
     for run, want in (
@@ -704,7 +731,7 @@ def test_result_tables_grow_with_the_results_computed(monkeypatch):
     # 14,336 cells hold 2,476 results, where the 234 ids would index
     # 54,756 cells per operation
     assert cells <= 8 * computed
-    assert cells < len(calc.rels) ** 2
+    assert cells < len(calc._keys) ** 2
 
 
 def test_alternations_of_large_counts(chain3):
@@ -762,14 +789,14 @@ def test_a_batch_of_alternations_stops_at_its_fixed_point(a, data):
     assume(len({fixed_at(r, s) for r, s in pairs}) > 1)
     calc = checks._Calculus(a)
     batch = checks._Batch(
-        calc, {"R": np.array([calc.intern(r) for r in rs]).reshape(-1, 1),
-               "S": np.array([calc.intern(s) for s in ss]).reshape(1, -1)},
+        calc, {"R": calc.intern(rs).reshape(-1, 1),
+               "S": calc.intern(ss).reshape(1, -1)},
         (len(rs), len(ss)))
     for m in (*range(41), 10 ** 9):
         got = batch.flat(batch.eval(AltE(VarE("R"), VarE("S"), m)))
         for (r, s), i in zip(pairs, got.tolist(), strict=True):
             want = rel_alt(r, s, min(m, 40)) if m else BinRel.identity(a.size)
-            assert calc.rels[i] == want, m
+            assert calc.rel(i) == want, m
 
 
 def test_guard_message_of_a_huge_count(z2):

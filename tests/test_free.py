@@ -737,7 +737,18 @@ def test_corpus_refusals_do_not_depend_on_the_sample(corpus):
     # coordinates), one-word fingerprint rows (64) and multiword rows (243)
     sampled = {a.size ** g for (a, g, _), (_, f) in zip(cases, per[1]) if f}
     assert sampled == {32, 64, 243}
-    assert sum(f for _, f in per[2]) > len(cases) // 2
+    # a regression pin, not a property: which cases the fixed seed's sample
+    # refuses at share 1 moves with the random stream alone (three
+    # derivations of one draw contract refused 9, 10 and 11 of these 18).
+    # Re-pin it when the sample's draws change, once the outcomes above are
+    # seen to be unchanged
+    refused = [(a.name, g, caps["cap_entries"] // a.size ** g)
+               for (a, g, caps), (_, f) in zip(cases, per[2]) if f]
+    assert refused == [
+        ("lattice2", 4, 10), ("semilattice2", 5, 10), ("semilattice2", 5, 30),
+        ("lattice2", 5, 10), ("lattice2", 5, 6_250), ("lattice2", 6, 1_000),
+        ("lattice2", 6, 40_000), ("chain3", 4, 10), ("chain3", 4, 100),
+        ("chain3", 5, 100), ("chain3", 5, 6_250)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,6 +272,109 @@ def test_congruence_listing_matches_checked_joins(corpus):
         assert list(relations._congruences(a)) == want
         assert all_congruences(a) == sorted(want, key=lambda r: r.rows)
     assert len(want) == 877
+
+
+def _nested_join_closure(a):
+    """The congruences as a nested loop over the frontier and the principal
+    congruences finds them, one transitive closure per join: the order
+    that the block closure of ``relations._congruences`` keeps."""
+    ident = BinRel.identity(a.size)
+    found = {ident.rows: ident}
+    principal = []
+    for x in range(a.size):
+        for y in range(x + 1, a.size):
+            c = generate(a, [(x, y)], CONGRUENCE)
+            principal.append(c)
+            found[c.rows] = c
+    yield from found.values()
+    frontier = list(found.values())
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for p in principal:
+                j = transitive_closure(union(c, p))
+                if j.rows not in found:
+                    found[j.rows] = j
+                    nxt.append(j)
+                    yield j
+        frontier = nxt
+
+
+def _unary_identity(n):
+    return FiniteAlgebra(f"s{n}", n, Signature((("f", 1),)),
+                         {"f": list(range(n))})
+
+
+def _assert_nested_order(a):
+    want = list(_nested_join_closure(a))
+    assert list(relations._congruences(a)) == want
+    for limit in sorted({1, 2, 3, 7, 40, len(want) - 1, len(want),
+                         len(want) + 1}):
+        assert enumerate_relations(a, CONGRUENCE, limit) == sorted(
+            want[:limit], key=lambda r: r.rows), limit
+    return want
+
+
+@pytest.mark.parametrize("block", [1, 40, relations._JOIN_BLOCK])
+def test_block_joins_keep_the_nested_order(corpus, monkeypatch, block):
+    # s5 and s6: all 52 and 203 equivalence relations are congruences, so
+    # a block of 1 or 40 joins cuts every frontier into several blocks
+    monkeypatch.setattr(relations, "_JOIN_BLOCK", block)
+    for a in corpus.values():
+        _assert_nested_order(a)
+    assert [len(_assert_nested_order(_unary_identity(n)))
+            for n in (5, 6)] == [52, 203]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_small_algebras(), block=st.sampled_from((1, 5, 2048)))
+def test_block_joins_keep_the_nested_order_on_random_algebras(a, block):
+    with mock.patch.object(relations, "_JOIN_BLOCK", block):
+        _assert_nested_order(a)
+
+
+@st.composite
+def _packed_operands(draw):
+    """Pairs of reflexive relations on n elements, n about the 64-bit word
+    boundaries, each pair of one drawn density."""
+    n = draw(st.sampled_from((1, 2, 3, 63, 64, 65, 130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rel(density):
+        rows = rng.random((n, n)) < density
+        return BinRel(n, [int.from_bytes(np.packbits(row, bitorder="little")
+                                         .tobytes(), "little")
+                          for row in rows])
+
+    densities = draw(st.lists(st.sampled_from((0.0, 0.02, 0.1, 0.5)),
+                              min_size=1, max_size=5))
+    return n, [(rel(d), rel(d)) for d in densities]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_packed_operands(), words=st.sampled_from((1, 1_000, 1 << 16)))
+def test_packed_kernels_match_the_scalar_calculus(case, words):
+    # a step of one word composes one row of one pair at a time, and one of
+    # 1,000 words a few rows of a wide pair or many narrow pairs
+    n, pairs = case
+    rs, ss = [r for r, _ in pairs], [s for _, s in pairs]
+    r, s = relations.pack(rs, n), relations.pack(ss, n)
+    assert r.shape == (len(pairs), n, -(-n // 64))
+
+    def rels(stack):
+        return [relations.unpack(rows.tobytes(), n) for rows in stack]
+
+    assert rels(r) == rs
+    with mock.patch.object(relations, "_COMPOSE_WORDS", words):
+        assert rels(relations.compose_packed(r, s)) == [
+            compose(x, y) for x, y in pairs]
+    assert rels(relations.meet_packed(r, s)) == [meet(x, y) for x, y in pairs]
+    assert rels(relations.union_packed(r, s)) == [
+        union(x, y) for x, y in pairs]
+    assert rels(relations.converse_packed(r)) == [x.converse() for x in rs]
+    assert relations.included_packed(r, s).tolist() == [
+        x <= y for x, y in pairs]
+    assert relations.included_packed(relations.meet_packed(r, s), s).all()
 
 
 def test_absorption_identity_on_corpus(corpus):
