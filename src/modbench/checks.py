@@ -10,8 +10,10 @@ Two routes:
   is computed over the product of its own variables' axes only.  Each
   operation keeps a table of its results by operand, so a block's results
   are one gather, and the cells the table still lacks are computed together
-  on packed bit rows.  For relation variables this is algebra-level
-  evidence, not a variety-wide verdict.
+  on packed bit rows.  A product of more than one block is first scanned
+  with each variable over the relations that its left-hand occurrences can
+  generate.  For relation variables this is algebra-level evidence, not a
+  variety-wide verdict.
 
 * ``pw_check`` decides congruence-variable inclusions for the whole
   generated variety: one free generator per node of the left-hand chain
@@ -25,7 +27,7 @@ a composite meets a congruence inside an intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import functools
 import itertools
 import math
@@ -36,14 +38,14 @@ from .algebras import FiniteAlgebra
 from .catalog import ALGEBRA, CatalogError, get_entry, level_of
 from .dsl import (AltE, ComposeE, ConvE, GenE, Identity, K, MeetE, PowE,
                   VarE, _check_count, alternation, children, expr_str,
-                  has_symbolic, push_converse, substitute_k)
+                  expr_vars, has_symbolic, push_converse, substitute_k)
 from .dsl import meet as meet_expr
 from .free import (CapExceeded, FreeAlgebra, build_free, meet_labels,
                    saturate, DEFAULT_CAP_ENTRIES, DEFAULT_WORK_BUDGET)
 from .relations import (CONGRUENCE, KIND_LEVEL, WORD, BinRel, GuardExceeded,
                         RelationError, converse_packed,
                         enumerate_relations, generate, included_packed,
-                        is_compatible, pack, unpack)
+                        is_compatible, pack, pair_ranks, unpack)
 # the calculus's own names for the packed kernels, under which it calls
 # them
 from .relations import compose_packed as compose
@@ -355,6 +357,19 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     has reached its fixed point on the environments still failing, their
     right-hand side is the same at every larger count, so they fail at k
     too and the counterexample is found without stepping up to k.
+
+    When the product spans more than one block, each variable is first
+    quantified over a space of its own (``_pair_spaces``): the relations
+    of its kind generated by at most as many off-diagonal pairs as it has
+    occurrences on the left-hand side, alternations and powers spelled out
+    at ``k``.  A variable under a ``gen_*`` on the left, or on the sup side
+    of a side condition, keeps its whole list; one on neither the left nor
+    a sup side gets the least relation of its kind.  Every failing
+    assignment has a failing one in those spaces, so their scan decides
+    the check and ``least_k``.  When it holds, ``envs_checked`` still
+    counts the assignments of the whole product that pass the side
+    conditions; when it fails, the whole product is scanned as above, on
+    the same tables, for the first counterexample in product order.
     """
     if k is not None:
         _check_count(k)
@@ -383,17 +398,101 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     interned = {kind: calc.intern(rels) for kind, rels in by_kind.items()}
     ids = [interned[kind] for _, kind in ident.var_kinds]
     scan = rhs_k and not lhs_k
+    # a product of one block is scanned whole: its spaces would cost more
+    # to make than they save
+    if total > BATCH:
+        spaces = _pair_spaces(calc, ident, k, interned)
+        if any(len(space) < len(full) for space, full in zip(spaces, ids)):
+            res = _scan(calc, ident, names, spaces, k, scan)
+            if res.holds:
+                return replace(res, envs_checked=_survivors(
+                    calc, ident, names, ids))
+    return _scan(calc, ident, names, ids, k, scan)
+
+
+def _pair_uses(ident: Identity, k: int | None) -> dict:
+    """How many pairs of each variable one pair of the left-hand side can
+    use: its occurrences there, an alternation or power of count m (``k``
+    for the symbolic one) counted as its m factors spelled out.  None for
+    a variable under a ``gen_*`` there, whose closure may use any number of
+    its pairs, or on the sup side of a side condition, which may not
+    shrink; 0 for a variable on neither side."""
+    uses = dict.fromkeys(ident.kinds(), 0)
+
+    def walk(e, times):
+        if not times:
+            return
+        if isinstance(e, VarE):
+            if uses[e.name] is not None:
+                uses[e.name] += times
+        elif isinstance(e, GenE):
+            uses.update(dict.fromkeys(expr_vars(e)))
+        elif isinstance(e, (AltE, PowE)):
+            m, factors = k if e.count == K else e.count, children(e)
+            for i, f in enumerate(factors):
+                walk(f, times * len(range(i, m, len(factors))))
+        else:
+            for f in children(e):
+                walk(f, times)
+
+    walk(ident.lhs, 1)
+    for c in ident.side_conditions:
+        uses.update(dict.fromkeys(expr_vars(c.sup)))
+    return uses
+
+
+def _pair_spaces(calc: _Calculus, ident: Identity, k: int | None,
+                 interned: dict) -> list[np.ndarray]:
+    """Each variable's ids: those of its kind generated by at most as many
+    off-diagonal pairs as ``_pair_uses`` gives it, in the kind's order, or
+    all of them where it gives None.
+
+    A failing assignment stays failing when each such variable shrinks to
+    the relation that the pairs of it behind one failing pair generate:
+    every operation is monotone, so the pair stays on the left, the right
+    side can only shrink, and so can a side condition's sub side.
+    ``interned`` must hold every relation of each kind, which
+    ``pair_ranks`` reads the generated relations from."""
+    uses, kinds, n = _pair_uses(ident, k), ident.kinds(), calc.a.size
+    ranks = {}
+    for kind, space in interned.items():
+        counts = [c for name, c in uses.items()
+                  if kinds[name] == kind and c is not None]
+        if counts:
+            # a relation is generated by its own off-diagonal pairs
+            ranks[kind] = pair_ranks(calc._rows(space),
+                                     min(max(counts), n * (n - 1)))
+    return [interned[kind] if uses[name] is None
+            else interned[kind][ranks[kind] <= uses[name]]
+            for name, kind in ident.var_kinds]
+
+
+def _batches(calc: _Calculus, names: list, spaces: list):
+    """The boxes of the product of ``spaces`` (``_boxes``) as batches, each
+    variable's ids of the box on an axis of its own."""
+    for box in _boxes([len(space) for space in spaces]):
+        parts = [space[cut] for space, cut in zip(spaces, box)]
+        yield _Batch(calc, dict(zip(names, np.ix_(*parts))),
+                     tuple(map(len, parts)))
+
+
+def _conditions_hold(batch: _Batch, ident: Identity):
+    """Whether every side condition holds, over the batch's axes."""
+    ok = True
+    for c in ident.side_conditions:
+        ok = ok & batch.calc.lift("<=", batch.eval(c.sub),
+                                  batch.eval(c.sup))
+    return ok
+
+
+def _scan(calc: _Calculus, ident: Identity, names: list, spaces: list,
+          k: int | None, scan: bool) -> ConcreteResult:
+    """``check_concrete``'s scan of the product of ``spaces``, in product
+    order."""
     least = 0
     checked = 0
-    for box in _boxes([len(space) for space in ids]):
-        # each variable's ids of the box, on an axis of its own
-        parts = [space[cut] for space, cut in zip(ids, box)]
-        batch = _Batch(calc, dict(zip(names, np.ix_(*parts))),
-                       tuple(map(len, parts)))
-        ok = True
-        for c in ident.side_conditions:
-            ok = ok & calc.lift("<=", batch.eval(c.sub), batch.eval(c.sup))
-        rows = np.flatnonzero(batch.flat(ok))
+    for batch in _batches(calc, names, spaces):
+        rows = np.flatnonzero(batch.flat(_conditions_hold(batch, ident)))
         if not rows.size:
             continue
         if rows.size < math.prod(batch.shape):
@@ -421,6 +520,24 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
         least = m
         checked += rows.size
     return ConcreteResult(True, None, checked, least if scan else None)
+
+
+def _survivors(calc: _Calculus, ident: Identity, names: list,
+               spaces: list) -> int:
+    """How many assignments of the product of ``spaces`` pass every side
+    condition: all of them when there is none.  The conditions are tested
+    over the product of their own variables only, and each assignment of
+    those that passes stands for every assignment of the others."""
+    used = set().union(*(expr_vars(c.sub) | expr_vars(c.sup)
+                         for c in ident.side_conditions))
+    inside = [name in used for name in names]
+    passed = sum(
+        int(np.count_nonzero(batch.flat(_conditions_hold(batch, ident))))
+        for batch in _batches(
+            calc, list(itertools.compress(names, inside)),
+            list(itertools.compress(spaces, inside))))
+    return passed * math.prod(len(space) for space, own
+                              in zip(spaces, inside) if not own)
 
 
 def _boxes(sizes: list[int]):

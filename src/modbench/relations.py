@@ -269,6 +269,44 @@ def included_packed(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ~(r & ~s).any(axis=(1, 2))
 
 
+def pair_ranks(rels: np.ndarray, most: int) -> np.ndarray:
+    """The fewest off-diagonal pairs that generate each relation of a
+    stack, or ``most + 1`` where it takes more.
+
+    The stack must hold every relation of one kind, so that it is closed
+    under meets: the relation a set of pairs generates is then the least
+    one of the stack that holds them, and no closure is run.  A relation of
+    rank r is generated by one of rank r - 1 and one more pair, so each
+    rank is found from the relations of the rank before: for each of them
+    and each pair, the least relation holding both.
+    """
+    k, n = rels.shape[:2]
+    bits = _bits(rels, n).reshape(k, n * n).astype(bool)
+    missing, size = ~bits, bits.sum(axis=1)
+    pairs = np.flatnonzero(~np.eye(n, dtype=bool))
+    holds = bits[:, pairs].T
+    ranks = np.full(k, most + 1)
+    # the least relation, the meet of all, is generated by no pair
+    frontier = np.argmin(size, keepdims=True)
+    ranks[frontier] = 0
+    step = max(1, (1 << 20) // (k * max(n * n, pairs.size)))
+    for rank in range(1, most + 1):
+        if not frontier.size:
+            break
+        found = []
+        for lo in range(0, frontier.size, step):
+            # y <= x exactly when y holds none of x's missing pairs
+            above = ~(bits[frontier[lo:lo + step], None] & missing).any(-1)
+            # axes: relation y, pair p, relation x holding y and p
+            both = above[:, None] & holds
+            found.append(np.where(both, size, n * n + 1).argmin(axis=-1)
+                         .reshape(-1))
+        found = np.concatenate(found)
+        frontier = np.unique(found[ranks[found] > rank])
+        ranks[frontier] = rank
+    return ranks
+
+
 # -- compatibility and generation ------------------------------------------
 
 

@@ -656,6 +656,140 @@ def test_a_variable_no_side_uses_multiplies_the_assignments(chain3):
             _oracle_check(chain3, ident, 0), size
 
 
+# ---------------------------------------------------------------------------
+# Each variable over the relations its left-hand pairs generate
+
+
+def test_pair_uses_count_left_hand_occurrences():
+    uses = checks._pair_uses
+    # an alternation of count m spells out its m factors, a power repeats
+    # its item, and nested counts multiply
+    ident = parse_identity("cong a; adm R S T; alt(R, S, k) & pow(T o a, 2) "
+                           "& pow(alt(R, conv(T), 3), 2) <= R")
+    assert uses(ident, 5) == {"a": 2, "R": 3 + 4, "S": 2, "T": 2 + 2}
+    assert uses(ident, 0) == {"a": 2, "R": 4, "S": 0, "T": 4}
+    # a gen_* on the left may use any number of pairs, unless a count of 0
+    # leaves it out
+    ident = parse_identity("adm R S T; alt(gen_adm(R), S, k) <= T o R")
+    assert uses(ident, 0) == {"R": 0, "S": 0, "T": 0}
+    assert uses(ident, 3) == {"R": None, "S": 1, "T": 0}
+    # a side condition's sup side keeps its relations; its sub side and a
+    # variable on neither side shrink
+    assert uses(get_entry("AG").identity(), 1) == \
+        {"a": 1, "t1": 1, "t2": 1, "R": None, "S": None}
+    assert uses(get_entry("ED").identity(), 4) == \
+        {"a": 2, "b": 1, "g": 1, "D": None}
+    assert uses(parse_identity("cong a b; adm R; a & R <= pow(a & R, k)"),
+                2) == {"a": 1, "b": 0, "R": 1}
+
+
+def test_pair_spaces_are_the_relations_few_pairs_generate(chain3):
+    # against generate over every set of at most that many off-diagonal
+    # pairs, in the order of the kind's list; b is on no side
+    ident = parse_identity("cong a b; adm R S; tol D; (a & R) o pow(S, 2) "
+                           "o gen_tol(D) <= R")
+    calc = checks._Calculus(chain3)
+    lists = {kind: enumerate_relations(chain3, kind)
+             for kind in set(ident.kinds().values())}
+    spaces = checks._pair_spaces(
+        calc, ident, None,
+        {kind: calc.intern(rels) for kind, rels in lists.items()})
+    offdiag = [(x, y) for x in range(3) for y in range(3) if x != y]
+    for (name, kind), space, most in zip(
+            ident.var_kinds, spaces, (1, 0, 1, 2, None)):
+        if most is None:
+            want = lists[kind]
+        else:
+            made = {generate(chain3, pairs, kind) for size in range(most + 1)
+                    for pairs in itertools.combinations(offdiag, size)}
+            want = [r for r in lists[kind] if r in made]
+        assert [calc.rel(i) for i in space.tolist()] == want, name
+    assert len(spaces[1]) == 1 and calc.rel(int(spaces[1][0])) == \
+        BinRel.identity(3)
+
+
+def test_chain3_agai_scans_the_relations_one_pair_generates(chain3,
+                                                             monkeypatch):
+    # a, used twice, keeps its 4 congruences; T, R and S, used once each,
+    # take the least admissible relation and the 6 that one pair generates,
+    # so 4 * 7**3 assignments decide the 4 * 25**3 of the product.  Each
+    # scan records the size of the product it runs over
+    scanned, scan = [], checks._scan
+
+    def recorded(calc, ident, names, spaces, *args):
+        scanned.append(math.prod(map(len, spaces)))
+        return scan(calc, ident, names, spaces, *args)
+
+    monkeypatch.setattr(checks, "_scan", recorded)
+    agai = get_entry("AGAI").identity()
+    res = check_concrete(chain3, agai, k=1)
+    assert (res.holds, res.envs_checked, res.least_k) == (True, 62_500, 1)
+    assert scanned == [1_372]
+    # a failing check scans the whole product for its first counterexample
+    scanned.clear()
+    res = check_concrete(chain3, agai, k=0)
+    assert (res.holds, res.envs_checked) == (False, 15_726)
+    assert scanned == [1_372, 62_500]
+    # AG's R and S, the sup side, keep their 25 relations; its 672,400
+    # survivors of 1,562,500 assignments are counted over t1, t2, R and S
+    scanned.clear()
+    res = check_concrete(chain3, get_entry("AG").identity(), k=1)
+    assert res == ConcreteResult(True, None, 672_400, 1)
+    assert scanned == [4 * 7 * 7 * 25 * 25]
+
+
+def _full_scan(a, ident, k):
+    """``check_concrete``'s scan of the whole product, in one call."""
+    calc = checks._Calculus(a)
+    ids = [calc.intern(enumerate_relations(a, kind))
+           for _, kind in ident.var_kinds]
+    scan = has_symbolic(ident.rhs) and not has_symbolic(ident.lhs)
+    return checks._scan(calc, ident, [name for name, _ in ident.var_kinds],
+                        ids, k, scan)
+
+
+def test_chain3_families_agree_with_the_full_scan(chain3):
+    # AGAI and AG are more than one block, so their spaces shrink; AGI is
+    # refused by the guard
+    for family in ALGEBRA_FAMILIES:
+        if family == "AGI":
+            continue
+        ident = get_entry(family).identity()
+        for k in (0, 1, 2, 4, 64):
+            assert check_concrete(chain3, ident, k=k) == \
+                _full_scan(chain3, ident, k), (family, k)
+
+
+# the families, a gen_adm on the left, k on both sides, and a declared
+# variable on neither side
+_SPACE_IDENTITIES = [
+    *(get_entry(family).identity() for family in ALGEBRA_FAMILIES),
+    parse_identity("adm R S; gen_adm(R, S) & (R o S) <= alt(R, S, k)"),
+    parse_identity("adm R S; pow(R, k) & S <= alt(S, R, k)"),
+    parse_identity("cong a b; adm R; a & R <= pow(a & R, k)")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_small_algebras(), ident=st.sampled_from(_SPACE_IDENTITIES),
+       k=st.sampled_from((0, 1, 2, 4, 64)), size=st.sampled_from((1, 7)))
+def test_pair_spaces_agree_with_the_full_scan_and_the_oracle(a, ident, k,
+                                                             size):
+    # a product of more than BATCH assignments is decided over the spaces
+    # its left-hand pairs generate
+    spaces = [len(enumerate_relations(a, kind)) for _, kind in
+              ident.var_kinds]
+    assume(size < math.prod(spaces) <= 1024)
+    with mock.patch.object(checks, "BATCH", size):
+        got = check_concrete(a, ident, k=k)
+    assert got == _full_scan(a, ident, k)
+    holds, env, checked = _oracle_check(a, ident, k)
+    assert (got.holds, got.counterexample, got.envs_checked) == \
+        (holds, env, checked)
+    if got.least_k is not None:
+        assert got.least_k == next(m for m in range(k + 1)
+                                   if _oracle_check(a, ident, m)[0])
+
+
 def _counting(monkeypatch):
     """Wrap the calculus the concrete checker calls: the packed kernels,
     which take a stack of operand pairs per call, and the scalar
@@ -687,19 +821,23 @@ def test_distinct_is_np_unique(x, narrow):
 
 def test_each_distinct_argument_is_computed_once(chain3, monkeypatch):
     # cells are counted over every batch of the packed kernels: no operand
-    # pair is computed twice, in one batch or across batches
+    # pair is computed twice, in one batch or across batches.  A check that
+    # holds scans T, R and S over their 7 relations generated by one pair;
+    # the one that fails scans the whole product after them, on the same
+    # tables
     seen = _counting(monkeypatch)
     agai = get_entry("AGAI").identity()
-    for run, want in (
-            (lambda: spectrum(chain3, "AGAI"), Bound(1, 1)),
-            (lambda: check_concrete(chain3, agai, k=4).least_k, 1),
-            (lambda: check_concrete(chain3, agai, k=0).holds, False)):
+    held = {"compose": 205, "union": 126, "generate": 24, "meet": 96}
+    for run, want, cells in (
+            (lambda: spectrum(chain3, "AGAI"), Bound(1, 1), held),
+            (lambda: check_concrete(chain3, agai, k=4).least_k, 1, held),
+            (lambda: check_concrete(chain3, agai, k=0).holds, False,
+             {"compose": 625, "union": 625, "generate": 25, "meet": 98})):
         seen.clear()
         assert run() == want
         assert len(set(seen)) == len(seen)
         counts = collections.Counter(name for name, _ in seen)
-        assert counts == {"compose": 625, "union": 625, "generate": 25,
-                          "meet": 100 if want != False else 50}, counts
+        assert counts == cells, counts
 
 
 def test_result_tables_grow_with_the_results_computed(monkeypatch):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 GuardExceeded, RelationError,
@@ -423,3 +423,21 @@ def test_transitivity_matches_a_set_oracle(r):
     closure = transitive_closure(r)
     assert set(closure.pairs()) == closed
     assert closure.is_transitive()
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_small_algebras(), most=st.integers(0, 6),
+       kind=st.sampled_from((ADMISSIBLE, TOLERANCE, CONGRUENCE)))
+def test_pair_ranks_are_the_fewest_generating_pairs(a, most, kind):
+    # against generate over every set of off-diagonal pairs, smallest first
+    assume(a.size <= 3)
+    n = a.size
+    rels = enumerate_relations(a, kind)
+    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+    want = {}
+    for size in range(len(offdiag) + 1):
+        for pairs in itertools.combinations(offdiag, size):
+            want.setdefault(generate(a, pairs, kind), size)
+    assert set(want) == set(rels)
+    ranks = relations.pair_ranks(relations.pack(rels, n), most)
+    assert ranks.tolist() == [min(want[r], most + 1) for r in rels]
