@@ -10,8 +10,8 @@ Two routes:
   is computed over the product of its own variables' axes only.  Each
   operation keeps a table of its results by operand, so a block's results
   are one gather, and the cells the table still lacks are computed together
-  on packed bit rows.  A product of more than one block is first scanned
-  with each variable over the relations that its left-hand occurrences can
+  on packed bit rows.  A product of more than one block is scanned with
+  each variable over the relations that its left-hand occurrences can
   generate.  For relation variables this is algebra-level evidence, not a
   variety-wide verdict.
 
@@ -27,7 +27,7 @@ a composite meets a congruence inside an intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import functools
 import itertools
 import math
@@ -327,6 +327,10 @@ MAX_ENVS = 2_000_000
 
 @dataclass(frozen=True)
 class ConcreteResult:
+    """One concrete check.  ``envs_checked`` counts the assignments of the
+    kinds' lists' product that pass every side condition: all of them when
+    it holds, else those up to the counterexample in product order."""
+
     holds: bool
     counterexample: dict | None
     envs_checked: int
@@ -358,18 +362,14 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     right-hand side is the same at every larger count, so they fail at k
     too and the counterexample is found without stepping up to k.
 
-    When the product spans more than one block, each variable is first
-    quantified over a space of its own (``_pair_spaces``): the relations
-    of its kind generated by at most as many off-diagonal pairs as it has
-    occurrences on the left-hand side, alternations and powers spelled out
-    at ``k``.  A variable under a ``gen_*`` on the left, or on the sup side
-    of a side condition, keeps its whole list; one on neither the left nor
-    a sup side gets the least relation of its kind.  Every failing
-    assignment has a failing one in those spaces, so their scan decides
-    the check and ``least_k``.  When it holds, ``envs_checked`` still
-    counts the assignments of the whole product that pass the side
-    conditions; when it fails, the whole product is scanned as above, on
-    the same tables, for the first counterexample in product order.
+    When the product spans more than one block, each variable is quantified
+    over a space of its own (``_pair_spaces``): the relations of its kind
+    generated by at most as many off-diagonal pairs as it has occurrences
+    on the left-hand side (``_pair_uses``).  A failing assignment shrinks to
+    a failing one in the spaces, each variable to a subrelation, and each
+    kind's list puts a relation after its subrelations (NextClosure's lectic
+    order; congruences by rows).  So the first counterexample of the product
+    is in the spaces and is their first, and one scan decides the check.
     """
     if k is not None:
         _check_count(k)
@@ -400,14 +400,14 @@ def check_concrete(a: FiniteAlgebra, ident: Identity,
     scan = rhs_k and not lhs_k
     # a product of one block is scanned whole: its spaces would cost more
     # to make than they save
-    if total > BATCH:
-        spaces = _pair_spaces(calc, ident, k, interned)
-        if any(len(space) < len(full) for space, full in zip(spaces, ids)):
-            res = _scan(calc, ident, names, spaces, k, scan)
-            if res.holds:
-                return replace(res, envs_checked=_survivors(
-                    calc, ident, names, ids))
-    return _scan(calc, ident, names, ids, k, scan)
+    spaces = _pair_spaces(calc, ident, k, interned) if total > BATCH else ids
+    found, least = _scan(calc, ident, names, spaces, k, scan)
+    if found is None:
+        return ConcreteResult(True, None, _survivors(calc, ident, names, ids),
+                              least if scan else None)
+    at = [int(np.flatnonzero(full == i)[0]) for full, i in zip(ids, found)]
+    return ConcreteResult(False, dict(zip(names, map(calc.rel, found))),
+                          _survivors(calc, ident, names, ids, at))
 
 
 def _pair_uses(ident: Identity, k: int | None) -> dict:
@@ -486,11 +486,11 @@ def _conditions_hold(batch: _Batch, ident: Identity):
 
 
 def _scan(calc: _Calculus, ident: Identity, names: list, spaces: list,
-          k: int | None, scan: bool) -> ConcreteResult:
+          k: int | None, scan: bool) -> tuple[list | None, int]:
     """``check_concrete``'s scan of the product of ``spaces``, in product
-    order."""
+    order: the ids of the first counterexample, or None, and the largest
+    per-environment least count met."""
     least = 0
-    checked = 0
     for batch in _batches(calc, names, spaces):
         rows = np.flatnonzero(batch.flat(_conditions_hold(batch, ident)))
         if not rows.size:
@@ -499,45 +499,49 @@ def _scan(calc: _Calculus, ident: Identity, names: list, spaces: list,
             batch = batch.take(rows)
         # the batch is tried at m; the environments failing go on to m + 1,
         # or fail at k too once no alternation of the count moves any more
-        pending, left = np.arange(rows.size), batch.eval(ident.lhs, k)
-        m = least if scan else k
+        left, m = batch.eval(ident.lhs, k), least if scan else k
         while True:
             batch.moving = False
             holds = calc.lift("<=", left, batch.eval(ident.rhs, m))
             fails = np.flatnonzero(~batch.flat(holds))
             if not fails.size:
                 break
-            pending = pending[fails]
             if m == k or not batch.moving:
-                counterexample = {
-                    name: calc.rel(int(batch.flat(col)[fails[0]]))
-                    for name, col in batch.cols.items()}
-                return ConcreteResult(False, counterexample,
-                                      checked + int(pending[0]) + 1)
+                return [int(batch.flat(col)[fails[0]])
+                        for col in batch.cols.values()], m
             left = batch.flat(left)[fails]
             batch = batch.take(fails)
             m += 1
         least = m
-        checked += rows.size
-    return ConcreteResult(True, None, checked, least if scan else None)
+    return None, least
 
 
 def _survivors(calc: _Calculus, ident: Identity, names: list,
-               spaces: list) -> int:
+               spaces: list, last: list | None = None) -> int:
     """How many assignments of the product of ``spaces`` pass every side
-    condition: all of them when there is none.  The conditions are tested
-    over the product of their own variables only, and each assignment of
-    those that passes stands for every assignment of the others."""
+    condition, of all or of those up to the positions ``last`` in product
+    order: on each axis, those that agree with ``last`` before it and lie
+    below it there, and ``last``.  The conditions are tested over their own
+    variables' product only; each assignment of it that passes stands for
+    every assignment of the other variables."""
     used = set().union(*(expr_vars(c.sub) | expr_vars(c.sup)
                          for c in ident.side_conditions))
     inside = [name in used for name in names]
-    passed = sum(
-        int(np.count_nonzero(batch.flat(_conditions_hold(batch, ident))))
-        for batch in _batches(
-            calc, list(itertools.compress(names, inside)),
-            list(itertools.compress(spaces, inside))))
-    return passed * math.prod(len(space) for space, own
-                              in zip(spaces, inside) if not own)
+    own = list(itertools.compress(spaces, inside))
+    passed = np.empty([len(space) for space in own], bool)
+    for box, batch in zip(_boxes(list(passed.shape)), _batches(
+            calc, list(itertools.compress(names, inside)), own)):
+        passed[box] = _conditions_hold(batch, ident)
+    count, free = 0, math.prod(len(s) for s, o in zip(spaces, inside) if not o)
+    for space, o, at in zip(spaces, inside,
+                            last or [len(s) - 1 for s in spaces]):
+        if o:
+            count += int(np.count_nonzero(passed[:at])) * free
+            passed = passed[at]
+        else:
+            free //= len(space)
+            count += int(np.count_nonzero(passed)) * at * free
+    return count + int(passed)
 
 
 def _boxes(sizes: list[int]):

@@ -725,27 +725,30 @@ def test_chain3_agai_scans_the_relations_one_pair_generates(chain3,
     res = check_concrete(chain3, agai, k=1)
     assert (res.holds, res.envs_checked, res.least_k) == (True, 62_500, 1)
     assert scanned == [1_372]
-    # a failing check scans the whole product for its first counterexample
+    # a failing check finds its first counterexample in the same spaces,
+    # and counts the product's assignments up to it
     scanned.clear()
     res = check_concrete(chain3, agai, k=0)
     assert (res.holds, res.envs_checked) == (False, 15_726)
-    assert scanned == [1_372, 62_500]
+    assert scanned == [1_372]
     # AG's R and S, the sup side, keep their 25 relations; its 672,400
-    # survivors of 1,562,500 assignments are counted over t1, t2, R and S
-    scanned.clear()
-    res = check_concrete(chain3, get_entry("AG").identity(), k=1)
-    assert res == ConcreteResult(True, None, 672_400, 1)
-    assert scanned == [4 * 7 * 7 * 25 * 25]
+    # survivors of 1,562,500 assignments, and the 170,277 up to its
+    # counterexample at k = 0, are counted over t1, t2, R and S
+    ag = get_entry("AG").identity()
+    for k, holds, checked in ((1, True, 672_400), (0, False, 170_277)):
+        scanned.clear()
+        res = check_concrete(chain3, ag, k=k)
+        assert (res.holds, res.envs_checked) == (holds, checked), k
+        assert scanned == [4 * 7 * 7 * 25 * 25], k
 
 
-def _full_scan(a, ident, k):
-    """``check_concrete``'s scan of the whole product, in one call."""
-    calc = checks._Calculus(a)
-    ids = [calc.intern(enumerate_relations(a, kind))
-           for _, kind in ident.var_kinds]
-    scan = has_symbolic(ident.rhs) and not has_symbolic(ident.lhs)
-    return checks._scan(calc, ident, [name for name, _ in ident.var_kinds],
-                        ids, k, scan)
+def _unreduced(a, ident, k):
+    """``check_concrete`` with the whole product in one block, so that
+    every variable ranges over every relation of its kind."""
+    size = math.prod(len(enumerate_relations(a, kind))
+                     for _, kind in ident.var_kinds)
+    with mock.patch.object(checks, "BATCH", size):
+        return check_concrete(a, ident, k=k)
 
 
 def test_chain3_families_agree_with_the_full_scan(chain3):
@@ -757,7 +760,7 @@ def test_chain3_families_agree_with_the_full_scan(chain3):
         ident = get_entry(family).identity()
         for k in (0, 1, 2, 4, 64):
             assert check_concrete(chain3, ident, k=k) == \
-                _full_scan(chain3, ident, k), (family, k)
+                _unreduced(chain3, ident, k), (family, k)
 
 
 # the families, a gen_adm on the left, k on both sides, and a declared
@@ -781,13 +784,41 @@ def test_pair_spaces_agree_with_the_full_scan_and_the_oracle(a, ident, k,
     assume(size < math.prod(spaces) <= 1024)
     with mock.patch.object(checks, "BATCH", size):
         got = check_concrete(a, ident, k=k)
-    assert got == _full_scan(a, ident, k)
+    assert got == _unreduced(a, ident, k)
     holds, env, checked = _oracle_check(a, ident, k)
     assert (got.holds, got.counterexample, got.envs_checked) == \
         (holds, env, checked)
     if got.least_k is not None:
         assert got.least_k == next(m for m in range(k + 1)
                                    if _oracle_check(a, ident, m)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_small_algebras(),
+       family=st.sampled_from(("ED", "AG", "AGI", "AGAI", "RRMOD")),
+       k=st.sampled_from((0, 1, 2)), size=st.sampled_from((1, 7)))
+def test_one_scan_finds_the_first_counterexample(a, family, k, size):
+    # ED's, AG's and AGI's side conditions and every family's scan of k on
+    # the right: the first counterexample of the product is the first of
+    # the spaces, so one scan of them finds it, and the product's
+    # assignments up to it are counted without scanning them
+    ident = get_entry(family).identity()
+    spaces = [len(enumerate_relations(a, kind)) for _, kind in
+              ident.var_kinds]
+    assume(size < math.prod(spaces) <= 1024)
+    scanned, scan = [], checks._scan
+
+    def recorded(calc, ident, names, spaces, *args):
+        scanned.append(math.prod(map(len, spaces)))
+        return scan(calc, ident, names, spaces, *args)
+
+    with mock.patch.object(checks, "BATCH", size), \
+            mock.patch.object(checks, "_scan", recorded):
+        got = check_concrete(a, ident, k=k)
+    assert len(scanned) == 1 and scanned[0] <= math.prod(spaces)
+    holds, env, checked = _oracle_check(a, ident, k)
+    assert (got.holds, got.counterexample, got.envs_checked) == \
+        (holds, env, checked)
 
 
 def _counting(monkeypatch):
@@ -822,9 +853,8 @@ def test_distinct_is_np_unique(x, narrow):
 def test_each_distinct_argument_is_computed_once(chain3, monkeypatch):
     # cells are counted over every batch of the packed kernels: no operand
     # pair is computed twice, in one batch or across batches.  A check that
-    # holds scans T, R and S over their 7 relations generated by one pair;
-    # the one that fails scans the whole product after them, on the same
-    # tables
+    # holds, and the one that fails, scan T, R and S over their 7 relations
+    # generated by one pair
     seen = _counting(monkeypatch)
     agai = get_entry("AGAI").identity()
     held = {"compose": 205, "union": 126, "generate": 24, "meet": 96}
@@ -832,7 +862,7 @@ def test_each_distinct_argument_is_computed_once(chain3, monkeypatch):
             (lambda: spectrum(chain3, "AGAI"), Bound(1, 1), held),
             (lambda: check_concrete(chain3, agai, k=4).least_k, 1, held),
             (lambda: check_concrete(chain3, agai, k=0).holds, False,
-             {"compose": 625, "union": 625, "generate": 25, "meet": 98})):
+             {"compose": 143, "union": 126, "generate": 24, "meet": 96})):
         seen.clear()
         assert run() == want
         assert len(set(seen)) == len(seen)

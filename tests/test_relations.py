@@ -14,7 +14,7 @@ from modbench.relations import (ADMISSIBLE, CONGRUENCE, TOLERANCE, BinRel,
                                 union)
 from modbench import relations
 from modbench.algebras import FiniteAlgebra, Signature
-from conftest import random_algebra
+from conftest import CORPUS, load_corpus, random_algebra
 
 
 def rel_from_partition(blocks, n):
@@ -201,8 +201,8 @@ def test_generate_matches_bruteforce_sample(seed):
 
 
 @st.composite
-def _small_algebras(draw):
-    size = draw(st.integers(1, 4))
+def _small_algebras(draw, smallest=1):
+    size = draw(st.integers(smallest, 4))
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
     ops = tuple((f"f{i}", ar) for i, ar in enumerate(arities))
     tables = {name: draw(st.lists(st.integers(0, size - 1),
@@ -234,6 +234,23 @@ def test_enumerate_relations_matches_bruteforce(a, kind):
     want = enumerate_kind(a, kind)
     assert enumerate_relations(a, kind) == want
     assert enumerate_relations(a, kind, 2) == want[:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.one_of(_small_algebras(smallest=2),
+                   st.sampled_from([load_corpus(name) for name in CORPUS])))
+def test_listings_put_subrelations_first(a):
+    # each kind's list is a linear extension of inclusion: NextClosure's
+    # lectic order, or congruences by rows.  Concrete checks rely on it to
+    # find the first counterexample among relations few pairs generate
+    for kind in (ADMISSIBLE, TOLERANCE, CONGRUENCE):
+        # a relation on at most 4 elements as one mask of its n * n bits
+        masks = np.array([sum(row << (i * a.size) for i, row in
+                              enumerate(r.rows))
+                          for r in enumerate_relations(a, kind)], np.int64)
+        for j, mask in enumerate(masks):
+            above = masks[:j][(masks[:j] & mask) == mask]
+            assert (above == mask).all(), (kind, j)
 
 
 def test_all_congruences_matches_partition_filter():
@@ -423,6 +440,26 @@ def test_transitivity_matches_a_set_oracle(r):
     closure = transitive_closure(r)
     assert set(closure.pairs()) == closed
     assert closure.is_transitive()
+
+
+def _squared(r):
+    """``r`` squared on the scalar calculus until nothing changes."""
+    square = compose(r, r)
+    while square != r:
+        r, square = square, compose(square, square)
+    return r
+
+
+def test_transitive_closure_is_scalar_squaring():
+    # 50 random relations for each n, on one or two words a row, from empty
+    # to about four pairs a row
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 64, 65, 70):
+        for _ in range(50):
+            rows = rng.random((n, n)) < rng.choice((0, 0.5, 1, 2, 4)) / n
+            r = BinRel(n, [int.from_bytes(np.packbits(
+                row, bitorder="little").tobytes(), "little") for row in rows])
+            assert transitive_closure(r) == _squared(r), n
 
 
 @settings(max_examples=40, deadline=None)
